@@ -169,32 +169,6 @@ pub fn db_cost(jt: &JointType, ncols: usize) -> OpCount {
     )
 }
 
-/// Which analytical ΔID formulation an operation estimate models —
-/// mirrors `rbd_dynamics::DerivAlgo` (this crate sits below the
-/// dynamics crate in the dependency graph, so the selector is mirrored
-/// rather than imported; `rbd_dynamics` tests pin the two enums'
-/// `name()` strings against each other).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DerivBackend {
-    /// Carpentier–Mansard chain-table expansion (`Df`/`Db` submodules).
-    Expansion,
-    /// IDSVA composite-quantity formulation (Singh/Russell/Wensing
-    /// 2022): per-body composite builds + per-DOF projections + two dot
-    /// products per related DOF pair.
-    #[default]
-    Idsva,
-}
-
-impl DerivBackend {
-    /// Stable lowercase name (matches `rbd_dynamics::DerivAlgo::name`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Expansion => "expansion",
-            Self::Idsva => "idsva",
-        }
-    }
-}
-
 /// IDSVA per-body cost: world-frame kinematics (transforms of `S`
 /// columns, `v`/`a` updates, inertia congruence ≈ one `Rf`-class
 /// forward step), the momentum/force products, the compact
@@ -233,14 +207,10 @@ const IDSVA_PAIR: OpCount = OpCount {
 };
 
 /// Estimated total flop count (muls + adds) of one analytical ΔID
-/// evaluation on `model` under the given backend. The expansion model
-/// sums the paper's `Df`/`Db` submodules at each body's
-/// ancestor-column count; the IDSVA model sums per-body composite
+/// evaluation on `model` by the host's IDSVA kernel: per-body composite
 /// builds, per-DOF projections and two dots per related ordered DOF
-/// pair. Feed into `BatchEval::set_point_flops` (directly or through
-/// [`delta_fd_flops_with`]) so the pool's work gating stays honest for
-/// whichever backend a consumer selects.
-pub fn delta_id_flops(model: &RobotModel, backend: DerivBackend) -> f64 {
+/// pair. [`delta_fd_flops`] builds on it.
+pub fn delta_id_flops(model: &RobotModel) -> f64 {
     let topo = model.topology();
     let mut total = OpCount::default();
     for i in 0..model.num_bodies() {
@@ -252,25 +222,15 @@ pub fn delta_id_flops(model: &RobotModel, backend: DerivBackend) -> f64 {
                 .iter()
                 .map(|&a| model.joint(a).jtype.nv())
                 .sum::<usize>();
-        match backend {
-            DerivBackend::Expansion => {
-                total = total
-                    .plus(df_cost(jt, chain_cols))
-                    .plus(db_cost(jt, chain_cols))
-                    .plus(trig_cost(jt));
-            }
-            DerivBackend::Idsva => {
-                // Ordered related pairs owned by this body: its own
-                // DOFs against the full chain (row fill) plus the
-                // strict ancestors against its own DOFs (column fill).
-                let pairs = ni * chain_cols + ni * (chain_cols - ni);
-                total = total
-                    .plus(idsva_body_cost(jt))
-                    .plus(idsva_dof_cost().times(ni))
-                    .plus(IDSVA_PAIR.times(pairs))
-                    .plus(trig_cost(jt));
-            }
-        }
+        // Ordered related pairs owned by this body: its own DOFs against
+        // the full chain (row fill) plus the strict ancestors against its
+        // own DOFs (column fill).
+        let pairs = ni * chain_cols + ni * (chain_cols - ni);
+        total = total
+            .plus(idsva_body_cost(jt))
+            .plus(idsva_dof_cost().times(ni))
+            .plus(IDSVA_PAIR.times(pairs))
+            .plus(trig_cost(jt));
     }
     (total.mul + total.add) as f64
 }
@@ -331,22 +291,15 @@ pub fn trig_cost(jt: &JointType) -> OpCount {
 }
 
 /// Estimated total flop count (muls + adds) of one analytical ΔFD
-/// evaluation on `model`, from the paper's per-submodule operation
-/// models: the ΔRNEA sweeps (`Df`/`Db`) and the MMinvGen sweeps
-/// (`Mb`/`Mf`) at each body's ancestor-column count, plus the final
-/// dense `-M⁻¹·∂τ` products. This is the **work-based gating hook** for
+/// evaluation on `model`: the ΔID sweeps ([`delta_id_flops`]), the
+/// paper's MMinvGen submodules (`Mb`/`Mf`) at each body's
+/// ancestor-column count, plus the final dense `-M⁻¹·∂τ` products.
+/// This is the **work-based gating hook** for
 /// `rbd_dynamics::BatchEval::set_point_flops`: a paper-accurate
 /// replacement for size heuristics (like iLQR's old `nv >= 4` rule)
 /// when deciding whether a batch is worth fanning out across the
 /// worker pool.
 pub fn delta_fd_flops(model: &RobotModel) -> f64 {
-    delta_fd_flops_with(model, DerivBackend::default())
-}
-
-/// [`delta_fd_flops`] with an explicit ΔID backend for the inner
-/// derivative sweeps (the MMinvGen sweeps and the final `−M⁻¹·∂τ`
-/// products are backend-independent).
-pub fn delta_fd_flops_with(model: &RobotModel, backend: DerivBackend) -> f64 {
     let topo = model.topology();
     let mut total = OpCount::default();
     for i in 0..model.num_bodies() {
@@ -366,7 +319,7 @@ pub fn delta_fd_flops_with(model: &RobotModel, backend: DerivBackend) -> f64 {
     // ΔID sweeps + MMinvGen sweeps + the final −M⁻¹·∂τ products over the
     // two nv×nv derivative blocks (branch-sparse in practice; dense here
     // as a safe upper estimate).
-    delta_id_flops(model, backend) + (total.mul + total.add) as f64 + 4.0 * nv * nv * nv
+    delta_id_flops(model) + (total.mul + total.add) as f64 + 4.0 * nv * nv * nv
 }
 
 /// Estimated flop count of one RK4-with-sensitivity sampling point (the
@@ -376,14 +329,8 @@ pub fn delta_fd_flops_with(model: &RobotModel, backend: DerivBackend) -> f64 {
 /// blocks). Install into `BatchEval::set_point_flops` before batching
 /// LQ points.
 pub fn rk4_sens_point_flops(model: &RobotModel) -> f64 {
-    rk4_sens_point_flops_with(model, DerivBackend::default())
-}
-
-/// [`rk4_sens_point_flops`] with an explicit ΔID backend for the four
-/// stage ΔFD evaluations.
-pub fn rk4_sens_point_flops_with(model: &RobotModel, backend: DerivBackend) -> f64 {
     let nv = model.nv() as f64;
-    4.0 * delta_fd_flops_with(model, backend) + 48.0 * nv * nv * nv
+    4.0 * delta_fd_flops(model) + 48.0 * nv * nv * nv
 }
 
 /// `Af_i`/`Ab_i` — articulated-body (ABA) per-body cost: pass 1
@@ -538,8 +485,24 @@ mod tests {
     fn idsva_estimate_undercuts_expansion_and_scales() {
         use rbd_model::robots;
         for m in [robots::iiwa(), robots::hyq(), robots::atlas()] {
-            let exp = delta_id_flops(&m, DerivBackend::Expansion);
-            let idsva = delta_id_flops(&m, DerivBackend::Idsva);
+            // The paper's Df/Db expansion model at each body's
+            // ancestor-column count, for comparison.
+            let mut expansion = OpCount::default();
+            for i in 0..m.num_bodies() {
+                let jt = &m.joint(i).jtype;
+                let cols = jt.nv()
+                    + m.topology()
+                        .ancestors(i)
+                        .iter()
+                        .map(|&a| m.joint(a).jtype.nv())
+                        .sum::<usize>();
+                expansion = expansion
+                    .plus(df_cost(jt, cols))
+                    .plus(db_cost(jt, cols))
+                    .plus(trig_cost(jt));
+            }
+            let exp = (expansion.mul + expansion.add) as f64;
+            let idsva = delta_id_flops(&m);
             // The IDSVA restructure must be modelled as cheaper (the
             // measured kernels are 2-3.5x faster; the op model is more
             // conservative but must preserve the ordering).
@@ -549,15 +512,10 @@ mod tests {
                 m.name()
             );
             assert!(idsva > 0.0);
-            // The ΔFD wrapper orders the same way.
-            assert!(
-                delta_fd_flops_with(&m, DerivBackend::Idsva)
-                    < delta_fd_flops_with(&m, DerivBackend::Expansion)
-            );
         }
-        // Deeper trees cost more under both models.
-        let small = delta_id_flops(&robots::iiwa(), DerivBackend::Idsva);
-        let large = delta_id_flops(&robots::atlas(), DerivBackend::Idsva);
+        // Deeper trees cost more.
+        let small = delta_id_flops(&robots::iiwa());
+        let large = delta_id_flops(&robots::atlas());
         assert!(large > small);
     }
 
@@ -586,12 +544,5 @@ mod tests {
         assert!((h8 / h1 - 8.0).abs() < 1e-9, "linear in horizon");
         // Zero horizon clamps to one step rather than gating to zero.
         assert_eq!(rk4_rollout_point_flops(&m, 0), h1);
-    }
-
-    #[test]
-    fn backend_names_are_stable() {
-        assert_eq!(DerivBackend::Expansion.name(), "expansion");
-        assert_eq!(DerivBackend::Idsva.name(), "idsva");
-        assert_eq!(DerivBackend::default().name(), "idsva");
     }
 }

@@ -1,6 +1,6 @@
 //! Derivative-throughput benchmark: single-thread latency of the
-//! ΔRNEA/ΔFD kernels (allocating wrappers, the zero-allocation `*_into`
-//! fast path, and both ΔID backends explicitly) plus batched
+//! ΔRNEA/ΔFD kernels (allocating wrappers and the zero-allocation
+//! `*_into` fast path) plus batched
 //! multi-thread throughput through `BatchEval`, emitting a
 //! machine-readable `BENCH_derivatives.json` so future PRs have a perf
 //! trajectory to compare against. The report embeds host metadata (CPU
@@ -11,9 +11,8 @@
 
 use rbd_bench::harness::{iso8601_utc, Bench, BenchReport, HostMeta};
 use rbd_dynamics::{
-    fd_derivatives, fd_derivatives_into, fd_derivatives_with_algo_into, lanes::LaneWorkspace,
-    rk4_rollout_lanes_into, rnea_derivatives, rnea_derivatives_into,
-    rnea_derivatives_with_algo_into, BatchEval, DerivAlgo, DynamicsWorkspace, FdDerivatives,
+    fd_derivatives, fd_derivatives_into, lanes::LaneWorkspace, rk4_rollout_lanes_into,
+    rnea_derivatives, rnea_derivatives_into, BatchEval, DynamicsWorkspace, FdDerivatives,
     LaneRolloutScratch, RneaDerivatives, SamplePoint,
 };
 use rbd_model::{random_state, robots, RobotModel};
@@ -100,36 +99,18 @@ fn main() {
             fd_derivatives(&model, &mut ws, &s.q, &s.qd, &tau, None).unwrap()
         });
 
-        // Zero-allocation fast path with the default backend (outputs
-        // reused across calls), plus one explicit row per ΔID backend so
-        // the expansion-vs-IDSVA gap stays measured even as the default
-        // moves.
+        // Zero-allocation fast path (outputs reused across calls).
         {
             let mut out = RneaDerivatives::zeros(nv);
             group.bench("dID_into", || {
                 rnea_derivatives_into(&model, &mut ws, &s.q, &s.qd, &qdd, None, &mut out);
             });
-            for algo in [DerivAlgo::Expansion, DerivAlgo::Idsva] {
-                group.bench(&format!("dID_{algo}"), || {
-                    rnea_derivatives_with_algo_into(
-                        &model, &mut ws, &s.q, &s.qd, &qdd, None, algo, &mut out,
-                    );
-                });
-            }
         }
         {
             let mut out = FdDerivatives::zeros(nv);
             group.bench("dFD_into", || {
                 fd_derivatives_into(&model, &mut ws, &s.q, &s.qd, &tau, None, &mut out).unwrap();
             });
-            for algo in [DerivAlgo::Expansion, DerivAlgo::Idsva] {
-                group.bench(&format!("dFD_{algo}"), || {
-                    fd_derivatives_with_algo_into(
-                        &model, &mut ws, &s.q, &s.qd, &tau, None, algo, &mut out,
-                    )
-                    .unwrap();
-                });
-            }
         }
 
         // Batched throughput: 64 points through the persistent worker

@@ -44,8 +44,8 @@
 //! assert_eq!(outs[3].dqdd_dq.rows(), model.nv());
 //! ```
 
-use crate::derivatives::{rnea_derivatives_with_algo_into, DerivAlgo, RneaDerivatives};
-use crate::fd::{fd_derivatives_with_algo_into, FdDerivatives};
+use crate::derivatives::{rnea_derivatives_into, RneaDerivatives};
+use crate::fd::{fd_derivatives_into, FdDerivatives};
 use crate::pool::WorkerPool;
 use crate::workspace::DynamicsWorkspace;
 use crate::DynamicsError;
@@ -108,8 +108,6 @@ pub struct BatchEval<'m> {
     point_flops: f64,
     /// Executors engaged by the most recent dispatch.
     last_workers: usize,
-    /// ΔID backend used by the built-in derivative batch kernels.
-    deriv_algo: DerivAlgo,
 }
 
 impl std::fmt::Debug for BatchEval<'_> {
@@ -146,28 +144,7 @@ impl<'m> BatchEval<'m> {
             pool: (executors > 1).then(|| WorkerPool::spawn(executors - 1)),
             point_flops: default_point_flops(model),
             last_workers: 0,
-            deriv_algo: DerivAlgo::default(),
         }
-    }
-
-    /// Selects the ΔID backend used by [`BatchEval::fd_derivatives_batch`]
-    /// and [`BatchEval::rnea_derivatives_batch`] (defaults to
-    /// [`DerivAlgo::default`]). Closure-based entry points are
-    /// unaffected — they call whatever kernel they capture.
-    pub fn set_deriv_algo(&mut self, algo: DerivAlgo) {
-        self.deriv_algo = algo;
-    }
-
-    /// Builder-style [`BatchEval::set_deriv_algo`].
-    #[must_use]
-    pub fn with_deriv_algo(mut self, algo: DerivAlgo) -> Self {
-        self.deriv_algo = algo;
-        self
-    }
-
-    /// The ΔID backend the built-in derivative batch kernels use.
-    pub fn deriv_algo(&self) -> DerivAlgo {
-        self.deriv_algo
     }
 
     /// Maximum number of executors (caller + persistent workers).
@@ -555,9 +532,8 @@ impl<'m> BatchEval<'m> {
         points: &[SamplePoint],
         outs: &mut [FdDerivatives],
     ) -> Result<(), DynamicsError> {
-        let algo = self.deriv_algo;
         self.for_each_into(points, outs, |model, ws, _, (q, qd, tau), out| {
-            fd_derivatives_with_algo_into(model, ws, q, qd, tau, None, algo, out)
+            fd_derivatives_into(model, ws, q, qd, tau, None, out)
         })
     }
 
@@ -567,10 +543,9 @@ impl<'m> BatchEval<'m> {
     /// # Panics
     /// Panics if `points` and `outs` lengths differ.
     pub fn rnea_derivatives_batch(&mut self, points: &[SamplePoint], outs: &mut [RneaDerivatives]) {
-        let algo = self.deriv_algo;
         let ok: Result<(), std::convert::Infallible> =
             self.for_each_into(points, outs, |model, ws, _, (q, qd, qdd), out| {
-                rnea_derivatives_with_algo_into(model, ws, q, qd, qdd, None, algo, out);
+                rnea_derivatives_into(model, ws, q, qd, qdd, None, out);
                 Ok(())
             });
         ok.expect("infallible");

@@ -11,7 +11,7 @@
 //! outputs and workspace scratch, performing zero heap allocation in
 //! steady state.
 
-use crate::derivatives::{rnea_derivatives_with_algo_into, DerivAlgo};
+use crate::derivatives::rnea_derivatives_into;
 use crate::mminv::mminv_gen_into;
 use crate::rnea::bias_force_in_ws;
 use crate::workspace::DynamicsWorkspace;
@@ -151,28 +151,6 @@ pub fn fd_derivatives_into(
     fext: Option<&[ForceVec]>,
     out: &mut FdDerivatives,
 ) -> Result<(), DynamicsError> {
-    fd_derivatives_with_algo_into(model, ws, q, qd, tau, fext, DerivAlgo::default(), out)
-}
-
-/// [`fd_derivatives_into`] with an explicit [`DerivAlgo`] backend for
-/// the inner ΔID evaluation (every other step is backend-independent).
-///
-/// # Errors
-/// Returns an error when the mass matrix is singular.
-///
-/// # Panics
-/// Panics on input dimension mismatches.
-#[allow(clippy::too_many_arguments)] // the ΔFD signature + selector + output
-pub fn fd_derivatives_with_algo_into(
-    model: &RobotModel,
-    ws: &mut DynamicsWorkspace,
-    q: &[f64],
-    qd: &[f64],
-    tau: &[f64],
-    fext: Option<&[ForceVec]>,
-    algo: DerivAlgo,
-    out: &mut FdDerivatives,
-) -> Result<(), DynamicsError> {
     let nv = model.nv();
     assert_eq!(tau.len(), nv, "tau dimension");
     out.ensure_dims(nv);
@@ -186,7 +164,7 @@ pub fn fd_derivatives_with_algo_into(
     // Steps ④-⑥: ΔID at q̈, then the M⁻¹ products. MMinvGen's output is
     // exactly symmetric (`symmetrize_from_upper`), so the tail can use it
     // as its own transpose bit-identically.
-    difd_core_into(model, ws, q, qd, fext, algo, out, true);
+    difd_core_into(model, ws, q, qd, fext, out, true);
     Ok(())
 }
 
@@ -209,16 +187,7 @@ pub fn fd_derivatives_with_minv(
     let mut out = FdDerivatives::zeros(model.nv());
     out.dqdd_dtau = minv;
     out.qdd.copy_from_slice(qdd);
-    difd_core_into(
-        model,
-        ws,
-        q,
-        qd,
-        fext,
-        DerivAlgo::default(),
-        &mut out,
-        false,
-    );
+    difd_core_into(model, ws, q, qd, fext, &mut out, false);
     out
 }
 
@@ -239,43 +208,13 @@ pub fn fd_derivatives_with_minv_into(
     fext: Option<&[ForceVec]>,
     out: &mut FdDerivatives,
 ) {
-    fd_derivatives_with_minv_algo_into(
-        model,
-        ws,
-        q,
-        qd,
-        qdd,
-        minv,
-        fext,
-        DerivAlgo::default(),
-        out,
-    );
-}
-
-/// [`fd_derivatives_with_minv_into`] with an explicit [`DerivAlgo`]
-/// backend for the inner ΔID evaluation.
-///
-/// # Panics
-/// Panics on dimension mismatches.
-#[allow(clippy::too_many_arguments)] // the Table I ΔiFD signature + selector + output
-pub fn fd_derivatives_with_minv_algo_into(
-    model: &RobotModel,
-    ws: &mut DynamicsWorkspace,
-    q: &[f64],
-    qd: &[f64],
-    qdd: &[f64],
-    minv: &MatN,
-    fext: Option<&[ForceVec]>,
-    algo: DerivAlgo,
-    out: &mut FdDerivatives,
-) {
     let nv = model.nv();
     assert_eq!(minv.rows(), nv);
     assert_eq!(qdd.len(), nv, "qdd dimension");
     out.ensure_dims(nv);
     out.dqdd_dtau.copy_from(minv);
     out.qdd.copy_from_slice(qdd);
-    difd_core_into(model, ws, q, qd, fext, algo, out, false);
+    difd_core_into(model, ws, q, qd, fext, out, false);
 }
 
 /// Shared ΔiFD tail: expects `out.dqdd_dtau = M⁻¹` and `out.qdd` set,
@@ -286,14 +225,12 @@ pub fn fd_derivatives_with_minv_algo_into(
 /// `M⁻¹ᵀ` staging transpose with identical results. Callers passing an
 /// arbitrary user-supplied `M⁻¹` (the Robomorphic ΔiFD signature) must
 /// pass `false`.
-#[allow(clippy::too_many_arguments)] // internal tail shared by every ΔiFD entry point
 fn difd_core_into(
     model: &RobotModel,
     ws: &mut DynamicsWorkspace,
     q: &[f64],
     qd: &[f64],
     fext: Option<&[ForceVec]>,
-    algo: DerivAlgo,
     out: &mut FdDerivatives,
     minv_symmetric: bool,
 ) {
@@ -302,7 +239,7 @@ fn difd_core_into(
     let mut did = std::mem::take(&mut ws.did_scratch);
     // Borrow dance: `out.qdd` is read while `out` matrices are written
     // afterwards, so the ΔID call only borrows disjoint pieces.
-    rnea_derivatives_with_algo_into(model, ws, q, qd, &out.qdd, fext, algo, &mut did);
+    rnea_derivatives_into(model, ws, q, qd, &out.qdd, fext, &mut did);
     // ∂q̈/∂u = -M⁻¹ ∂τ/∂u, computed as (-∂τ/∂uᵀ · M⁻¹ᵀ)ᵀ: putting the
     // branch-sparse ∂τ matrix on the left lets the product skip its zero
     // blocks (Fig 5 sparsity), at the cost of one O(nv²) transpose of

@@ -2,7 +2,9 @@
 //! (Singh, Russell & Wensing, *Efficient Analytical Derivatives of
 //! Rigid-Body Dynamics using Spatial Vector Algebra*, RA-L 2022).
 //!
-//! The Carpentier–Mansard expansion in [`crate::derivatives`] propagates
+//! This is the crate's only ΔID kernel; [`crate::rnea_derivatives_into`]
+//! and everything downstream of it (ΔFD/ΔiFD, `BatchEval`, the trajopt
+//! LQ phase) call it. The Carpentier–Mansard expansion propagates
 //! per-(body, ancestor-DOF) velocity/acceleration derivative columns
 //! down the tree and differentiates each body force — the per-pair work
 //! is a handful of spatial crosses and inertia applications. IDSVA
@@ -36,11 +38,10 @@
 //!    column-side projections share one compact operator.
 //!
 //! With the per-pair cost down to two fused dot pairs, the single-thread
-//! hot path drops well below the expansion backend (see the
-//! `dID_idsva` rows in `BENCH_derivatives.json`); the expansion is kept
-//! as the reference implementation and both are cross-checked against
-//! each other and central finite differences in
-//! `crates/dynamics/tests/backend_equivalence.rs`.
+//! hot path drops well below the expansion. The expansion survives only
+//! as a test-only oracle (`crates/dynamics/tests/support/expansion.rs`):
+//! `crates/dynamics/tests/backend_equivalence.rs` pins this kernel to it
+//! and to central finite differences.
 //!
 //! The kernel is allocation-free in steady state: every composite and
 //! per-DOF table lives in flat [`DynamicsWorkspace`] buffers
@@ -51,9 +52,8 @@ use crate::workspace::DynamicsWorkspace;
 use rbd_model::RobotModel;
 use rbd_spatial::{ForceVec, MotionVec};
 
-/// Analytical `ΔID` via the IDSVA formulation — drop-in equivalent of
-/// [`crate::rnea_derivatives_into`] (same outputs up to f64 rounding,
-/// fewer operations on the single-thread hot path).
+/// Analytical `ΔID` via the IDSVA formulation — the kernel behind
+/// [`crate::rnea_derivatives_into`].
 ///
 /// # Panics
 /// Panics on input dimension mismatches.
@@ -120,7 +120,7 @@ pub fn rnea_derivatives_idsva_into(
     let a0 = MotionVec::new(rbd_spatial::Vec3::zero(), -model.gravity);
 
     // ---------------------------------------------------------- forward
-    // World-frame kinematics (identical to the expansion backend), plus
+    // World-frame kinematics, plus
     // the per-body seeds of every composite and the three per-DOF motion
     // vectors that carry the whole column-`j` dependence.
     for i in 0..nb {
@@ -273,54 +273,8 @@ pub fn rnea_derivatives_idsva_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::derivatives::rnea_derivatives_expansion_into;
     use crate::finite_diff::rnea_derivatives_numeric;
-    use rbd_model::{random_state, robots, RobotModel};
-
-    fn check_against_expansion(model: &RobotModel, seed: u64) {
-        let mut ws = DynamicsWorkspace::new(model);
-        let s = random_state(model, seed);
-        let qdd: Vec<f64> = (0..model.nv()).map(|k| 0.4 - 0.06 * k as f64).collect();
-        let mut idsva = RneaDerivatives::zeros(model.nv());
-        let mut exp = RneaDerivatives::zeros(model.nv());
-        rnea_derivatives_idsva_into(model, &mut ws, &s.q, &s.qd, &qdd, None, &mut idsva);
-        rnea_derivatives_expansion_into(model, &mut ws, &s.q, &s.qd, &qdd, None, &mut exp);
-        let scale = 1.0 + exp.dtau_dq.max_abs().max(exp.dtau_dqd.max_abs());
-        let err_q = (&idsva.dtau_dq - &exp.dtau_dq).max_abs() / scale;
-        let err_qd = (&idsva.dtau_dqd - &exp.dtau_dqd).max_abs() / scale;
-        assert!(
-            err_q < 1e-12,
-            "{}: ∂τ/∂q backends differ {err_q}",
-            model.name()
-        );
-        assert!(
-            err_qd < 1e-12,
-            "{}: ∂τ/∂q̇ backends differ {err_qd}",
-            model.name()
-        );
-        for k in 0..model.nv() {
-            assert!((idsva.tau[k] - exp.tau[k]).abs() < 1e-10 * (1.0 + exp.tau[k].abs()));
-        }
-    }
-
-    #[test]
-    fn matches_expansion_on_paper_robots() {
-        for (m, seed) in [
-            (robots::iiwa(), 1),
-            (robots::hyq(), 2),
-            (robots::atlas(), 3),
-            (robots::tiago(), 4),
-        ] {
-            check_against_expansion(&m, seed);
-        }
-    }
-
-    #[test]
-    fn matches_expansion_on_random_trees() {
-        for seed in 0..4 {
-            check_against_expansion(&robots::random_tree(8, seed), seed + 11);
-        }
-    }
+    use rbd_model::{random_state, robots};
 
     #[test]
     fn matches_finite_differences() {
@@ -342,38 +296,6 @@ mod tests {
                 model.name()
             );
             assert!((&out.dtau_dqd - &ndqd).max_abs() / scale < 1e-5);
-        }
-    }
-
-    #[test]
-    fn external_forces_match_expansion_and_finite_differences() {
-        for model in [robots::hyq(), robots::atlas()] {
-            let mut ws = DynamicsWorkspace::new(&model);
-            let s = random_state(&model, 8);
-            let qdd: Vec<f64> = (0..model.nv()).map(|k| 0.1 * k as f64 - 0.3).collect();
-            let fx: Vec<ForceVec> = (0..model.num_bodies())
-                .map(|i| ForceVec::from_slice(&[0.4, -0.2, 0.3, 2.0, 1.5 - 0.1 * i as f64, -1.0]))
-                .collect();
-            let mut idsva = RneaDerivatives::zeros(model.nv());
-            let mut exp = RneaDerivatives::zeros(model.nv());
-            rnea_derivatives_idsva_into(&model, &mut ws, &s.q, &s.qd, &qdd, Some(&fx), &mut idsva);
-            rnea_derivatives_expansion_into(
-                &model,
-                &mut ws,
-                &s.q,
-                &s.qd,
-                &qdd,
-                Some(&fx),
-                &mut exp,
-            );
-            let scale = 1.0 + exp.dtau_dq.max_abs();
-            assert!((&idsva.dtau_dq - &exp.dtau_dq).max_abs() / scale < 1e-12);
-            assert!((&idsva.dtau_dqd - &exp.dtau_dqd).max_abs() / scale < 1e-12);
-
-            let (ndq, ndqd) = rnea_derivatives_numeric(&model, &s.q, &s.qd, &qdd, Some(&fx), 1e-6);
-            let nscale = 1.0 + ndq.max_abs();
-            assert!((&idsva.dtau_dq - &ndq).max_abs() / nscale < 1e-5);
-            assert!((&idsva.dtau_dqd - &ndqd).max_abs() / nscale < 1e-5);
         }
     }
 

@@ -15,18 +15,15 @@
 //! software baseline *and* the functional reference against which the
 //! accelerator simulator is checked bit-for-bit (up to f64 rounding).
 //!
-//! # Derivative backends
+//! # Derivative kernel
 //!
 //! The analytical ΔID (and hence ΔFD/ΔiFD, which evaluate it
-//! internally) has two interchangeable backends behind [`DerivAlgo`]:
-//! the Carpentier–Mansard chain-table expansion
-//! ([`rnea_derivatives_expansion_into`], the reference) and the IDSVA
-//! composite-quantity formulation
-//! ([`rnea_derivatives_idsva_into`], Singh/Russell/Wensing RA-L 2022,
-//! the default — 2-3x faster single-thread on the evaluation robots).
-//! Both agree to ≤1e-9 on every test model
-//! (`tests/backend_equivalence.rs`); select one explicitly through the
-//! `*_with_algo_into` entry points or [`BatchEval::set_deriv_algo`].
+//! internally) has one production kernel: the IDSVA composite-quantity
+//! formulation ([`rnea_derivatives_idsva_into`], Singh/Russell/Wensing
+//! RA-L 2022), which [`rnea_derivatives_into`] calls. The
+//! Carpentier–Mansard chain-table expansion survives only as a
+//! test-only oracle (`tests/support/expansion.rs`); the two agree to
+//! ≤1e-9 on every test model (`tests/backend_equivalence.rs`).
 //!
 //! # Workspace-reuse convention
 //!
@@ -95,15 +92,11 @@ pub mod workspace;
 pub use aba::{aba, aba_in_ws};
 pub use batch::{BatchEval, SamplePoint, FLOPS_PER_WORKER};
 pub use crba::{crba, crba_into};
-pub use derivatives::{
-    rnea_derivatives, rnea_derivatives_expansion_into, rnea_derivatives_into,
-    rnea_derivatives_with_algo_into, DerivAlgo, RneaDerivatives,
-};
+pub use derivatives::{rnea_derivatives, rnea_derivatives_into, RneaDerivatives};
 pub use energy::{kinetic_energy, potential_energy, total_energy};
 pub use fd::{
-    fd_derivatives, fd_derivatives_into, fd_derivatives_with_algo_into, fd_derivatives_with_minv,
-    fd_derivatives_with_minv_algo_into, fd_derivatives_with_minv_into, forward_dynamics,
-    forward_dynamics_into, FdDerivatives,
+    fd_derivatives, fd_derivatives_into, fd_derivatives_with_minv, fd_derivatives_with_minv_into,
+    forward_dynamics, forward_dynamics_into, FdDerivatives,
 };
 pub use finite_diff::{fd_derivatives_numeric, rnea_derivatives_numeric};
 pub use idsva::rnea_derivatives_idsva_into;

@@ -80,7 +80,7 @@ pub struct DynamicsWorkspace {
     pub dof_body: Vec<usize>,
 
     // ------------------------------------------------------------------
-    // ΔRNEA scratch (flat, stride `nv` per body).
+    // ΔRNEA world-frame kinematics scratch (one slot per body).
     // ------------------------------------------------------------------
     /// World-frame `S q̇` per body.
     pub vj_w: Vec<MotionVec>,
@@ -88,21 +88,6 @@ pub struct DynamicsWorkspace {
     pub aj_w: Vec<MotionVec>,
     /// World-frame spatial inertia per body.
     pub inertia_w: Vec<SpatialInertia>,
-    /// `∂v_i/∂q_j` table, chain-compacted: body `i`'s entries live at
-    /// `chain_offsets[i]..chain_offsets[i+1]`, one per chain DOF in
-    /// [`Self::chain_dofs`] order. Because `chain(i)` extends
-    /// `chain(parent)` verbatim, a parent's row is index-aligned with the
-    /// first entries of every child's row. (`∂v/∂q̇` needs no table at
-    /// all: it equals the world-frame subspace column `S_j` exactly.)
-    pub dv_dq: Vec<MotionVec>,
-    /// `∂a_i/∂q_j` table, chain-compacted like [`Self::dv_dq`].
-    pub da_dq: Vec<MotionVec>,
-    /// `∂a_i/∂q̇_j` table, chain-compacted like [`Self::dv_dq`].
-    pub da_dqd: Vec<MotionVec>,
-    /// Aggregated subtree force `∂q` derivatives, `nb × nv` flat.
-    pub df_dq: Vec<ForceVec>,
-    /// Aggregated subtree force `∂q̇` derivatives, `nb × nv` flat.
-    pub df_dqd: Vec<ForceVec>,
 
     // ------------------------------------------------------------------
     // IDSVA ΔRNEA scratch (flat, one slot per body / per DOF). The
@@ -238,7 +223,6 @@ impl DynamicsWorkspace {
             s_off.push(s.len());
         }
         debug_assert!((0..nb).all(|i| s_off[i] == model.v_offset(i)));
-        let n_chain = chain_dofs.len();
 
         let first_child_v: Vec<usize> = (0..nb)
             .map(|i| {
@@ -286,11 +270,6 @@ impl DynamicsWorkspace {
             vj_w: vec![MotionVec::zero(); nb],
             aj_w: vec![MotionVec::zero(); nb],
             inertia_w: vec![SpatialInertia::zero(); nb],
-            dv_dq: vec![MotionVec::zero(); n_chain],
-            da_dq: vec![MotionVec::zero(); n_chain],
-            da_dqd: vec![MotionVec::zero(); n_chain],
-            df_dq: vec![ForceVec::zero(); nb * nv],
-            df_dqd: vec![ForceVec::zero(); nb * nv],
             idsva_h: vec![ForceVec::zero(); nb],
             idsva_inertia_c: vec![SpatialInertia::zero(); nb],
             idsva_h_c: vec![ForceVec::zero(); nb],
@@ -387,9 +366,6 @@ mod tests {
         assert_eq!(ws.s.len(), m.nv());
         let total_cols: usize = (0..m.num_bodies()).map(|i| ws.s_cols(i).len()).sum();
         assert_eq!(total_cols, m.nv());
-        assert_eq!(ws.dv_dq.len(), ws.chain_dofs.len());
-        assert_eq!(ws.da_dq.len(), ws.chain_dofs.len());
-        assert_eq!(ws.df_dq.len(), m.num_bodies() * m.nv());
     }
 
     #[test]

@@ -2,38 +2,64 @@
 //! allocation: a counting global allocator watches every alloc while the
 //! hot paths run against reused workspaces/outputs.
 //!
-//! Kept as a single `#[test]` so no concurrently running test can
-//! pollute the process-global counter.
+//! The counter is process-global so that allocations on pool worker
+//! threads count too. Every test therefore holds [`COUNTING`] from its
+//! first allocation to its last check, so no concurrently running test
+//! of this file can pollute another's count. libtest's own threads (the
+//! harness and the other tests' threads) still allocate at test
+//! boundaries while a count may be running, so only the measuring
+//! thread and the pool workers are counted (see [`record_alloc`]).
 
 use rbd_dynamics::{
-    bias_force_in_ws, crba_into, fd_derivatives_into, fd_derivatives_with_algo_into,
-    fd_derivatives_with_minv_into, forward_dynamics_into, mminv_gen_into,
-    rnea_derivatives_expansion_into, rnea_derivatives_idsva_into, rnea_derivatives_into,
-    rnea_in_ws, BatchEval, DerivAlgo, DynamicsWorkspace, FdDerivatives, RneaDerivatives,
-    SamplePoint,
+    bias_force_in_ws, crba_into, fd_derivatives_into, fd_derivatives_with_minv_into,
+    forward_dynamics_into, mminv_gen_into, rnea_derivatives_idsva_into, rnea_derivatives_into,
+    rnea_in_ws, BatchEval, DynamicsWorkspace, FdDerivatives, RneaDerivatives, SamplePoint,
 };
 use rbd_model::{random_state, robots};
 use rbd_spatial::MatN;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 struct CountingAlloc;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
 
+/// Set while [`alloc_count`] runs its closure.
+static MEASURING: AtomicBool = AtomicBool::new(false);
+
+thread_local! {
+    /// Set on the thread running [`alloc_count`]'s closure.
+    static MEASURER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Counts an allocation made during [`alloc_count`] by the measuring
+/// thread or by a `BatchEval` pool worker (threads named `rbd-batch-*`).
+fn record_alloc() {
+    if MEASURER.get()
+        || (MEASURING.load(Ordering::Relaxed)
+            && std::thread::current()
+                .name()
+                .is_some_and(|n| n.starts_with("rbd-batch-")))
+    {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        record_alloc();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        record_alloc();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        record_alloc();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -45,15 +71,30 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Runs `f` and returns how many allocator calls it made.
+/// Serializes the tests of this file (see the module docs).
+static COUNTING: Mutex<()> = Mutex::new(());
+
+/// Takes [`COUNTING`]; a test that failed while holding it must not
+/// fail the others, so poisoning is ignored.
+fn serialize() -> MutexGuard<'static, ()> {
+    COUNTING.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Runs `f` and returns how many allocator calls it and the pool
+/// workers made meanwhile.
 fn alloc_count(mut f: impl FnMut()) -> u64 {
     let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    MEASURER.set(true);
+    MEASURING.store(true, Ordering::SeqCst);
     f();
+    MEASURING.store(false, Ordering::SeqCst);
+    MEASURER.set(false);
     ALLOC_CALLS.load(Ordering::Relaxed) - before
 }
 
 #[test]
 fn steady_state_kernels_do_not_allocate() {
+    let _serial = serialize();
     for model in [robots::iiwa(), robots::hyq(), robots::atlas()] {
         let mut ws = DynamicsWorkspace::new(&model);
         let nv = model.nv();
@@ -77,38 +118,12 @@ fn steady_state_kernels_do_not_allocate() {
         fd_derivatives_into(&model, &mut ws, &s.q, &s.qd, &tau, None, &mut dfd).unwrap();
         fd_derivatives_with_minv_into(&model, &mut ws, &s.q, &s.qd, &qdd, &minv, None, &mut dfd2);
 
-        // Steady state: every hot-path kernel must be allocation-free —
-        // including BOTH ΔID backends (the selector dispatch itself must
-        // not box or clone anything either).
-        let checks: [(&str, u64); 11] = [
+        // Steady state: every hot-path kernel must be allocation-free.
+        let checks: [(&str, u64); 9] = [
             (
                 "rnea_derivatives_idsva_into",
                 alloc_count(|| {
                     rnea_derivatives_idsva_into(&model, &mut ws, &s.q, &s.qd, &qdd, None, &mut did)
-                }),
-            ),
-            (
-                "rnea_derivatives_expansion_into",
-                alloc_count(|| {
-                    rnea_derivatives_expansion_into(
-                        &model, &mut ws, &s.q, &s.qd, &qdd, None, &mut did,
-                    )
-                }),
-            ),
-            (
-                "fd_derivatives_with_algo_into(expansion)",
-                alloc_count(|| {
-                    fd_derivatives_with_algo_into(
-                        &model,
-                        &mut ws,
-                        &s.q,
-                        &s.qd,
-                        &tau,
-                        None,
-                        DerivAlgo::Expansion,
-                        &mut dfd,
-                    )
-                    .unwrap()
                 }),
             ),
             (
@@ -170,6 +185,7 @@ fn steady_state_kernels_do_not_allocate() {
 
 #[test]
 fn lane_kernels_do_not_allocate_in_steady_state() {
+    let _serial = serialize();
     use rbd_dynamics::{
         aba_in_ws, forward_dynamics_aba_lanes_in_ws, lanes::LaneWorkspace, rk4_rollout_into,
         rk4_rollout_lanes_into, rnea_lanes_in_ws, LaneRolloutScratch, RolloutScratch,
@@ -319,6 +335,7 @@ fn lane_kernels_do_not_allocate_in_steady_state() {
 
 #[test]
 fn single_worker_batch_does_not_allocate_in_steady_state() {
+    let _serial = serialize();
     let model = robots::hyq();
     let nv = model.nv();
     let tau: Vec<f64> = (0..nv).map(|k| 0.1 * k as f64).collect();
@@ -334,14 +351,13 @@ fn single_worker_batch_does_not_allocate_in_steady_state() {
     // Warm-up sizes everything.
     batch.fd_derivatives_batch(&points, &mut outs).unwrap();
 
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
-    batch.fd_derivatives_batch(&points, &mut outs).unwrap();
-    let count = ALLOC_CALLS.load(Ordering::Relaxed) - before;
+    let count = alloc_count(|| batch.fd_derivatives_batch(&points, &mut outs).unwrap());
     assert_eq!(count, 0, "single-worker batch allocated {count} time(s)");
 }
 
 #[test]
 fn batch_in_place_ldlt_does_not_allocate() {
+    let _serial = serialize();
     // The MatN in-place factorization/product kit used by the Riccati
     // backward pass.
     let n = 12;

@@ -114,15 +114,6 @@ impl SpatialInertia {
         )
     }
 
-    /// Fused application to a difference: `f = I (a - b)` — the Lie
-    /// derivative expansions of ΔRNEA apply the body inertia to
-    /// differences of derivative columns; fusing the subtraction halves
-    /// the number of inertia applications in that loop.
-    #[inline(always)]
-    pub fn apply_diff(&self, a: &MotionVec, b: &MotionVec) -> ForceVec {
-        self.mul_motion(&(*a - *b))
-    }
-
     /// Batched [`Self::mul_motion`]: `out[k] = I · vs[k]` over a
     /// contiguous run of motion vectors, keeping `Ī`, `h` and `m` hot
     /// across the batch.

@@ -167,12 +167,6 @@ fn inertia_kernels_match_reference_formulas() {
             1e-15,
             "inertia mul_motion",
         );
-        // apply_diff is exactly I(a - b).
-        let b = rng.motion();
-        assert_eq!(
-            i.apply_diff(&v, &b).to_array(),
-            i.mul_motion(&(v - b)).to_array()
-        );
     }
 }
 

@@ -5,7 +5,7 @@
 //! covers the fixed-base arms the optimizer examples use.
 
 use crate::integrator::{rk4_step, rk4_step_with_sensitivity_into, Rk4SensScratch, StepJacobians};
-use rbd_dynamics::{BatchEval, DerivAlgo, DynamicsWorkspace};
+use rbd_dynamics::{BatchEval, DynamicsWorkspace};
 use rbd_model::RobotModel;
 use rbd_spatial::{MatN, VecN};
 use std::time::Instant;
@@ -30,19 +30,6 @@ impl LqScratch {
             q_next: vec![0.0; model.nq()],
             qd_next: vec![0.0; model.nv()],
         }
-    }
-
-    /// Selects the ΔID backend of this slot's stage ΔFD evaluations
-    /// (defaults to [`DerivAlgo::default`]). Every slot handed to one
-    /// [`lq_jacobians_batched`] call should use the same backend or the
-    /// outputs stop being executor-count independent.
-    pub fn set_deriv_algo(&mut self, algo: DerivAlgo) {
-        self.sens.set_deriv_algo(algo);
-    }
-
-    /// The ΔID backend this slot dispatches to.
-    pub fn deriv_algo(&self) -> DerivAlgo {
-        self.sens.deriv_algo
     }
 }
 
@@ -109,9 +96,6 @@ pub struct IlqrOptions {
     pub reg: f64,
     /// Relative cost-decrease convergence threshold.
     pub tol: f64,
-    /// ΔID backend used by the LQ approximation's ΔFD stage
-    /// evaluations (threaded into every per-executor [`LqScratch`]).
-    pub deriv_algo: DerivAlgo,
 }
 
 impl Default for IlqrOptions {
@@ -126,7 +110,6 @@ impl Default for IlqrOptions {
             max_iters: 30,
             reg: 1e-6,
             tol: 1e-7,
-            deriv_algo: DerivAlgo::default(),
         }
     }
 }
@@ -188,20 +171,15 @@ struct IlqrScratch<'m> {
 }
 
 impl<'m> IlqrScratch<'m> {
-    fn new(model: &'m RobotModel, horizon: usize, deriv_algo: DerivAlgo) -> Self {
+    fn new(model: &'m RobotModel, horizon: usize) -> Self {
         let nv = model.nv();
         let nx = 2 * nv;
         // The pool is sized to the host; whether a given LQ pass
         // actually fans out is decided per dispatch by BatchEval's
         // estimated-FLOP work gate (fed with the paper's RK4-point cost
-        // model for the selected ΔID backend), replacing the old
-        // `nv >= 4` model-size heuristic.
-        let backend = match deriv_algo {
-            DerivAlgo::Expansion => rbd_accel::ops::DerivBackend::Expansion,
-            DerivAlgo::Idsva => rbd_accel::ops::DerivBackend::Idsva,
-        };
-        let batch = BatchEval::new(model)
-            .with_point_flops(rbd_accel::ops::rk4_sens_point_flops_with(model, backend));
+        // model), replacing the old `nv >= 4` model-size heuristic.
+        let batch =
+            BatchEval::new(model).with_point_flops(rbd_accel::ops::rk4_sens_point_flops(model));
         let executors = batch.threads();
         Self {
             ws: DynamicsWorkspace::new(model),
@@ -231,11 +209,7 @@ impl<'m> IlqrScratch<'m> {
             k_fb: (0..horizon).map(|_| MatN::zeros(nv, nx)).collect(),
             jacs: (0..horizon).map(|_| StepJacobians::zeros(nv)).collect(),
             lq: (0..executors)
-                .map(|_| {
-                    let mut s = LqScratch::for_model(model);
-                    s.set_deriv_algo(deriv_algo);
-                    s
-                })
+                .map(|_| LqScratch::for_model(model))
                 .collect(),
         }
     }
@@ -266,7 +240,7 @@ impl<'m> Ilqr<'m> {
             model,
             options,
             goal: q_goal,
-            scratch: IlqrScratch::new(model, options.horizon, options.deriv_algo),
+            scratch: IlqrScratch::new(model, options.horizon),
         }
     }
 

@@ -5,7 +5,7 @@
 //! *serial* ΔFD calls, while steps at different sampling points are
 //! independent.
 
-use rbd_dynamics::{fd_derivatives_with_algo_into, DerivAlgo, DynamicsWorkspace, FdDerivatives};
+use rbd_dynamics::{fd_derivatives_into, DynamicsWorkspace, FdDerivatives};
 use rbd_model::{integrate_config, integrate_config_into, RobotModel};
 use rbd_spatial::MatN;
 
@@ -143,12 +143,6 @@ impl Sens {
 /// allocation-free in steady state.
 #[derive(Debug, Clone, Default)]
 pub struct Rk4SensScratch {
-    /// ΔID backend used by the four ΔFD stage evaluations. Defaults to
-    /// [`DerivAlgo::default`]; set it (e.g. via
-    /// [`Rk4SensScratch::set_deriv_algo`]) before dispatching to pin a
-    /// backend — the scratch is the per-executor context, so this is how
-    /// the selector threads through the batched LQ phase.
-    pub deriv_algo: DerivAlgo,
     d: FdDerivatives,
     tmp: MatN,
     s_q0: Sens,
@@ -170,11 +164,6 @@ impl Rk4SensScratch {
         let mut s = Self::default();
         s.ensure_dims(model);
         s
-    }
-
-    /// Selects the ΔID backend of the stage ΔFD evaluations.
-    pub fn set_deriv_algo(&mut self, algo: DerivAlgo) {
-        self.deriv_algo = algo;
     }
 
     /// Sizes every buffer for `model`; allocation-free when already
@@ -226,7 +215,6 @@ impl Rk4SensScratch {
 fn stage_sens(
     model: &RobotModel,
     ws: &mut DynamicsWorkspace,
-    algo: DerivAlgo,
     d: &mut FdDerivatives,
     tmp: &mut MatN,
     tau: &[f64],
@@ -237,7 +225,7 @@ fn stage_sens(
     ka_out: &mut [f64],
     ka: &mut Sens,
 ) {
-    fd_derivatives_with_algo_into(model, ws, q_i, qd_i, tau, None, algo, d).expect("ΔFD");
+    fd_derivatives_into(model, ws, q_i, qd_i, tau, None, d).expect("ΔFD");
     let nv = d.qdd.len();
     ka_out.copy_from_slice(&d.qdd);
     // k_v = qd_i → sensitivity is sqd (referenced by the caller).
@@ -331,7 +319,6 @@ pub fn rk4_step_with_sensitivity_into(
     jac.b.resize(2 * nv, nv);
 
     let Rk4SensScratch {
-        deriv_algo,
         d,
         tmp,
         s_q0,
@@ -354,8 +341,7 @@ pub fn rk4_step_with_sensitivity_into(
 
     // Stage 1 at (q, q̇); stage-velocity sensitivities are the incoming
     // q̇-sensitivities themselves (s_k1v = s_qd0, s_k2v = s_qd2, …).
-    let algo = *deriv_algo;
-    stage_sens(model, ws, algo, d, tmp, tau, q, qd, s_q0, s_qd0, k1a, s_k1a);
+    stage_sens(model, ws, d, tmp, tau, q, qd, s_q0, s_qd0, k1a, s_k1a);
     // Stage 2: q2 = q ⊕ (h/2 k1v), qd2 = qd + h/2 k1a.
     integrate_config_into(model, q, qd, h / 2.0, q_stage);
     for i in 0..nv {
@@ -364,7 +350,7 @@ pub fn rk4_step_with_sensitivity_into(
     s_q2.axpy_from(s_q0, h / 2.0, s_qd0);
     s_qd2.axpy_from(s_qd0, h / 2.0, s_k1a);
     stage_sens(
-        model, ws, algo, d, tmp, tau, q_stage, qd2, s_q2, s_qd2, k2a, s_k2a,
+        model, ws, d, tmp, tau, q_stage, qd2, s_q2, s_qd2, k2a, s_k2a,
     );
     // Stage 3.
     integrate_config_into(model, q, qd2, h / 2.0, q_stage);
@@ -374,7 +360,7 @@ pub fn rk4_step_with_sensitivity_into(
     s_q3.axpy_from(s_q0, h / 2.0, s_qd2);
     s_qd3.axpy_from(s_qd0, h / 2.0, s_k2a);
     stage_sens(
-        model, ws, algo, d, tmp, tau, q_stage, qd3, s_q3, s_qd3, k3a, s_k3a,
+        model, ws, d, tmp, tau, q_stage, qd3, s_q3, s_qd3, k3a, s_k3a,
     );
     // Stage 4.
     integrate_config_into(model, q, qd3, h, q_stage);
@@ -384,7 +370,7 @@ pub fn rk4_step_with_sensitivity_into(
     s_q4.axpy_from(s_q0, h, s_qd3);
     s_qd4.axpy_from(s_qd0, h, s_k3a);
     stage_sens(
-        model, ws, algo, d, tmp, tau, q_stage, qd4, s_q4, s_qd4, k4a, s_k4a,
+        model, ws, d, tmp, tau, q_stage, qd4, s_q4, s_qd4, k4a, s_k4a,
     );
 
     // Combine.

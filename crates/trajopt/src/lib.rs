@@ -29,7 +29,4 @@ pub use integrator::{
 pub use mpc::{run_mpc, MpcRun};
 pub use mppi::{profile_mppi_iteration, Mppi, MppiOptions, MppiScratch, MppiStep};
 pub use scheduler::{accel_makespan_cycles, cpu_makespan, ScheduleInputs};
-pub use workload::{
-    profile_mpc_iteration, profile_mpc_iteration_threaded, profile_mpc_iteration_with_algo,
-    WorkloadProfile,
-};
+pub use workload::{profile_mpc_iteration, profile_mpc_iteration_threaded, WorkloadProfile};

@@ -55,17 +55,23 @@ pub fn run_mpc(
         controls.push(u);
     }
     let elapsed = start.elapsed().as_secs_f64();
-    let final_error = q
-        .iter()
-        .zip(q_goal)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0_f64, f64::max);
+    let final_error = goal_error(&q, q_goal);
     MpcRun {
         states,
         controls,
         final_error,
         mean_tick_s: elapsed / ticks.max(1) as f64,
     }
+}
+
+/// ∞-norm distance from `q` to `goal`, NaN if any entry is NaN (a
+/// `f64::max` fold would skip the NaN and report a diverged state as
+/// being on the goal).
+fn goal_error(q: &[f64], goal: &[f64]) -> f64 {
+    q.iter()
+        .zip(goal)
+        .map(|(a, b)| (a - b).abs())
+        .fold(0.0, |m, e| if e.is_nan() || e > m { e } else { m })
 }
 
 #[cfg(test)]
@@ -127,11 +133,7 @@ mod tests {
             q = qn;
             qd = qdn;
         }
-        let open_err = q
-            .iter()
-            .zip(&goal)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0_f64, f64::max);
+        let open_err = goal_error(&q, &goal);
 
         // Closed loop with the same kick.
         let mut qc = vec![0.0, 0.0];
@@ -146,15 +148,18 @@ mod tests {
             qc = qn;
             qdc = qdn;
         }
-        let closed_err = qc
-            .iter()
-            .zip(&goal)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0_f64, f64::max);
+        let closed_err = goal_error(&qc, &goal);
 
         assert!(
             closed_err < open_err + 1e-9,
             "closed {closed_err} vs open {open_err}"
         );
+    }
+
+    #[test]
+    fn goal_error_propagates_nan() {
+        assert_eq!(goal_error(&[0.5, -1.0], &[0.0, 0.0]), 1.0);
+        assert!(goal_error(&[f64::NAN, 2.0], &[0.0, 0.0]).is_nan());
+        assert!(goal_error(&[2.0, f64::NAN], &[0.0, 0.0]).is_nan());
     }
 }

@@ -77,9 +77,10 @@ impl Default for MppiOptions {
 pub struct MppiStep {
     /// Best sampled trajectory cost this iteration.
     pub best_cost: f64,
-    /// Softmax-weighted mean cost.
+    /// Softmax-weighted mean cost of the finite samples (`∞` if none).
     pub mean_cost: f64,
-    /// Effective sample size `(Σw)²/Σw²` of the softmax weights.
+    /// Effective sample size `(Σw)²/Σw²` of the softmax weights; samples
+    /// with a non-finite cost weigh 0, so this is 0 if none is finite.
     pub effective_samples: f64,
     /// Time drawing the perturbation noise, seconds.
     pub sample_s: f64,
@@ -301,26 +302,37 @@ impl<'m> Mppi<'m> {
         let rollout_s = t.elapsed().as_secs_f64();
         let batch_threads = self.batch.last_workers();
 
-        // Phase 3: softmax blend of the perturbations.
+        // Phase 3: softmax blend of the perturbations. A sample with a
+        // non-finite cost (a diverged rollout) gets zero weight and is
+        // left out of the blend; if no sample is finite the nominal is
+        // left unchanged.
         let t = Instant::now();
         let beta = self.costs.iter().copied().fold(f64::INFINITY, f64::min);
         let lambda = self.opts.lambda.max(1e-12);
         let mut eta = 0.0;
         let mut sq = 0.0;
         for (w, &c) in self.weights.iter_mut().zip(&self.costs) {
-            *w = (-(c - beta) / lambda).exp();
+            *w = if c.is_finite() {
+                (-(c - beta) / lambda).exp()
+            } else {
+                0.0
+            };
             eta += *w;
             sq += *w * *w;
         }
-        let mut mean_cost = 0.0;
-        for (w, &c) in self.weights.iter_mut().zip(&self.costs) {
-            *w /= eta;
-            mean_cost += *w * c;
-        }
-        for (k, w) in self.weights.iter().enumerate() {
-            let dk = &self.noise[k * horizon * nv..(k + 1) * horizon * nv];
-            for (u, d) in self.nominal.iter_mut().zip(dk) {
-                *u += w * d;
+        let mut mean_cost = f64::INFINITY;
+        if eta > 0.0 {
+            mean_cost = 0.0;
+            for (k, (w, &c)) in self.weights.iter_mut().zip(&self.costs).enumerate() {
+                if !c.is_finite() {
+                    continue;
+                }
+                *w /= eta;
+                mean_cost += *w * c;
+                let dk = &self.noise[k * horizon * nv..(k + 1) * horizon * nv];
+                for (u, d) in self.nominal.iter_mut().zip(dk) {
+                    *u += *w * d;
+                }
             }
         }
         let update_s = t.elapsed().as_secs_f64();
@@ -578,6 +590,49 @@ mod tests {
             m.nominal().to_vec()
         };
         assert_eq!(run(1), run(3));
+    }
+
+    #[test]
+    fn non_finite_samples_get_zero_weight() {
+        // Huge noise makes every perturbed rollout NaN; only the
+        // unperturbed sample 0 stays finite, so the nominal keeps its
+        // value instead of turning NaN.
+        let model = robots::iiwa();
+        let opts = MppiOptions {
+            samples: 16,
+            horizon: 5,
+            sigma: 1e200,
+            ..Default::default()
+        };
+        let mut mppi = Mppi::with_threads(&model, opts, 1);
+        let q0 = model.neutral_config();
+        let qd0 = vec![0.0; model.nv()];
+        let before = mppi.nominal().to_vec();
+        let step = mppi.iterate(&q0, &qd0);
+        assert!(mppi.costs()[0].is_finite());
+        assert!(mppi.costs()[1..].iter().all(|c| !c.is_finite()));
+        assert_eq!(mppi.nominal(), &before[..]);
+        assert_eq!(step.effective_samples, 1.0);
+        assert_eq!(step.best_cost, mppi.costs()[0]);
+        assert_eq!(step.mean_cost, mppi.costs()[0]);
+    }
+
+    #[test]
+    fn all_non_finite_samples_leave_the_nominal_unchanged() {
+        let model = robots::iiwa();
+        let opts = MppiOptions {
+            samples: 8,
+            horizon: 3,
+            ..Default::default()
+        };
+        let mut mppi = Mppi::with_threads(&model, opts, 1);
+        let q0 = model.neutral_config();
+        let qd0 = vec![f64::NAN; model.nv()];
+        let before = mppi.nominal().to_vec();
+        let step = mppi.iterate(&q0, &qd0);
+        assert!(mppi.costs().iter().all(|c| !c.is_finite()));
+        assert_eq!(mppi.nominal(), &before[..]);
+        assert_eq!(step.effective_samples, 0.0);
     }
 
     #[test]

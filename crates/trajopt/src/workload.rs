@@ -6,7 +6,7 @@
 
 use crate::ilqr::{lq_jacobians_batched, LqScratch};
 use crate::integrator::{rk4_step_with_sensitivity_into, Rk4SensScratch, StepJacobians};
-use rbd_dynamics::{BatchEval, DerivAlgo, DynamicsWorkspace, FdDerivatives};
+use rbd_dynamics::{BatchEval, DynamicsWorkspace, FdDerivatives};
 use rbd_model::{random_state, RobotModel};
 use rbd_spatial::MatN;
 use std::time::Instant;
@@ -34,10 +34,6 @@ pub struct WorkloadProfile {
     /// (1 = the batch ran inline on the caller; can be below the
     /// requested thread count for small models/point counts).
     pub batch_threads: usize,
-    /// ΔID backend the LQ phase actually dispatched to (both the serial
-    /// and the batched measurement run the same backend), so profile
-    /// output stays unambiguous now that two backends exist.
-    pub deriv_algo: DerivAlgo,
 }
 
 impl WorkloadProfile {
@@ -85,18 +81,6 @@ pub fn profile_mpc_iteration_threaded(
     n_points: usize,
     threads: usize,
 ) -> WorkloadProfile {
-    profile_mpc_iteration_with_algo(model, n_points, threads, DerivAlgo::default())
-}
-
-/// [`profile_mpc_iteration_threaded`] with an explicit ΔID backend for
-/// every derivative evaluation in the profile (the reported
-/// [`WorkloadProfile::deriv_algo`] echoes it back).
-pub fn profile_mpc_iteration_with_algo(
-    model: &RobotModel,
-    n_points: usize,
-    threads: usize,
-    deriv_algo: DerivAlgo,
-) -> WorkloadProfile {
     let mut ws = DynamicsWorkspace::new(model);
     let nv = model.nv();
     let dt = 0.01;
@@ -116,10 +100,7 @@ pub fn profile_mpc_iteration_with_algo(
     for s in &states {
         let mut timed_dfd = |ws: &mut DynamicsWorkspace, q: &[f64], qd: &[f64]| -> Vec<f64> {
             let t = Instant::now();
-            rbd_dynamics::fd_derivatives_with_algo_into(
-                model, ws, q, qd, &tau, None, deriv_algo, &mut dfd,
-            )
-            .expect("ΔFD");
+            rbd_dynamics::fd_derivatives_into(model, ws, q, qd, &tau, None, &mut dfd).expect("ΔFD");
             derivatives_s += t.elapsed().as_secs_f64();
             std::hint::black_box(&dfd);
             dfd.qdd.clone()
@@ -142,7 +123,6 @@ pub fn profile_mpc_iteration_with_algo(
     // the serial/batched comparison isolates the pool, not allocation
     // behavior. All buffers are pre-sized: steady state from call one.
     let mut sens = Rk4SensScratch::for_model(model);
-    sens.set_deriv_algo(deriv_algo);
     let mut q_next = vec![0.0; model.nq()];
     let mut qd_next = vec![0.0; nv];
     let mut jacs: Vec<StepJacobians> = (0..n_points).map(|_| StepJacobians::zeros(nv)).collect();
@@ -176,11 +156,7 @@ pub fn profile_mpc_iteration_with_algo(
     let mut batched_jacs: Vec<StepJacobians> =
         (0..n_points).map(|_| StepJacobians::zeros(nv)).collect();
     let mut lq_scratch: Vec<LqScratch> = (0..batch.threads())
-        .map(|_| {
-            let mut s = LqScratch::for_model(model);
-            s.set_deriv_algo(deriv_algo);
-            s
-        })
+        .map(|_| LqScratch::for_model(model))
         .collect();
     lq_jacobians_batched(
         &mut batch,
@@ -234,7 +210,6 @@ pub fn profile_mpc_iteration_with_algo(
         other_s,
         lq_batch_s,
         batch_threads: batch.last_workers().max(1),
-        deriv_algo,
     }
 }
 

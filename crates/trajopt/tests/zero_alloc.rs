@@ -3,8 +3,13 @@
 //! [`Rk4SensScratch`] and outputs are warm: a counting global allocator
 //! watches every alloc while the hot path runs against reused storage.
 //!
-//! Kept as a single `#[test]` so no concurrently running test can
-//! pollute the process-global counter.
+//! The counter is process-global so that allocations on pool worker
+//! threads count too. Every test therefore holds [`COUNTING`] from its
+//! first allocation to its last check, so no concurrently running test
+//! of this file can pollute another's count. libtest's own threads (the
+//! harness and the other tests' threads) still allocate at test
+//! boundaries while a count may be running, so only the measuring
+//! thread and the pool workers are counted (see [`record_alloc`]).
 
 use rbd_dynamics::{BatchEval, DynamicsWorkspace};
 use rbd_model::{integrate_config_into, random_state, robots};
@@ -14,25 +19,48 @@ use rbd_trajopt::{
     StepJacobians,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 struct CountingAlloc;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
 
+/// Set while [`alloc_count`] runs its closure.
+static MEASURING: AtomicBool = AtomicBool::new(false);
+
+thread_local! {
+    /// Set on the thread running [`alloc_count`]'s closure.
+    static MEASURER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Counts an allocation made during [`alloc_count`] by the measuring
+/// thread or by a `BatchEval` pool worker (threads named `rbd-batch-*`).
+fn record_alloc() {
+    if MEASURER.get()
+        || (MEASURING.load(Ordering::Relaxed)
+            && std::thread::current()
+                .name()
+                .is_some_and(|n| n.starts_with("rbd-batch-")))
+    {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        record_alloc();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        record_alloc();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        record_alloc();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -44,15 +72,30 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Runs `f` and returns how many allocator calls it made.
+/// Serializes the tests of this file (see the module docs).
+static COUNTING: Mutex<()> = Mutex::new(());
+
+/// Takes [`COUNTING`]; a test that failed while holding it must not
+/// fail the others, so poisoning is ignored.
+fn serialize() -> MutexGuard<'static, ()> {
+    COUNTING.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Runs `f` and returns how many allocator calls it and the pool
+/// workers made meanwhile.
 fn alloc_count(mut f: impl FnMut()) -> u64 {
     let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    MEASURER.set(true);
+    MEASURING.store(true, Ordering::SeqCst);
     f();
+    MEASURING.store(false, Ordering::SeqCst);
+    MEASURER.set(false);
     ALLOC_CALLS.load(Ordering::Relaxed) - before
 }
 
 #[test]
 fn rk4_sensitivity_chain_does_not_allocate_in_steady_state() {
+    let _serial = serialize();
     for model in [robots::iiwa(), robots::hyq(), robots::atlas()] {
         let mut ws = DynamicsWorkspace::new(&model);
         let mut scratch = Rk4SensScratch::for_model(&model);
@@ -114,6 +157,7 @@ fn rk4_sensitivity_chain_does_not_allocate_in_steady_state() {
 
 #[test]
 fn mppi_iteration_does_not_allocate_in_steady_state() {
+    let _serial = serialize();
     // The FULL sampling-MPC dispatch chain — Gaussian noise fill,
     // lane-group pool dispatch, lockstep lane rollouts + scalar
     // remainder, trajectory scoring and the softmax control blend —
@@ -142,6 +186,7 @@ fn mppi_iteration_does_not_allocate_in_steady_state() {
 
 #[test]
 fn batched_multi_worker_lq_phase_does_not_allocate_in_steady_state() {
+    let _serial = serialize();
     // The *whole* batched LQ approximation — persistent-pool dispatch,
     // per-executor workspace + Rk4SensScratch slots, the four-stage ΔFD
     // chain at every sampling point, and the Jacobian writes — must be

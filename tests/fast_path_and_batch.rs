@@ -120,41 +120,3 @@ fn ilqr_still_converges_with_batched_lq() {
     }
     assert!(*r.cost_history.last().unwrap() < 0.5 * r.cost_history[0]);
 }
-
-/// The accel crate mirrors `DerivAlgo` (it sits below `rbd_dynamics` in
-/// the dependency graph); the two selectors must stay in lockstep so
-/// FLOP gating models the backend actually dispatched.
-#[test]
-fn deriv_backend_mirror_stays_in_lockstep() {
-    use dadu_rbd::accel::ops::DerivBackend;
-    use dadu_rbd::dynamics::DerivAlgo;
-    assert_eq!(DerivAlgo::Expansion.name(), DerivBackend::Expansion.name());
-    assert_eq!(DerivAlgo::Idsva.name(), DerivBackend::Idsva.name());
-    assert_eq!(DerivAlgo::default().name(), DerivBackend::default().name());
-}
-
-/// iLQR converges to the same kind of solution under either ΔID
-/// backend, and the two LQ phases' Jacobians agree.
-#[test]
-fn ilqr_backends_agree() {
-    use dadu_rbd::dynamics::DerivAlgo;
-    use dadu_rbd::trajopt::{Ilqr, IlqrOptions};
-    let model = robots::serial_chain(3);
-    let mut costs = Vec::new();
-    for algo in [DerivAlgo::Expansion, DerivAlgo::Idsva] {
-        let mut ilqr = Ilqr::new(
-            &model,
-            vec![0.4, -0.3, 0.2],
-            IlqrOptions {
-                horizon: 15,
-                max_iters: 8,
-                deriv_algo: algo,
-                ..IlqrOptions::default()
-            },
-        );
-        let r = ilqr.solve(&[0.0; 3], &[0.0; 3]);
-        costs.push(*r.cost_history.last().unwrap());
-    }
-    let rel = (costs[0] - costs[1]).abs() / (1.0 + costs[0].abs());
-    assert!(rel < 1e-6, "backend-dependent iLQR outcome: {costs:?}");
-}
