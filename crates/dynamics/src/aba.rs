@@ -2,15 +2,23 @@
 //! the paper deliberately does *not* instantiate in hardware (§III-A) —
 //! we implement it as an independent reference for validating the
 //! `FD = M⁻¹·(τ - C)` path.
+//!
+//! There is one sweep, [`aba_in_ws`]; [`aba`] allocates the output and
+//! calls it, the way `forward_dynamics` wraps `forward_dynamics_into`.
+//! The sweep stays scalar rather than a width-1 call of the lane kernel
+//! ([`crate::lanes::forward_dynamics_aba_lanes_in_ws`]): it takes
+//! external forces, which the lane kernels do not, and it is the
+//! reference that pins the lane kernel bit for bit.
 
 use crate::mminv::invert_spd_small;
 use crate::workspace::DynamicsWorkspace;
 use crate::DynamicsError;
 use rbd_model::RobotModel;
-use rbd_spatial::{ForceVec, MatN, MotionVec, VecN};
+use rbd_spatial::{ForceVec, MotionVec};
 
 /// Forward dynamics `q̈ = ABA(q, q̇, τ, f_ext)` — O(N) articulated-body
-/// algorithm with multi-DOF joint support.
+/// algorithm with multi-DOF joint support; allocates the returned `q̈`
+/// and runs [`aba_in_ws`].
 ///
 /// `fext` entries are world-frame spatial forces per body.
 ///
@@ -29,119 +37,13 @@ pub fn aba(
     tau: &[f64],
     fext: Option<&[ForceVec]>,
 ) -> Result<Vec<f64>, DynamicsError> {
-    let nb = model.num_bodies();
-    assert_eq!(q.len(), model.nq(), "q dimension");
-    assert_eq!(qd.len(), model.nv(), "qd dimension");
-    assert_eq!(tau.len(), model.nv(), "tau dimension");
-    if let Some(f) = fext {
-        assert_eq!(f.len(), nb, "fext dimension");
-    }
-
-    ws.update_kinematics(model, q);
-    let a0 = MotionVec::new(rbd_spatial::Vec3::zero(), -model.gravity);
-
-    // Pass 1: velocities, bias accelerations, articulated quantities init.
-    for i in 0..nb {
-        let vo = model.v_offset(i);
-        let ni = ws.s_off[i + 1] - ws.s_off[i];
-        let vj = MotionVec::weighted_sum(&ws.s[vo..vo + ni], &qd[vo..vo + ni]);
-        let v = match model.topology().parent(i) {
-            Some(p) => ws.xup[i].apply_motion(&ws.v[p]) + vj,
-            None => vj,
-        };
-        ws.v[i] = v;
-        ws.c_bias[i] = v.cross_motion(&vj);
-        let inertia = model.link_inertia(i);
-        ws.ia[i] = inertia.to_mat6();
-        let mut pa = v.cross_force(&inertia.mul_motion(&v));
-        if let Some(fx) = fext {
-            pa -= ws.xworld[i].apply_force(&fx[i]);
-        }
-        ws.pa[i] = pa;
-    }
-
-    // Per-joint factor storage.
-    let mut u_cols: Vec<Vec<ForceVec>> = vec![Vec::new(); nb];
-    let mut d_inv: Vec<MatN> = vec![MatN::zeros(0, 0); nb];
-    let mut u_bias: Vec<VecN> = vec![VecN::zeros(0); nb];
-
-    // Pass 2: articulated inertia backward sweep.
-    for i in (0..nb).rev() {
-        let vo = model.v_offset(i);
-        let ni = ws.s_off[i + 1] - ws.s_off[i];
-        let cols = &ws.s[vo..vo + ni];
-        let mut u = vec![ForceVec::zero(); ni];
-        ws.ia[i].mul_motion_to_force_batch(cols, &mut u);
-        let mut d = MatN::zeros(ni, ni);
-        for a in 0..ni {
-            for b in 0..ni {
-                d[(a, b)] = cols[a].dot_force(&u[b]);
-            }
-        }
-        let dinv = d.inverse_spd()?;
-        let mut ub = VecN::zeros(ni);
-        for k in 0..ni {
-            ub[k] = tau[vo + k] - cols[k].dot_force(&ws.pa[i]);
-        }
-
-        if let Some(p) = model.topology().parent(i) {
-            // Ia = IA - U D⁻¹ Uᵀ
-            let mut ia = ws.ia[i];
-            ia.sub_outer_weighted(&u, |a, b| dinv[(a, b)]);
-            // pa' = pA + Ia c + U D⁻¹ u
-            let mut pa = ws.pa[i] + ia.mul_motion_to_force(&ws.c_bias[i]);
-            for a in 0..ni {
-                let mut coeff = 0.0;
-                for b in 0..ni {
-                    coeff += dinv[(a, b)] * ub[b];
-                }
-                pa += u[a] * coeff;
-            }
-            ia.add_congruence_xform_sym(&ws.xup[i], &mut ws.ia[p]);
-            ws.pa[p] += ws.xup[i].inv_apply_force(&pa);
-        }
-
-        u_cols[i] = u;
-        d_inv[i] = dinv;
-        u_bias[i] = ub;
-    }
-
-    // Pass 3: accelerations forward sweep.
     let mut qdd = vec![0.0; model.nv()];
-    for i in 0..nb {
-        let vo = model.v_offset(i);
-        let ni = ws.s_off[i + 1] - ws.s_off[i];
-        let a_par = match model.topology().parent(i) {
-            Some(p) => ws.xup[i].apply_motion(&ws.a[p]),
-            None => ws.xup[i].apply_motion(&a0),
-        };
-        let a_prime = a_par + ws.c_bias[i];
-        for k in 0..ni {
-            let mut rhs = u_bias[i][k];
-            // u - Uᵀ a'
-            // (apply D⁻¹ after assembling the residual vector)
-            rhs -= u_cols[i][k].dot_motion(&a_prime);
-            qdd[vo + k] = rhs;
-        }
-        // qdd_i = D⁻¹ (u - Uᵀ a')
-        let mut out = vec![0.0; ni];
-        for a in 0..ni {
-            for b in 0..ni {
-                out[a] += d_inv[i][(a, b)] * qdd[vo + b];
-            }
-        }
-        let mut a_i = a_prime;
-        for (k, s) in ws.s[vo..vo + ni].iter().enumerate() {
-            qdd[vo + k] = out[k];
-            a_i += *s * out[k];
-        }
-        ws.a[i] = a_i;
-    }
+    aba_in_ws(model, ws, q, qd, tau, fext, &mut qdd)?;
     Ok(qdd)
 }
 
-/// [`aba`] into a caller-provided output with **zero steady-state heap
-/// allocation**: every per-joint factor lives in the workspace
+/// The ABA sweep, writing `q̈` into a caller-provided output with
+/// **zero steady-state heap allocation**: every per-joint factor lives in the workspace
 /// ([`DynamicsWorkspace::u_cols`] for `U = I^A S`,
 /// [`DynamicsWorkspace::d_inv`] for the joint-space inverses,
 /// [`DynamicsWorkspace::aba_ub`] for the joint-space bias), and the
@@ -150,9 +52,9 @@ pub fn aba(
 ///
 /// This is the scalar **op-sequence reference for the K-lane kernels**
 /// (`crate::lanes::forward_dynamics_aba_lanes_in_ws` performs exactly
-/// this sequence per lane, and the lane tests pin it bit-identically),
-/// and the O(n) forward-dynamics core of the RK4 rollout kernels the
-/// sampling-MPC workloads run.
+/// this sequence per lane, and the lane tests pin it bit-identically)
+/// and the stage dynamics of the test-local RK4 reference the lane
+/// rollout is pinned to.
 ///
 /// # Errors
 /// Returns [`DynamicsError::SingularMassMatrix`] when a joint-space
@@ -348,34 +250,32 @@ mod tests {
     }
 
     #[test]
-    fn in_ws_form_matches_allocating_aba_bitwise() {
-        // `aba_in_ws` performs the same op sequence as `aba` (the small
-        // joint-space inverse mirrors `MatN::inverse_spd` exactly), so
-        // the outputs must agree bit-for-bit.
+    fn reused_workspace_gives_fresh_workspace_results_bitwise() {
+        // `aba` runs the one sweep, `aba_in_ws`; its output must not
+        // depend on what an earlier call (other state, external forces)
+        // left in the workspace.
         for model in [robots::iiwa(), robots::hyq(), robots::atlas()] {
-            let mut ws = DynamicsWorkspace::new(&model);
             let s = random_state(&model, 17);
             let tau: Vec<f64> = (0..model.nv()).map(|k| 0.6 - 0.07 * k as f64).collect();
-            let reference = aba(&model, &mut ws, &s.q, &s.qd, &tau, None).unwrap();
+            let fresh = aba(
+                &model,
+                &mut DynamicsWorkspace::new(&model),
+                &s.q,
+                &s.qd,
+                &tau,
+                None,
+            )
+            .unwrap();
+            let mut ws = DynamicsWorkspace::new(&model);
+            let other = random_state(&model, 18);
+            let fext: Vec<ForceVec> = (0..model.num_bodies())
+                .map(|i| ForceVec::from_slice(&[0.2, -0.1 * i as f64, 0.3, 2.0, -1.0, 0.5]))
+                .collect();
+            aba(&model, &mut ws, &other.q, &other.qd, &tau, Some(&fext)).unwrap();
             let mut qdd = vec![0.0; model.nv()];
             aba_in_ws(&model, &mut ws, &s.q, &s.qd, &tau, None, &mut qdd).unwrap();
-            assert_eq!(qdd, reference, "{}", model.name());
+            assert_eq!(qdd, fresh, "{}", model.name());
         }
-    }
-
-    #[test]
-    fn in_ws_form_supports_external_forces() {
-        let model = robots::hyq();
-        let mut ws = DynamicsWorkspace::new(&model);
-        let s = random_state(&model, 21);
-        let fext: Vec<ForceVec> = (0..model.num_bodies())
-            .map(|i| ForceVec::from_slice(&[0.2, -0.1 * i as f64, 0.3, 2.0, -1.0, 0.5]))
-            .collect();
-        let tau: Vec<f64> = (0..model.nv()).map(|k| 0.1 * k as f64 - 0.4).collect();
-        let reference = aba(&model, &mut ws, &s.q, &s.qd, &tau, Some(&fext)).unwrap();
-        let mut qdd = vec![0.0; model.nv()];
-        aba_in_ws(&model, &mut ws, &s.q, &s.qd, &tau, Some(&fext), &mut qdd).unwrap();
-        assert_eq!(qdd, reference);
     }
 
     #[test]

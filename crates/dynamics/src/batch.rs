@@ -9,15 +9,18 @@
 //! futex-backed epoch protocol, so a dispatch costs a condvar wake + a
 //! join rendezvous instead of per-call `std::thread::scope` spawn/join
 //! (the ROADMAP item for short-horizon many-core MPC loops). The calling
-//! thread participates as executor 0. Dispatch is allocation-free in
-//! steady state when the `*_into`/`for_each_*` entry points are used.
+//! thread participates as executor 0. Every dispatch is
+//! allocation-free in steady state.
 //!
-//! Each executor owns a [`DynamicsWorkspace`] **and a caller-provided
-//! generic scratch slot** (`map_with_scratch` / `for_each_with_scratch`
-//! with any `S: Send`), which is what lets consumers like iLQR route
+//! All entry points share one dispatch body,
+//! [`BatchEval::for_each_lane_groups`]: the per-item entry points
+//! (`for_each_with_scratch`, `for_each_into`, `fd_derivatives_batch`)
+//! are lane groups of width 1. Each executor owns a
+//! [`DynamicsWorkspace`] **and a caller-provided generic scratch slot**
+//! (any `S: Send`), which is what lets consumers like iLQR route
 //! per-point work through fully preallocated state (e.g.
 //! `rk4_step_with_sensitivity_into` with one `Rk4SensScratch` per
-//! worker).
+//! worker) and MPPI hold one lane workspace per executor.
 //!
 //! How many executors actually run is decided per call by **work-based
 //! gating**: the estimated FLOP volume of the batch (per-point cost ×
@@ -44,7 +47,6 @@
 //! assert_eq!(outs[3].dqdd_dq.rows(), model.nv());
 //! ```
 
-use crate::derivatives::{rnea_derivatives_into, RneaDerivatives};
 use crate::fd::{fd_derivatives_into, FdDerivatives};
 use crate::pool::WorkerPool;
 use crate::workspace::DynamicsWorkspace;
@@ -81,7 +83,7 @@ fn default_point_flops(model: &RobotModel) -> f64 {
 struct SlotPtr<T>(*mut T);
 
 // SAFETY: each executor dereferences only indices in its own disjoint
-// range/slot (enforced by the chunking in `for_each_with_scratch`), and
+// range/slot (enforced by the chunking in `for_each_lane_groups`), and
 // the caller blocks until all executors finish, so the pointee outlives
 // every access. The `T: Send` bound keeps the compiler enforcing that
 // everything shipped across pool threads is actually sendable.
@@ -173,7 +175,7 @@ impl<'m> BatchEval<'m> {
         self
     }
 
-    /// Executors engaged by the most recent `map`/`for_each` dispatch
+    /// Executors engaged by the most recent dispatch
     /// (1 = ran inline on the caller). 0 before the first dispatch.
     pub fn last_workers(&self) -> usize {
         self.last_workers
@@ -189,11 +191,11 @@ impl<'m> BatchEval<'m> {
 
     /// Applies `f` to every `(item, out)` pair with a per-executor
     /// workspace **and user scratch slot**, writing results into the
-    /// caller's slots — the zero-allocation core every other entry point
-    /// builds on. `scratch` must hold at least [`BatchEval::threads`]
-    /// slots (slot `w` is private to executor `w`; slot 0 serves the
-    /// serial path). Returns the first error in item order, if any (all
-    /// items are still evaluated).
+    /// caller's slots: it runs [`BatchEval::for_each_lane_groups`] with
+    /// one item per group. `scratch` must hold at least
+    /// [`BatchEval::threads`] slots (slot `w` is private to executor `w`;
+    /// slot 0 serves the serial path). All items are evaluated even when
+    /// some fail.
     ///
     /// `f(model, ws, scratch, index, item, out)` must depend only on its
     /// arguments for the output to be executor-count independent (true
@@ -222,88 +224,20 @@ impl<'m> BatchEval<'m> {
         F: Fn(&RobotModel, &mut DynamicsWorkspace, &mut S, usize, &I, &mut T) -> Result<(), E>
             + Sync,
     {
-        assert_eq!(items.len(), outs.len(), "items/outs length mismatch");
-        assert!(
-            scratch.len() >= self.threads(),
-            "need one scratch slot per executor ({} < {})",
-            scratch.len(),
-            self.threads()
-        );
-        let par = self.effective_workers(items.len());
-        self.last_workers = par;
-        let model = self.model;
-        if par <= 1 || self.pool.is_none() {
-            let ws = &mut self.workspaces[0];
-            let sc = &mut scratch[0];
-            let mut first_err = None;
-            for (k, (it, out)) in items.iter().zip(outs.iter_mut()).enumerate() {
-                if let Err(e) = f(model, ws, sc, k, it, out) {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-            return match first_err {
-                Some(e) => Err(e),
-                None => Ok(()),
-            };
-        }
-
-        let n = items.len();
-        let chunk = n.div_ceil(par);
-        // First error by item index, shared across executors. Lives on
-        // the caller's stack: no steady-state heap allocation.
-        let first_err: Mutex<Option<(usize, E)>> = Mutex::new(None);
-        let ws_ptr = SlotPtr(self.workspaces.as_mut_ptr());
-        let sc_ptr = SlotPtr(scratch.as_mut_ptr());
-        let out_ptr = SlotPtr(outs.as_mut_ptr());
-        let task = |w: usize| {
-            let start = w * chunk;
-            if start >= n {
-                return;
-            }
-            let end = (start + chunk).min(n);
-            // SAFETY: executor `w` exclusively owns workspace/scratch
-            // slot `w` and output indices `start..end`; ranges of
-            // distinct executors are disjoint and the caller blocks in
-            // `WorkerPool::run` until all executors finish.
-            let ws = unsafe { &mut *ws_ptr.get().add(w) };
-            let sc = unsafe { &mut *sc_ptr.get().add(w) };
-            for (k, item) in items.iter().enumerate().take(end).skip(start) {
-                let out = unsafe { &mut *out_ptr.get().add(k) };
-                if let Err(e) = f(model, ws, sc, k, item, out) {
-                    let mut g = first_err
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    if g.as_ref().is_none_or(|(j, _)| k < *j) {
-                        *g = Some((k, e));
-                    }
-                }
-            }
-        };
-        self.pool
-            .as_mut()
-            .expect("pool present when par > 1")
-            .run(par, &task);
-        match first_err
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-        {
-            Some((_, e)) => Err(e),
-            None => Ok(()),
-        }
+        self.for_each_lane_groups(1, items, outs, scratch, |model, ws, sc, k, it, out| {
+            f(model, ws, sc, k, &it[0], &mut out[0])
+        })
     }
 
-    /// Lane-group variant of [`BatchEval::for_each_with_scratch`]: the
-    /// batch is cut into **lane groups** of `lane_width` consecutive
-    /// items, pool chunks are aligned to group boundaries (a group is
-    /// never split across executors), and `f` is invoked once per group
-    /// with the group's item/output slices — full groups take the
-    /// lockstep lane kernels, the final short group (`items.len() %
-    /// lane_width`) falls back to the scalar path inside `f`. Zero
-    /// steady-state heap allocation, same bit-identical-at-any-worker-
-    /// count guarantee as the per-item entry points (each group's
-    /// outputs depend only on that group's inputs).
+    /// The dispatch core every entry point runs through: the batch is
+    /// cut into **lane groups** of `lane_width` consecutive items, pool
+    /// chunks are aligned to group boundaries (a group is never split
+    /// across executors), and `f` is invoked once per group with the
+    /// group's item/output slices. Only the final group can be shorter
+    /// (`items.len() % lane_width` items); lane consumers pad it to the
+    /// full width themselves. Zero steady-state heap allocation, and
+    /// each group's outputs depend only on that group's inputs, so the
+    /// result is bit-identical to the serial loop at any worker count.
     ///
     /// `f(model, ws, scratch, group_start, group_items, group_outs)`
     /// where `group_start` is the item index of the group's first
@@ -373,6 +307,8 @@ impl<'m> BatchEval<'m> {
         }
 
         let chunk_groups = n_groups.div_ceil(par);
+        // First error by group start, shared across executors. Lives on
+        // the caller's stack: no steady-state heap allocation.
         let first_err: Mutex<Option<(usize, E)>> = Mutex::new(None);
         let ws_ptr = SlotPtr(self.workspaces.as_mut_ptr());
         let sc_ptr = SlotPtr(scratch.as_mut_ptr());
@@ -419,44 +355,6 @@ impl<'m> BatchEval<'m> {
         }
     }
 
-    /// [`BatchEval::for_each_lane_groups`] returning the results in item
-    /// order (allocates the result vector; hot paths should reuse
-    /// outputs through `for_each_lane_groups`). `f` receives the group
-    /// and writes one `T` per item via the output slice.
-    ///
-    /// # Panics
-    /// Panics under the same conditions as
-    /// [`BatchEval::for_each_lane_groups`].
-    pub fn map_lanes<I, T, S, F>(
-        &mut self,
-        lane_width: usize,
-        items: &[I],
-        scratch: &mut [S],
-        f: F,
-    ) -> Vec<T>
-    where
-        I: Sync,
-        T: Send,
-        S: Send,
-        F: Fn(&RobotModel, &mut DynamicsWorkspace, &mut S, usize, &[I], &mut [Option<T>]) + Sync,
-    {
-        let mut outs: Vec<Option<T>> = (0..items.len()).map(|_| None).collect();
-        let ok: Result<(), std::convert::Infallible> = self.for_each_lane_groups(
-            lane_width,
-            items,
-            &mut outs,
-            scratch,
-            |model, ws, sc, start, group, group_outs| {
-                f(model, ws, sc, start, group, group_outs);
-                Ok(())
-            },
-        );
-        ok.expect("infallible");
-        outs.into_iter()
-            .map(|o| o.expect("every item evaluated"))
-            .collect()
-    }
-
     /// [`BatchEval::for_each_with_scratch`] without a user scratch slot
     /// (the per-executor [`DynamicsWorkspace`] is still provided).
     ///
@@ -479,45 +377,6 @@ impl<'m> BatchEval<'m> {
         })
     }
 
-    /// Applies `f` to every item with a per-executor workspace and user
-    /// scratch slot, returning the results in item order (allocates the
-    /// result vector; use [`BatchEval::for_each_with_scratch`] on hot
-    /// paths).
-    ///
-    /// # Panics
-    /// Panics if `scratch` is shorter than [`BatchEval::threads`];
-    /// re-raises worker panics.
-    pub fn map_with_scratch<I, T, S, F>(&mut self, items: &[I], scratch: &mut [S], f: F) -> Vec<T>
-    where
-        I: Sync,
-        T: Send,
-        S: Send,
-        F: Fn(&RobotModel, &mut DynamicsWorkspace, &mut S, usize, &I) -> T + Sync,
-    {
-        let mut outs: Vec<Option<T>> = (0..items.len()).map(|_| None).collect();
-        let ok: Result<(), std::convert::Infallible> =
-            self.for_each_with_scratch(items, &mut outs, scratch, |model, ws, sc, k, it, out| {
-                *out = Some(f(model, ws, sc, k, it));
-                Ok(())
-            });
-        ok.expect("infallible");
-        outs.into_iter()
-            .map(|o| o.expect("every item evaluated"))
-            .collect()
-    }
-
-    /// Applies `f` to every item with a per-executor workspace,
-    /// returning the results in item order.
-    pub fn map<I, T, F>(&mut self, items: &[I], f: F) -> Vec<T>
-    where
-        I: Sync,
-        T: Send,
-        F: Fn(&RobotModel, &mut DynamicsWorkspace, usize, &I) -> T + Sync,
-    {
-        let mut unit: Vec<()> = vec![(); self.threads()];
-        self.map_with_scratch(items, &mut unit, |model, ws, (), k, it| f(model, ws, k, it))
-    }
-
     /// Batched `ΔFD` over sampling points `(q, q̇, τ)`: fills `outs[k]`
     /// with the derivatives at point `k`. Zero allocation in steady state
     /// (reuse `outs` across calls).
@@ -536,28 +395,33 @@ impl<'m> BatchEval<'m> {
             fd_derivatives_into(model, ws, q, qd, tau, None, out)
         })
     }
-
-    /// Batched `ΔID` over sampling points `(q, q̇, q̈)`: fills `outs[k]`
-    /// with the derivatives at point `k`. Zero allocation in steady state.
-    ///
-    /// # Panics
-    /// Panics if `points` and `outs` lengths differ.
-    pub fn rnea_derivatives_batch(&mut self, points: &[SamplePoint], outs: &mut [RneaDerivatives]) {
-        let ok: Result<(), std::convert::Infallible> =
-            self.for_each_into(points, outs, |model, ws, _, (q, qd, qdd), out| {
-                rnea_derivatives_into(model, ws, q, qd, qdd, None, out);
-                Ok(())
-            });
-        ok.expect("infallible");
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::derivatives::{rnea_derivatives_into, RneaDerivatives};
     use crate::fd::fd_derivatives;
     use crate::rnea_derivatives;
     use rbd_model::{random_state, robots};
+    use std::convert::Infallible;
+
+    /// Per-item dispatch of `f(index, item)` through `for_each_into`,
+    /// results in item order.
+    fn indexed<T: Clone + Default + Send>(
+        batch: &mut BatchEval,
+        items: &[usize],
+        f: impl Fn(usize, usize) -> T + Sync,
+    ) -> Vec<T> {
+        let mut outs = vec![T::default(); items.len()];
+        let r: Result<(), Infallible> =
+            batch.for_each_into(items, &mut outs, |_, _, k, &it, out| {
+                *out = f(k, it);
+                Ok(())
+            });
+        r.unwrap();
+        outs
+    }
 
     fn points(model: &rbd_model::RobotModel, n: usize) -> Vec<SamplePoint> {
         (0..n)
@@ -601,7 +465,12 @@ mod tests {
         let pts = points(&model, 7);
         let mut batch = BatchEval::with_threads(&model, 3);
         let mut outs = vec![RneaDerivatives::zeros(model.nv()); pts.len()];
-        batch.rnea_derivatives_batch(&pts, &mut outs);
+        let r: Result<(), Infallible> =
+            batch.for_each_into(&pts, &mut outs, |model, ws, _, (q, qd, qdd), out| {
+                rnea_derivatives_into(model, ws, q, qd, qdd, None, out);
+                Ok(())
+            });
+        r.unwrap();
 
         let mut ws = DynamicsWorkspace::new(&model);
         for (k, (q, qd, qdd)) in pts.iter().enumerate() {
@@ -617,11 +486,11 @@ mod tests {
     }
 
     #[test]
-    fn map_preserves_item_order() {
+    fn dispatch_preserves_item_order() {
         let model = robots::iiwa();
         let mut batch = BatchEval::with_threads(&model, 3);
         let items: Vec<usize> = (0..17).collect();
-        let out = batch.map(&items, |_, _, idx, &item| (idx, item * 2));
+        let out = indexed(&mut batch, &items, |idx, item| (idx, item * 2));
         for (k, (idx, doubled)) in out.iter().enumerate() {
             assert_eq!(*idx, k);
             assert_eq!(*doubled, 2 * k);
@@ -637,7 +506,7 @@ mod tests {
         let model = robots::iiwa();
         let mut batch = BatchEval::with_threads(&model, 4).with_point_flops(1e9);
         let items: Vec<usize> = (0..5).collect();
-        let out = batch.map(&items, |_, _, idx, &item| (idx, item));
+        let out = indexed(&mut batch, &items, |idx, item| (idx, item));
         assert_eq!(out, (0..5).map(|k| (k, k)).collect::<Vec<_>>());
         assert_eq!(batch.last_workers(), 4);
 
@@ -676,8 +545,17 @@ mod tests {
         let mut batch = BatchEval::with_threads(&model, 4);
         let mut outs: Vec<FdDerivatives> = Vec::new();
         batch.fd_derivatives_batch(&[], &mut outs).unwrap();
-        let out: Vec<u32> = batch.map(&[] as &[usize], |_, _, _, _| 1);
+        let out: Vec<u32> = indexed(&mut batch, &[], |_, _| 1);
         assert!(out.is_empty());
+        let mut unit: Vec<()> = vec![(); batch.threads()];
+        let r: Result<(), Infallible> = batch.for_each_lane_groups(
+            4,
+            &[] as &[usize],
+            &mut [] as &mut [usize],
+            &mut unit,
+            |_, _, (), _, _, _| panic!("no group to visit"),
+        );
+        r.unwrap();
     }
 
     #[test]
@@ -698,16 +576,24 @@ mod tests {
     }
 
     #[test]
-    fn map_with_scratch_gives_each_executor_its_slot() {
+    fn scratch_dispatch_gives_each_executor_its_slot() {
         let model = robots::iiwa();
         let mut batch = BatchEval::with_threads(&model, 3).with_point_flops(1e9);
         let items: Vec<usize> = (0..12).collect();
         // Each executor counts its items in its own scratch slot.
         let mut tallies = vec![0usize; batch.threads()];
-        let out = batch.map_with_scratch(&items, &mut tallies, |_, _, tally, idx, &item| {
-            *tally += 1;
-            idx + item
-        });
+        let mut out = vec![0usize; items.len()];
+        let r: Result<(), Infallible> = batch.for_each_with_scratch(
+            &items,
+            &mut out,
+            &mut tallies,
+            |_, _, tally, idx, &item, o| {
+                *tally += 1;
+                *o = idx + item;
+                Ok(())
+            },
+        );
+        r.unwrap();
         assert_eq!(out, (0..12).map(|k| 2 * k).collect::<Vec<_>>());
         assert_eq!(tallies.iter().sum::<usize>(), items.len());
         assert!(
@@ -748,7 +634,7 @@ mod tests {
             let items: Vec<usize> = (0..13).collect();
             let mut outs = vec![(0usize, 0usize); 13];
             let mut unit: Vec<()> = vec![(); batch.threads()];
-            let r: Result<(), std::convert::Infallible> = batch.for_each_lane_groups(
+            let r: Result<(), Infallible> = batch.for_each_lane_groups(
                 4,
                 &items,
                 &mut outs,
@@ -772,17 +658,26 @@ mod tests {
     }
 
     #[test]
-    fn map_lanes_matches_scalar_map() {
+    fn lane_groups_match_per_item_dispatch() {
         let model = robots::hyq();
         let mut batch = BatchEval::with_threads(&model, 3).with_point_flops(1e9);
         let items: Vec<usize> = (0..10).collect();
         let mut unit: Vec<()> = vec![(); batch.threads()];
-        let out: Vec<usize> =
-            batch.map_lanes(4, &items, &mut unit, |_, _, (), start, group, outs| {
+        let mut out = vec![0usize; items.len()];
+        let r: Result<(), Infallible> = batch.for_each_lane_groups(
+            4,
+            &items,
+            &mut out,
+            &mut unit,
+            |_, _, (), start, group, outs| {
                 for (off, (it, o)) in group.iter().zip(outs.iter_mut()).enumerate() {
-                    *o = Some(*it + start + off);
+                    *o = *it + start + off;
                 }
-            });
+                Ok(())
+            },
+        );
+        r.unwrap();
+        assert_eq!(out, indexed(&mut batch, &items, |idx, item| idx + item));
         assert_eq!(out, (0..10).map(|k| 2 * k).collect::<Vec<_>>());
     }
 
@@ -828,7 +723,7 @@ mod tests {
 
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut outs = vec![0usize; 16];
-            let r: Result<(), std::convert::Infallible> = batch.for_each_lane_groups(
+            let r: Result<(), Infallible> = batch.for_each_lane_groups(
                 4,
                 &items,
                 &mut outs,
@@ -856,7 +751,7 @@ mod tests {
         );
 
         // The pool is not poisoned: the same evaluator keeps working.
-        let out = batch.map(&items, |_, _, idx, &it| idx + it);
+        let out = indexed(&mut batch, &items, |idx, it| idx + it);
         assert_eq!(out, (0..16).map(|k| 2 * k).collect::<Vec<_>>());
     }
 
@@ -867,7 +762,7 @@ mod tests {
         let items: Vec<usize> = (0..8).collect();
 
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            batch.map(&items, |_, _, _, &it| {
+            indexed(&mut batch, &items, |_, it| {
                 if it == 6 {
                     panic!("batch closure failed at {it}");
                 }
@@ -885,7 +780,7 @@ mod tests {
         );
 
         // The pool is not poisoned: the same evaluator keeps working.
-        let out = batch.map(&items, |_, _, idx, &it| idx + it);
+        let out = indexed(&mut batch, &items, |idx, it| idx + it);
         assert_eq!(out, (0..8).map(|k| 2 * k).collect::<Vec<_>>());
     }
 
@@ -898,7 +793,7 @@ mod tests {
         for _ in 0..3 {
             let mut batch = BatchEval::with_threads(&model, 3).with_point_flops(1e9);
             let items: Vec<usize> = (0..6).collect();
-            let out = batch.map(&items, |_, _, _, &it| it);
+            let out = indexed(&mut batch, &items, |_, it| it);
             assert_eq!(out, items);
             drop(batch);
         }

@@ -17,16 +17,18 @@
 //! * [`rnea_lanes_in_ws`] mirrors [`crate::rnea_in_ws`] (without
 //!   external forces);
 //! * [`forward_dynamics_aba_lanes_in_ws`] mirrors [`crate::aba_in_ws`];
-//! * [`rk4_rollout_lanes_into`] mirrors [`rk4_rollout_into`], the
-//!   scalar RK4/ABA rollout defined here.
+//! * [`rk4_rollout_lanes_into`] mirrors a scalar RK4 step over
+//!   [`crate::aba_in_ws`], run per sample.
 //!
 //! Lane `l` of any output is therefore **bit-identical** to running
-//! the scalar kernel on lane `l`'s inputs — pinned per model (floating
-//! base included) by `tests/lane_equivalence.rs` and the proptest
-//! suite. Batch consumers exploit this: `BatchEval::map_lanes` chunks a
-//! sample batch into lane groups with a scalar fallback for the
-//! remainder, and the result is indistinguishable from the serial
-//! scalar loop.
+//! the scalar kernel on lane `l`'s inputs, and no lane reads another
+//! lane's inputs. `tests/lane_equivalence.rs` pins this per model
+//! (floating base included) against a test-local scalar RK4 reference,
+//! and `tests/lane_properties.rs` at seeded random states. The lane
+//! kernels are the only rollout path: batch consumers cut a sample
+//! batch into lane groups (`BatchEval::for_each_lane_groups`) and pad
+//! the last, short group with copies of one of its samples, and the
+//! result is still indistinguishable from the serial per-sample loop.
 //!
 //! # Memory layout
 //!
@@ -59,7 +61,6 @@
 //! }
 //! ```
 
-use crate::workspace::DynamicsWorkspace;
 use crate::DynamicsError;
 use rbd_model::{integrate_config_into, RobotModel};
 use rbd_spatial::{LaneForceVec, LaneMat6, LaneMotionVec, LaneXform, MotionVec, Xform};
@@ -387,16 +388,48 @@ fn invert_spd_small_lanes<const K: usize>(
     Ok(())
 }
 
+/// Defines the public entry point `$name` around the `#[inline(always)]`
+/// body `$body`. On x86-64 hosts with AVX2 (runtime-detected, once per
+/// call) the entry point runs an AVX2-compiled clone of the body, in
+/// which every inlined callee is compiled for AVX2 too; elsewhere it
+/// runs the baseline build. The per-lane op sequences are the same in
+/// both — IEEE f64 arithmetic does not depend on the vector width — so
+/// outputs stay bit-identical; only the codegen widens from 2-wide SSE2
+/// to 4-wide registers.
+macro_rules! avx2_dispatch {
+    (
+        $(#[$attr:meta])*
+        pub fn $name:ident<const $k:ident: usize>($($arg:ident: $ty:ty),* $(,)?)
+            $(-> $ret:ty)? => $body:ident
+    ) => {
+        $(#[$attr])*
+        pub fn $name<const $k: usize>($($arg: $ty),*) $(-> $ret)? {
+            /// AVX2-compiled clone of the body.
+            ///
+            /// # Safety
+            /// The caller must have verified AVX2 support at runtime.
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx2")]
+            #[allow(clippy::too_many_arguments)]
+            unsafe fn avx2<const $k: usize>($($arg: $ty),*) $(-> $ret)? {
+                $body($($arg),*)
+            }
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: AVX2 presence was just verified at runtime.
+                return unsafe { avx2($($arg),*) };
+            }
+            $body($($arg),*)
+        }
+    };
+}
+
+avx2_dispatch! {
 /// Lane-batched inverse dynamics: `K` RNEA sweeps in lockstep (mirror
 /// of [`crate::rnea_in_ws`] without external forces). Inputs are flat
 /// lane-major slices (`q`: `K·nq`, `qd`/`qdd`: `K·nv`); the torques
 /// land in [`LaneWorkspace::tau_lanes`]. Zero steady-state allocation.
-///
-/// On x86-64 hosts with AVX2 the sweep dispatches to an AVX2-compiled
-/// clone of the identical code (runtime-detected): the per-lane op
-/// sequences are unchanged — IEEE f64 arithmetic is the same at any
-/// vector width — so outputs stay bit-identical; only the codegen
-/// widens from the baseline 2-wide SSE2 to 4-wide registers.
+/// AVX2 hosts run an AVX2-compiled clone with bit-identical outputs.
 ///
 /// # Panics
 /// Panics on dimension mismatches.
@@ -407,32 +440,7 @@ pub fn rnea_lanes_in_ws<const K: usize>(
     qd: &[f64],
     qdd: &[f64],
     gravity_scale: f64,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 presence was just verified at runtime.
-        unsafe { rnea_lanes_avx2(model, lws, q, qd, qdd, gravity_scale) };
-        return;
-    }
-    rnea_lanes_impl(model, lws, q, qd, qdd, gravity_scale);
-}
-
-/// AVX2-compiled clone of [`rnea_lanes_impl`] (see the dispatcher's
-/// bit-identity note).
-///
-/// # Safety
-/// The caller must have verified AVX2 support at runtime.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn rnea_lanes_avx2<const K: usize>(
-    model: &RobotModel,
-    lws: &mut LaneWorkspace<K>,
-    q: &[f64],
-    qd: &[f64],
-    qdd: &[f64],
-    gravity_scale: f64,
-) {
-    rnea_lanes_impl(model, lws, q, qd, qdd, gravity_scale);
+) => rnea_lanes_impl
 }
 
 #[inline(always)]
@@ -494,12 +502,12 @@ fn rnea_lanes_impl<const K: usize>(
     }
 }
 
+avx2_dispatch! {
 /// Lane-batched O(n) forward dynamics: `K` articulated-body sweeps in
 /// lockstep (mirror of [`crate::aba_in_ws`] without external forces).
 /// Inputs are flat lane-major slices; the accelerations land in
 /// [`LaneWorkspace::qdd_lanes`]. Zero steady-state allocation. AVX2
-/// hosts take a runtime-dispatched AVX2-compiled clone with
-/// bit-identical outputs (see [`rnea_lanes_in_ws`]).
+/// hosts run an AVX2-compiled clone with bit-identical outputs.
 ///
 /// # Errors
 /// Returns [`DynamicsError::SingularMassMatrix`] when any lane's
@@ -513,30 +521,7 @@ pub fn forward_dynamics_aba_lanes_in_ws<const K: usize>(
     q: &[f64],
     qd: &[f64],
     tau: &[f64],
-) -> Result<(), DynamicsError> {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 presence was just verified at runtime.
-        return unsafe { fd_aba_lanes_avx2(model, lws, q, qd, tau) };
-    }
-    fd_aba_lanes_impl(model, lws, q, qd, tau)
-}
-
-/// AVX2-compiled clone of [`fd_aba_lanes_impl`] (bit-identical; see
-/// [`rnea_lanes_in_ws`]).
-///
-/// # Safety
-/// The caller must have verified AVX2 support at runtime.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn fd_aba_lanes_avx2<const K: usize>(
-    model: &RobotModel,
-    lws: &mut LaneWorkspace<K>,
-    q: &[f64],
-    qd: &[f64],
-    tau: &[f64],
-) -> Result<(), DynamicsError> {
-    fd_aba_lanes_impl(model, lws, q, qd, tau)
+) -> Result<(), DynamicsError> => fd_aba_lanes_impl
 }
 
 #[inline(always)]
@@ -669,152 +654,8 @@ fn fd_aba_lanes_impl<const K: usize>(
 }
 
 // ---------------------------------------------------------------------
-// RK4 rollout kernels (the sampling-MPC workload unit).
+// RK4 rollout kernel (the sampling-MPC workload unit).
 // ---------------------------------------------------------------------
-
-/// Reusable stage buffers for the scalar RK4/ABA rollout
-/// ([`rk4_step_aba_into`] / [`rk4_rollout_into`]).
-#[derive(Debug, Clone, Default)]
-pub struct RolloutScratch {
-    q_stage: Vec<f64>,
-    qd_stage: [Vec<f64>; 3],
-    ka: [Vec<f64>; 4],
-    vbar: Vec<f64>,
-}
-
-impl RolloutScratch {
-    /// Scratch sized for `model`.
-    pub fn for_model(model: &RobotModel) -> Self {
-        let mut s = Self::default();
-        s.ensure_dims(model);
-        s
-    }
-
-    /// Sizes every buffer for `model`; allocation-free when already
-    /// sized.
-    pub fn ensure_dims(&mut self, model: &RobotModel) {
-        self.q_stage.resize(model.nq(), 0.0);
-        for v in self.qd_stage.iter_mut() {
-            v.resize(model.nv(), 0.0);
-        }
-        for v in self.ka.iter_mut() {
-            v.resize(model.nv(), 0.0);
-        }
-        self.vbar.resize(model.nv(), 0.0);
-    }
-}
-
-/// One classical RK4 step on the configuration manifold with the O(n)
-/// ABA as the stage dynamics — the scalar op-sequence reference of the
-/// lane rollout ([`rk4_rollout_lanes_into`] performs exactly this
-/// arithmetic per lane). Zero steady-state allocation.
-///
-/// # Errors
-/// Propagates a singular joint-space block from the ABA stages.
-///
-/// # Panics
-/// Panics on dimension mismatches.
-#[allow(clippy::too_many_arguments)] // state + control + two outputs, mirrors rk4_step
-pub fn rk4_step_aba_into(
-    model: &RobotModel,
-    ws: &mut DynamicsWorkspace,
-    scratch: &mut RolloutScratch,
-    q: &[f64],
-    qd: &[f64],
-    tau: &[f64],
-    h: f64,
-    q_new: &mut [f64],
-    qd_new: &mut [f64],
-) -> Result<(), DynamicsError> {
-    let nv = model.nv();
-    scratch.ensure_dims(model);
-    let RolloutScratch {
-        q_stage,
-        qd_stage,
-        ka,
-        vbar,
-    } = scratch;
-    let [qd2, qd3, qd4] = qd_stage;
-    let [k1a, k2a, k3a, k4a] = ka;
-
-    crate::aba::aba_in_ws(model, ws, q, qd, tau, None, k1a)?;
-    integrate_config_into(model, q, qd, h / 2.0, q_stage);
-    for i in 0..nv {
-        qd2[i] = qd[i] + h / 2.0 * k1a[i];
-    }
-    crate::aba::aba_in_ws(model, ws, q_stage, qd2, tau, None, k2a)?;
-    integrate_config_into(model, q, qd2, h / 2.0, q_stage);
-    for i in 0..nv {
-        qd3[i] = qd[i] + h / 2.0 * k2a[i];
-    }
-    crate::aba::aba_in_ws(model, ws, q_stage, qd3, tau, None, k3a)?;
-    integrate_config_into(model, q, qd3, h, q_stage);
-    for i in 0..nv {
-        qd4[i] = qd[i] + h * k3a[i];
-    }
-    crate::aba::aba_in_ws(model, ws, q_stage, qd4, tau, None, k4a)?;
-
-    for i in 0..nv {
-        vbar[i] = (qd[i] + 2.0 * qd2[i] + 2.0 * qd3[i] + qd4[i]) / 6.0;
-    }
-    integrate_config_into(model, q, vbar, h, q_new);
-    for i in 0..nv {
-        qd_new[i] = qd[i] + h / 6.0 * (k1a[i] + 2.0 * k2a[i] + 2.0 * k3a[i] + k4a[i]);
-    }
-    Ok(())
-}
-
-/// Scalar RK4/ABA rollout of one control sequence: `horizon` steps from
-/// `(q0, q̇0)` under `us` (`[step][nv]`, flat `horizon·nv`), writing the
-/// full state trajectory (`q_traj`: `(horizon+1)·nq`, `qd_traj`:
-/// `(horizon+1)·nv`, step-major). Zero steady-state allocation — the
-/// per-sample reference unit of the sampling-MPC workload, and the
-/// scalar fallback of the lane rollout.
-///
-/// # Errors
-/// Propagates a singular joint-space block from any stage.
-///
-/// # Panics
-/// Panics on dimension mismatches.
-#[allow(clippy::too_many_arguments)] // initial state + controls + two trajectory outputs
-pub fn rk4_rollout_into(
-    model: &RobotModel,
-    ws: &mut DynamicsWorkspace,
-    scratch: &mut RolloutScratch,
-    q0: &[f64],
-    qd0: &[f64],
-    us: &[f64],
-    horizon: usize,
-    dt: f64,
-    q_traj: &mut [f64],
-    qd_traj: &mut [f64],
-) -> Result<(), DynamicsError> {
-    let nq = model.nq();
-    let nv = model.nv();
-    assert_eq!(q0.len(), nq, "q0 dimension");
-    assert_eq!(qd0.len(), nv, "qd0 dimension");
-    assert_eq!(us.len(), horizon * nv, "controls dimension");
-    assert_eq!(q_traj.len(), (horizon + 1) * nq, "q trajectory dimension");
-    assert_eq!(qd_traj.len(), (horizon + 1) * nv, "qd trajectory dimension");
-    q_traj[..nq].copy_from_slice(q0);
-    qd_traj[..nv].copy_from_slice(qd0);
-    for step in 0..horizon {
-        let (q_head, q_tail) = q_traj.split_at_mut((step + 1) * nq);
-        let (qd_head, qd_tail) = qd_traj.split_at_mut((step + 1) * nv);
-        rk4_step_aba_into(
-            model,
-            ws,
-            scratch,
-            &q_head[step * nq..],
-            &qd_head[step * nv..],
-            &us[step * nv..(step + 1) * nv],
-            dt,
-            &mut q_tail[..nq],
-            &mut qd_tail[..nv],
-        )?;
-    }
-    Ok(())
-}
 
 /// Reusable lane-major stage buffers for [`rk4_rollout_lanes_into`]
 /// (`K·nq` / `K·nv` flat blocks, lane `l` contiguous at `l·dim`).
@@ -853,6 +694,7 @@ impl LaneRolloutScratch {
     }
 }
 
+avx2_dispatch! {
 /// Lane-batched RK4/ABA rollout: `K` control sequences rolled out in
 /// lockstep through the lane forward-dynamics sweep. Layouts are
 /// lane-major: `q0` is `K·nq`, `us` is `[lane][step][nv]` (flat
@@ -860,11 +702,15 @@ impl LaneRolloutScratch {
 /// (flat `K·(horizon+1)·nq` / `K·(horizon+1)·nv`) so each lane's
 /// trajectory is contiguous for downstream cost evaluation.
 ///
-/// Mirrors [`rk4_rollout_into`] lane by lane (same stage arithmetic,
-/// same `integrate_config_into` manifold steps, the ABA stages through
-/// the lockstep lane sweep): lane `l`'s trajectory is bit-identical to
-/// the scalar rollout of lane `l`'s inputs. Zero steady-state
-/// allocation.
+/// Per lane, each step is classical RK4 on the configuration manifold:
+/// four ABA stages through the lockstep lane sweep, the stage
+/// configurations through `integrate_config_into`. Lane `l`'s
+/// trajectory is bit-identical to the same RK4 run per sample over the
+/// scalar [`crate::aba_in_ws`], and it depends only on lane `l`'s
+/// inputs — which is what lets a batch pad its last, short group with
+/// copies of a real sample. Zero steady-state allocation; AVX2 hosts
+/// run an AVX2-compiled clone of the whole rollout (the lane ABA
+/// sweeps inlined), so the feature check runs once per rollout.
 ///
 /// # Errors
 /// Propagates a singular joint-space block from any lane/stage.
@@ -883,46 +729,7 @@ pub fn rk4_rollout_lanes_into<const K: usize>(
     dt: f64,
     q_traj: &mut [f64],
     qd_traj: &mut [f64],
-) -> Result<(), DynamicsError> {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 presence was just verified at runtime.
-        return unsafe {
-            rk4_rollout_lanes_avx2(
-                model, lws, scratch, q0, qd0, us, horizon, dt, q_traj, qd_traj,
-            )
-        };
-    }
-    rk4_rollout_lanes_impl(
-        model, lws, scratch, q0, qd0, us, horizon, dt, q_traj, qd_traj,
-    )
-}
-
-/// AVX2-compiled clone of [`rk4_rollout_lanes_impl`] (bit-identical;
-/// see [`rnea_lanes_in_ws`]). The whole rollout — stage arithmetic and
-/// the inner lane ABA sweeps — compiles in one AVX2 context, so the
-/// per-call feature dispatch happens once per rollout, not per stage.
-///
-/// # Safety
-/// The caller must have verified AVX2 support at runtime.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn rk4_rollout_lanes_avx2<const K: usize>(
-    model: &RobotModel,
-    lws: &mut LaneWorkspace<K>,
-    scratch: &mut LaneRolloutScratch,
-    q0: &[f64],
-    qd0: &[f64],
-    us: &[f64],
-    horizon: usize,
-    dt: f64,
-    q_traj: &mut [f64],
-    qd_traj: &mut [f64],
-) -> Result<(), DynamicsError> {
-    rk4_rollout_lanes_impl(
-        model, lws, scratch, q0, qd0, us, horizon, dt, q_traj, qd_traj,
-    )
+) -> Result<(), DynamicsError> => rk4_rollout_lanes_impl
 }
 
 #[inline(always)]

@@ -54,7 +54,18 @@
 //! executor, and estimated-FLOP work gating that keeps small batches
 //! inline on the caller. Per-point outputs are written to per-point
 //! slots, so the result is bit-identical to the serial loop for any
-//! worker count.
+//! worker count. Every entry point runs one dispatch body that hands
+//! out lane groups; per-point calls are groups of width 1.
+//!
+//! # Lane batching
+//!
+//! Sample rollouts (the MPPI workload) run `K` samples in lockstep
+//! through the [`lanes`] kernels, the only rollout path: a batch whose
+//! size is not a multiple of [`LANE_WIDTH`] pads its last group with
+//! copies of a real sample. Each lane is bit-identical to the scalar
+//! kernel on that lane's inputs ([`rnea_in_ws`], [`aba_in_ws`], which
+//! stay scalar: they take external forces and serve as the lane
+//! kernels' references).
 //!
 //! # Example
 //!
@@ -102,8 +113,8 @@ pub use finite_diff::{fd_derivatives_numeric, rnea_derivatives_numeric};
 pub use idsva::rnea_derivatives_idsva_into;
 pub use jacobian::{body_jacobian_world, body_position_world, point_velocity_world};
 pub use lanes::{
-    forward_dynamics_aba_lanes_in_ws, rk4_rollout_into, rk4_rollout_lanes_into, rk4_step_aba_into,
-    rnea_lanes_in_ws, LaneRolloutScratch, LaneWorkspace, RolloutScratch, LANE_WIDTH,
+    forward_dynamics_aba_lanes_in_ws, rk4_rollout_lanes_into, rnea_lanes_in_ws, LaneRolloutScratch,
+    LaneWorkspace, LANE_WIDTH,
 };
 pub use mminv::{mminv_gen, mminv_gen_into, MMinvOutput};
 pub use momentum::{center_of_mass, spatial_momentum, total_mass};

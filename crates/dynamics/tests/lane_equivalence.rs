@@ -2,12 +2,15 @@
 //! counterparts on every test model (floating base included), at lane
 //! widths 1, 2 and 4, across randomized states: lane `l` of any lane
 //! kernel output must equal the scalar kernel run on lane `l`'s inputs
-//! with `==`, not a tolerance.
+//! with `==`, not a tolerance. The lane rollout's scalar counterpart is
+//! the test-local RK4 over `aba_in_ws` in `support/rk4.rs`.
+
+#[path = "support/rk4.rs"]
+mod rk4;
 
 use rbd_dynamics::{
-    aba_in_ws, forward_dynamics_aba_lanes_in_ws, lanes::LaneWorkspace, rk4_rollout_into,
-    rk4_rollout_lanes_into, rnea_lanes_in_ws, DynamicsWorkspace, LaneRolloutScratch,
-    RolloutScratch,
+    aba_in_ws, forward_dynamics_aba_lanes_in_ws, lanes::LaneWorkspace, rk4_rollout_lanes_into,
+    rnea_lanes_in_ws, DynamicsWorkspace, LaneRolloutScratch,
 };
 use rbd_model::{random_state, robots, RobotModel};
 
@@ -126,22 +129,14 @@ fn check_rollout<const K: usize>(model: &RobotModel) {
     )
     .unwrap();
 
-    let mut ws = DynamicsWorkspace::new(model);
-    let mut scratch = RolloutScratch::for_model(model);
-    let mut q_ref = vec![0.0; (horizon + 1) * nq];
-    let mut qd_ref = vec![0.0; (horizon + 1) * nv];
     for l in 0..K {
-        rk4_rollout_into(
+        let (q_ref, qd_ref) = rk4::rk4_rollout(
             model,
-            &mut ws,
-            &mut scratch,
+            rk4::aba_stage,
             &q0[l * nq..(l + 1) * nq],
             &qd0[l * nv..(l + 1) * nv],
             &us[l * horizon * nv..(l + 1) * horizon * nv],
-            horizon,
             dt,
-            &mut q_ref,
-            &mut qd_ref,
         )
         .unwrap();
         assert_eq!(
@@ -178,24 +173,24 @@ fn lane_rollout_bit_identical_to_scalar_all_models() {
 }
 
 #[test]
-fn scalar_rollout_matches_plain_rk4_dynamics() {
-    // The ABA-based rollout must agree with the MMinvGen-based rk4
-    // integrator to numerical tolerance (the two FD formulations agree
-    // to ~1e-8): sanity that the rollout kernel integrates the same
-    // dynamics, not just that lane == scalar.
+fn lane_rollout_matches_rk4_over_mass_matrix_dynamics() {
+    // The ABA-based lane rollout must agree with RK4 over the
+    // MMinvGen-based forward dynamics to numerical tolerance (the two
+    // FD formulations agree to ~1e-8): sanity that the rollout
+    // integrates the same dynamics, not just that lane == scalar.
     let model = robots::hyq();
-    let mut ws = DynamicsWorkspace::new(&model);
-    let mut scratch = RolloutScratch::for_model(&model);
     let s = random_state(&model, 5);
-    let nv = model.nv();
+    let (nq, nv) = (model.nq(), model.nv());
     let horizon = 2;
     let dt = 0.01;
     let us: Vec<f64> = (0..horizon * nv).map(|i| 0.2 - 0.01 * i as f64).collect();
-    let mut q_traj = vec![0.0; (horizon + 1) * model.nq()];
+    let mut lws = LaneWorkspace::<1>::new(&model);
+    let mut scratch = LaneRolloutScratch::for_model(&model, 1);
+    let mut q_traj = vec![0.0; (horizon + 1) * nq];
     let mut qd_traj = vec![0.0; (horizon + 1) * nv];
-    rk4_rollout_into(
+    rk4_rollout_lanes_into(
         &model,
-        &mut ws,
+        &mut lws,
         &mut scratch,
         &s.q,
         &s.qd,
@@ -207,59 +202,19 @@ fn scalar_rollout_matches_plain_rk4_dynamics() {
     )
     .unwrap();
 
-    let (mut q, mut qd) = (s.q.clone(), s.qd.clone());
-    for step in 0..horizon {
-        let qdd =
-            rbd_dynamics::forward_dynamics(&model, &mut ws, &q, &qd, &us[step * nv..][..nv], None)
-                .unwrap();
-        // Only check per-step states against the rollout's (the plain
-        // rk4_step uses the same stage arithmetic).
-        let _ = qdd;
-        let (qn, qdn) = rbd_trajopt_free_rk4(&model, &mut ws, &q, &qd, &us[step * nv..][..nv], dt);
-        q = qn;
-        qd = qdn;
-        for (a, b) in q
-            .iter()
-            .zip(&q_traj[(step + 1) * model.nq()..][..model.nq()])
-        {
-            assert!((a - b).abs() < 1e-7, "q step {step}: {a} vs {b}");
-        }
-        for (a, b) in qd.iter().zip(&qd_traj[(step + 1) * nv..][..nv]) {
-            assert!((a - b).abs() < 1e-7, "qd step {step}: {a} vs {b}");
-        }
+    let (q_ref, qd_ref) = rk4::rk4_rollout(
+        &model,
+        |m, ws, q, qd, tau| rbd_dynamics::forward_dynamics(m, ws, q, qd, tau, None),
+        &s.q,
+        &s.qd,
+        &us,
+        dt,
+    )
+    .unwrap();
+    for (k, (a, b)) in q_ref.iter().zip(&q_traj).enumerate() {
+        assert!((a - b).abs() < 1e-7, "q entry {k}: {a} vs {b}");
     }
-}
-
-/// Minimal local RK4 on the MMinvGen FD path (mirrors
-/// `rbd_trajopt::rk4_step` without the crate dependency).
-fn rbd_trajopt_free_rk4(
-    model: &RobotModel,
-    ws: &mut DynamicsWorkspace,
-    q: &[f64],
-    qd: &[f64],
-    tau: &[f64],
-    h: f64,
-) -> (Vec<f64>, Vec<f64>) {
-    let fd = |ws: &mut DynamicsWorkspace, q: &[f64], qd: &[f64]| {
-        rbd_dynamics::forward_dynamics(model, ws, q, qd, tau, None).expect("fd")
-    };
-    let nv = model.nv();
-    let k1a = fd(ws, q, qd);
-    let q2 = rbd_model::integrate_config(model, q, qd, h / 2.0);
-    let qd2: Vec<f64> = (0..nv).map(|i| qd[i] + h / 2.0 * k1a[i]).collect();
-    let k2a = fd(ws, &q2, &qd2);
-    let q3 = rbd_model::integrate_config(model, q, &qd2, h / 2.0);
-    let qd3: Vec<f64> = (0..nv).map(|i| qd[i] + h / 2.0 * k2a[i]).collect();
-    let k3a = fd(ws, &q3, &qd3);
-    let q4 = rbd_model::integrate_config(model, q, &qd3, h);
-    let qd4: Vec<f64> = (0..nv).map(|i| qd[i] + h * k3a[i]).collect();
-    let k4a = fd(ws, &q4, &qd4);
-    let vbar: Vec<f64> = (0..nv)
-        .map(|i| (qd[i] + 2.0 * qd2[i] + 2.0 * qd3[i] + qd4[i]) / 6.0)
-        .collect();
-    let q_new = rbd_model::integrate_config(model, q, &vbar, h);
-    let qd_new: Vec<f64> = (0..nv)
-        .map(|i| qd[i] + h / 6.0 * (k1a[i] + 2.0 * k2a[i] + 2.0 * k3a[i] + k4a[i]))
-        .collect();
-    (q_new, qd_new)
+    for (k, (a, b)) in qd_ref.iter().zip(&qd_traj).enumerate() {
+        assert!((a - b).abs() < 1e-7, "qd entry {k}: {a} vs {b}");
+    }
 }

@@ -187,8 +187,8 @@ fn steady_state_kernels_do_not_allocate() {
 fn lane_kernels_do_not_allocate_in_steady_state() {
     let _serial = serialize();
     use rbd_dynamics::{
-        aba_in_ws, forward_dynamics_aba_lanes_in_ws, lanes::LaneWorkspace, rk4_rollout_into,
-        rk4_rollout_lanes_into, rnea_lanes_in_ws, LaneRolloutScratch, RolloutScratch,
+        aba_in_ws, forward_dynamics_aba_lanes_in_ws, lanes::LaneWorkspace, rk4_rollout_lanes_into,
+        rnea_lanes_in_ws, LaneRolloutScratch,
     };
     const K: usize = 4;
     for model in [robots::iiwa(), robots::atlas()] {
@@ -196,7 +196,6 @@ fn lane_kernels_do_not_allocate_in_steady_state() {
         let mut ws = DynamicsWorkspace::new(&model);
         let mut lws = LaneWorkspace::<K>::new(&model);
         let mut lane_rs = LaneRolloutScratch::for_model(&model, K);
-        let mut scalar_rs = RolloutScratch::for_model(&model);
         let horizon = 2;
         let mut q = vec![0.0; K * nq];
         let mut qd = vec![0.0; K * nv];
@@ -241,25 +240,10 @@ fn lane_kernels_do_not_allocate_in_steady_state() {
             &mut qdd_out,
         )
         .unwrap();
-        let mut q_ref = vec![0.0; (horizon + 1) * nq];
-        let mut qd_ref = vec![0.0; (horizon + 1) * nv];
-        rk4_rollout_into(
-            &model,
-            &mut ws,
-            &mut scalar_rs,
-            &s0.q,
-            &s0.qd,
-            &us[..horizon * nv],
-            horizon,
-            0.01,
-            &mut q_ref,
-            &mut qd_ref,
-        )
-        .unwrap();
 
-        // Steady state: the whole lane sweep family plus the scalar
-        // ABA/rollout references must be allocation-free.
-        let checks: [(&str, u64); 5] = [
+        // Steady state: the whole lane sweep family plus the scalar ABA
+        // reference must be allocation-free.
+        let checks: [(&str, u64); 4] = [
             (
                 "rnea_lanes_in_ws",
                 alloc_count(|| rnea_lanes_in_ws(&model, &mut lws, &q, &qd, &qdd, 1.0)),
@@ -299,24 +283,6 @@ fn lane_kernels_do_not_allocate_in_steady_state() {
                         &tau[..nv],
                         None,
                         &mut qdd_out,
-                    )
-                    .unwrap()
-                }),
-            ),
-            (
-                "rk4_rollout_into",
-                alloc_count(|| {
-                    rk4_rollout_into(
-                        &model,
-                        &mut ws,
-                        &mut scalar_rs,
-                        &s0.q,
-                        &s0.qd,
-                        &us[..horizon * nv],
-                        horizon,
-                        0.01,
-                        &mut q_ref,
-                        &mut qd_ref,
                     )
                     .unwrap()
                 }),

@@ -1127,8 +1127,8 @@ mod tests {
 
     #[test]
     fn lane_width_one_is_the_scalar_path() {
-        // K = 1 must reproduce the scalar kernels exactly (it is the
-        // remainder fallback of the lane sweeps).
+        // K = 1 must reproduce the scalar kernels exactly (lane width 1
+        // is the per-sample reference of the lane sweeps).
         let m = sample_motions()[0];
         let f = sample_forces()[0];
         let x = sample_xforms()[0];

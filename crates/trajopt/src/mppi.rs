@@ -16,19 +16,21 @@
 //!   [`BatchEval`] pool via `for_each_lane_groups`, gated by the
 //!   `rbd_accel::ops::rk4_rollout_point_flops` work model.
 //!
-//! Because the lane kernels are bit-identical to the scalar rollout and
-//! the remainder group falls back to that same scalar kernel, an MPPI
-//! iteration produces **exactly the same trajectory costs at any lane
-//! width and worker count** — pinned by the tests below. The dispatch
-//! chain performs zero steady-state heap allocation
+//! The lane kernel is the only rollout path. When the sample count is
+//! not a multiple of the lane width, the last, short group fills its
+//! spare lanes with copies of its first sample and scores only its real
+//! samples. Each lane's trajectory depends only on that lane's inputs,
+//! so an MPPI iteration produces **exactly the same trajectory costs at
+//! any worker count** — pinned by the tests below — and padding with a
+//! real sample cannot add a failure the real samples do not have. The
+//! dispatch chain performs zero steady-state heap allocation
 //! (`tests/zero_alloc.rs`).
 //!
 //! Noise is drawn from a deterministic SplitMix64/Box-Muller stream, so
 //! iterations are reproducible across runs and hosts.
 
 use rbd_dynamics::{
-    lanes::LaneWorkspace, rk4_rollout_into, rk4_rollout_lanes_into, BatchEval, DynamicsWorkspace,
-    LaneRolloutScratch, RolloutScratch, LANE_WIDTH,
+    lanes::LaneWorkspace, rk4_rollout_lanes_into, BatchEval, LaneRolloutScratch, LANE_WIDTH,
 };
 use rbd_model::{RobotModel, SplitMix64};
 use std::time::Instant;
@@ -82,6 +84,9 @@ pub struct MppiStep {
     /// Effective sample size `(Σw)²/Σw²` of the softmax weights; samples
     /// with a non-finite cost weigh 0, so this is 0 if none is finite.
     pub effective_samples: f64,
+    /// Samples whose trajectory cost is not finite (diverged rollouts);
+    /// they get zero weight.
+    pub nonfinite_samples: usize,
     /// Time drawing the perturbation noise, seconds.
     pub sample_s: f64,
     /// Time rolling out + scoring all samples (the lane-batched,
@@ -100,13 +105,12 @@ impl MppiStep {
     }
 }
 
-/// Per-executor scratch of the rollout phase: lane workspace + lane and
-/// scalar rollout scratch + the trajectory/control staging buffers.
+/// Per-executor scratch of the rollout phase: lane workspace + lane
+/// rollout scratch + the trajectory/control staging buffers.
 #[derive(Debug)]
 pub struct MppiScratch {
     lws: LaneWorkspace<LANE_WIDTH>,
     lane_rs: LaneRolloutScratch,
-    scalar_rs: RolloutScratch,
     /// Lane-major perturbed controls of the current group.
     u_buf: Vec<f64>,
     /// Lane-major initial states of the current group.
@@ -124,7 +128,6 @@ impl MppiScratch {
         Self {
             lws: LaneWorkspace::new(model),
             lane_rs: LaneRolloutScratch::for_model(model, LANE_WIDTH),
-            scalar_rs: RolloutScratch::for_model(model),
             u_buf: vec![0.0; LANE_WIDTH * horizon * nv],
             q0_buf: vec![0.0; LANE_WIDTH * nq],
             qd0_buf: vec![0.0; LANE_WIDTH * nv],
@@ -281,10 +284,9 @@ impl<'m> Mppi<'m> {
             &self.sample_ids,
             &mut self.costs,
             &mut self.scratch,
-            |model, ws, sc, _start, group, group_costs| {
+            |model, _, sc, _start, group, group_costs| {
                 roll_group(
                     model,
-                    ws,
                     sc,
                     opts,
                     q0,
@@ -311,10 +313,12 @@ impl<'m> Mppi<'m> {
         let lambda = self.opts.lambda.max(1e-12);
         let mut eta = 0.0;
         let mut sq = 0.0;
+        let mut nonfinite_samples = 0;
         for (w, &c) in self.weights.iter_mut().zip(&self.costs) {
             *w = if c.is_finite() {
                 (-(c - beta) / lambda).exp()
             } else {
+                nonfinite_samples += 1;
                 0.0
             };
             eta += *w;
@@ -341,6 +345,7 @@ impl<'m> Mppi<'m> {
             best_cost: beta,
             mean_cost,
             effective_samples: if sq > 0.0 { eta * eta / sq } else { 0.0 },
+            nonfinite_samples,
             sample_s,
             rollout_s,
             update_s,
@@ -363,9 +368,7 @@ fn gauss_pair(rng: &mut SplitMix64) -> (f64, f64) {
 /// `1..=horizon`, `w_q·‖q_t − q_goal‖² + w_qd·‖q̇_t‖²` plus
 /// `w_u·‖u_t‖²` over the applied controls. Configuration error is
 /// componentwise over the `q` coordinates — a synthetic benchmark cost
-/// (quaternion coordinates are compared directly), evaluated by this
-/// one function for both the lane and the scalar fallback paths so the
-/// dispatch is bit-identical at any lane width.
+/// (quaternion coordinates are compared directly).
 fn trajectory_cost(
     opts: &MppiOptions,
     nq: usize,
@@ -397,13 +400,13 @@ fn trajectory_cost(
     cost + opts.w_u * eu
 }
 
-/// Rolls out one lane group (full groups through the lockstep lane
-/// kernels, the remainder through the scalar rollout) and scores each
-/// sample. Shared by every executor.
+/// Rolls out one lane group through the lockstep lane kernel and
+/// scores each sample. A short (last) group fills its spare lanes with
+/// copies of its first sample; their costs are discarded. Shared by
+/// every executor.
 #[allow(clippy::too_many_arguments)] // executor context + iteration inputs + group slices
 fn roll_group(
     model: &RobotModel,
-    ws: &mut DynamicsWorkspace,
     sc: &mut MppiScratch,
     opts: &MppiOptions,
     q0: &[f64],
@@ -417,78 +420,43 @@ fn roll_group(
     let (nq, nv) = (model.nq(), model.nv());
     let horizon = opts.horizon;
     let hn = horizon * nv;
-    if group.len() == LANE_WIDTH {
-        // Full group: pack the perturbed controls + initial states and
-        // sweep all lanes in lockstep.
-        for (l, &k) in group.iter().enumerate() {
-            let dst = &mut sc.u_buf[l * hn..(l + 1) * hn];
-            for (u, (n, d)) in dst
-                .iter_mut()
-                .zip(nominal.iter().zip(&noise[k * hn..(k + 1) * hn]))
-            {
-                *u = n + d;
-            }
-            sc.q0_buf[l * nq..(l + 1) * nq].copy_from_slice(q0);
-            sc.qd0_buf[l * nv..(l + 1) * nv].copy_from_slice(qd0);
+    // Pack the perturbed controls + initial states and sweep all lanes
+    // in lockstep.
+    for l in 0..LANE_WIDTH {
+        let k = group.get(l).copied().unwrap_or(group[0]);
+        let dst = &mut sc.u_buf[l * hn..(l + 1) * hn];
+        for (u, (n, d)) in dst
+            .iter_mut()
+            .zip(nominal.iter().zip(&noise[k * hn..(k + 1) * hn]))
+        {
+            *u = n + d;
         }
-        rk4_rollout_lanes_into(
-            model,
-            &mut sc.lws,
-            &mut sc.lane_rs,
-            &sc.q0_buf,
-            &sc.qd0_buf,
-            &sc.u_buf,
-            horizon,
-            opts.dt,
-            &mut sc.q_traj,
-            &mut sc.qd_traj,
-        )
-        .expect("lane rollout");
-        for (l, c) in group_costs.iter_mut().enumerate() {
-            *c = trajectory_cost(
-                opts,
-                nq,
-                nv,
-                q_goal,
-                &sc.q_traj[l * (horizon + 1) * nq..(l + 1) * (horizon + 1) * nq],
-                &sc.qd_traj[l * (horizon + 1) * nv..(l + 1) * (horizon + 1) * nv],
-                &sc.u_buf[l * hn..(l + 1) * hn],
-            );
-        }
-    } else {
-        // Remainder group: scalar fallback, bit-identical to the lane
-        // path by the kernels' lane-equivalence contract.
-        for (&k, c) in group.iter().zip(group_costs.iter_mut()) {
-            let u = &mut sc.u_buf[..hn];
-            for (uu, (n, d)) in u
-                .iter_mut()
-                .zip(nominal.iter().zip(&noise[k * hn..(k + 1) * hn]))
-            {
-                *uu = n + d;
-            }
-            rk4_rollout_into(
-                model,
-                ws,
-                &mut sc.scalar_rs,
-                q0,
-                qd0,
-                &sc.u_buf[..hn],
-                horizon,
-                opts.dt,
-                &mut sc.q_traj[..(horizon + 1) * nq],
-                &mut sc.qd_traj[..(horizon + 1) * nv],
-            )
-            .expect("scalar rollout");
-            *c = trajectory_cost(
-                opts,
-                nq,
-                nv,
-                q_goal,
-                &sc.q_traj[..(horizon + 1) * nq],
-                &sc.qd_traj[..(horizon + 1) * nv],
-                &sc.u_buf[..hn],
-            );
-        }
+        sc.q0_buf[l * nq..(l + 1) * nq].copy_from_slice(q0);
+        sc.qd0_buf[l * nv..(l + 1) * nv].copy_from_slice(qd0);
+    }
+    rk4_rollout_lanes_into(
+        model,
+        &mut sc.lws,
+        &mut sc.lane_rs,
+        &sc.q0_buf,
+        &sc.qd0_buf,
+        &sc.u_buf,
+        horizon,
+        opts.dt,
+        &mut sc.q_traj,
+        &mut sc.qd_traj,
+    )
+    .expect("lane rollout");
+    for (l, c) in group_costs.iter_mut().enumerate() {
+        *c = trajectory_cost(
+            opts,
+            nq,
+            nv,
+            q_goal,
+            &sc.q_traj[l * (horizon + 1) * nq..(l + 1) * (horizon + 1) * nq],
+            &sc.qd_traj[l * (horizon + 1) * nv..(l + 1) * (horizon + 1) * nv],
+            &sc.u_buf[l * hn..(l + 1) * hn],
+        );
     }
 }
 
@@ -511,10 +479,10 @@ mod tests {
 
     #[test]
     fn costs_identical_at_any_lane_and_worker_count() {
-        // The whole iteration — lane groups, scalar remainder, pool
+        // The whole iteration — lane groups, padded remainder, pool
         // dispatch — must produce identical costs and identical control
         // updates for any executor count. 10 samples → two full lane
-        // groups + a remainder of 2 through the scalar fallback.
+        // groups + a remainder of 2 padded to the lane width.
         let model = robots::hyq();
         let opts = MppiOptions {
             samples: 10,
@@ -613,6 +581,7 @@ mod tests {
         assert!(mppi.costs()[1..].iter().all(|c| !c.is_finite()));
         assert_eq!(mppi.nominal(), &before[..]);
         assert_eq!(step.effective_samples, 1.0);
+        assert_eq!(step.nonfinite_samples, 15);
         assert_eq!(step.best_cost, mppi.costs()[0]);
         assert_eq!(step.mean_cost, mppi.costs()[0]);
     }
@@ -633,6 +602,7 @@ mod tests {
         assert!(mppi.costs().iter().all(|c| !c.is_finite()));
         assert_eq!(mppi.nominal(), &before[..]);
         assert_eq!(step.effective_samples, 0.0);
+        assert_eq!(step.nonfinite_samples, 8);
     }
 
     #[test]

@@ -159,11 +159,12 @@ fn rk4_sensitivity_chain_does_not_allocate_in_steady_state() {
 fn mppi_iteration_does_not_allocate_in_steady_state() {
     let _serial = serialize();
     // The FULL sampling-MPC dispatch chain — Gaussian noise fill,
-    // lane-group pool dispatch, lockstep lane rollouts + scalar
-    // remainder, trajectory scoring and the softmax control blend —
-    // must be allocation-free once the controller is warm, with
-    // multiple workers engaged. 10 samples at lane width 4 exercise two
-    // full lane groups AND the scalar remainder path.
+    // lane-group pool dispatch, lockstep lane rollouts, trajectory
+    // scoring and the softmax control blend — must be allocation-free
+    // once the controller is warm, with multiple workers engaged. 10
+    // samples at lane width 4 exercise two full lane groups AND the
+    // remainder of 2, padded to the lane width with copies of its
+    // first sample, so the count covers the padding too.
     use rbd_trajopt::{Mppi, MppiOptions};
     let model = robots::iiwa();
     let opts = MppiOptions {
