@@ -12,7 +12,8 @@
 //!   reference in the integration tests.
 //! * **Timing/resources** ([`ops`], [`pipeline`], [`timing`],
 //!   [`resources`], [`power`]) — per-submodule operation counts from the
-//!   paper's sparsity analysis drive initiation intervals, pipeline
+//!   paper's sparsity analysis (`ops` is `rbd_dynamics::ops`, the same
+//!   model that gates `BatchEval`) drive initiation intervals, pipeline
 //!   latencies, DSP/FF/LUT usage and power, with a cycle-stepped FIFO
 //!   simulation cross-checking the closed-form model.
 //!
@@ -36,7 +37,6 @@
 pub mod config;
 pub mod dataflow;
 pub mod functional;
-pub mod ops;
 pub mod pipeline;
 pub mod power;
 pub mod resources;
@@ -50,6 +50,7 @@ pub use dataflow::{FunctionKind, FunctionOutput};
 pub use ops::{delta_fd_flops, rk4_sens_point_flops, OpCount};
 pub use pipeline::{PipelineSim, SimResult, Stage};
 pub use power::PowerModel;
+pub use rbd_dynamics::ops;
 pub use resources::{FpgaDevice, ResourceUsage};
 pub use sap::{BranchArray, SapLayout};
 pub use stream::{decode_task, encode_task, TaskPacket};

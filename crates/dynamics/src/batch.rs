@@ -48,6 +48,7 @@
 //! ```
 
 use crate::fd::{fd_derivatives_into, FdDerivatives};
+use crate::ops;
 use crate::pool::WorkerPool;
 use crate::workspace::DynamicsWorkspace;
 use crate::DynamicsError;
@@ -59,22 +60,13 @@ use std::sync::Mutex;
 pub type SamplePoint = (Vec<f64>, Vec<f64>, Vec<f64>);
 
 /// Work-gating granule: an executor is only engaged for every
-/// ~`FLOPS_PER_WORKER` of estimated batch work. At the ~3 flops/ns the
-/// measured ΔFD kernels sustain this is ≈50 µs of work per worker —
-/// an order of magnitude above the pool's wake+join rendezvous cost —
-/// so the parallel path is only taken when dispatch overhead is noise,
-/// replacing iLQR's old `nv >= 4` model-size heuristic with an
-/// estimated-FLOP threshold.
+/// ~`FLOPS_PER_WORKER` of batch work as estimated by the [`ops`]
+/// model. At the ~3 flops/ns the measured ΔFD kernels sustain this is
+/// ≈50 µs of work per worker — an order of magnitude above the pool's
+/// wake+join rendezvous cost — so the parallel path is only taken when
+/// dispatch overhead is noise, replacing iLQR's old `nv >= 4`
+/// model-size heuristic with an estimated-FLOP threshold.
 pub const FLOPS_PER_WORKER: f64 = 1.5e5;
-
-/// Rough per-point cost estimate (total flops of one ΔFD evaluation)
-/// used for gating when the caller installs nothing better: calibrated
-/// against the measured `bench_derivatives` medians (iiwa ≈ 15 kflop,
-/// HyQ ≈ 60 kflop, Atlas ≈ 270 kflop). The paper-accurate model lives
-/// in `rbd_accel::ops::delta_fd_flops`.
-fn default_point_flops(model: &RobotModel) -> f64 {
-    250.0 * model.num_bodies() as f64 * model.nv() as f64 + 3000.0
-}
 
 /// Raw-pointer cell that lets the dispatched closure hand each executor
 /// `&mut` access to its own disjoint slot (workspace, scratch, output
@@ -144,7 +136,7 @@ impl<'m> BatchEval<'m> {
                 .map(|_| DynamicsWorkspace::new(model))
                 .collect(),
             pool: (executors > 1).then(|| WorkerPool::spawn(executors - 1)),
-            point_flops: default_point_flops(model),
+            point_flops: ops::delta_fd_flops(model),
             last_workers: 0,
         }
     }
@@ -160,10 +152,10 @@ impl<'m> BatchEval<'m> {
     }
 
     /// Installs the estimated per-point cost (total flops) used by the
-    /// work gate. Defaults to a rough ΔFD estimate from the model's
-    /// body/DOF counts; consumers evaluating heavier per-point closures
-    /// (e.g. a full RK4 sensitivity chain) should install their own —
-    /// see `rbd_accel::ops::{delta_fd_flops, rk4_sens_point_flops}`.
+    /// work gate. Defaults to one ΔFD evaluation
+    /// ([`ops::delta_fd_flops`]); consumers evaluating heavier per-point
+    /// closures (e.g. a full RK4 sensitivity chain) should install their
+    /// own from [`ops`] (e.g. [`ops::rk4_sens_point_flops`]).
     pub fn set_point_flops(&mut self, flops: f64) {
         self.point_flops = flops.max(1.0);
     }

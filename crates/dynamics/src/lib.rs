@@ -52,9 +52,11 @@
 //! rendezvous per dispatch, allocation-free in steady state) with one
 //! workspace plus an optional caller-provided scratch slot per
 //! executor, and estimated-FLOP work gating that keeps small batches
-//! inline on the caller. Per-point outputs are written to per-point
-//! slots, so the result is bit-identical to the serial loop for any
-//! worker count. Every entry point runs one dispatch body that hands
+//! inline on the caller. The estimates come from [`ops`], the one
+//! operation-count model, which also drives the accelerator
+//! simulator's timing and resources. Per-point outputs are written to
+//! per-point slots, so the result is bit-identical to the serial loop
+//! for any worker count. Every entry point runs one dispatch body that hands
 //! out lane groups; per-point calls are groups of width 1.
 //!
 //! # Lane batching
@@ -96,6 +98,7 @@ pub mod jacobian;
 pub mod lanes;
 pub mod mminv;
 pub mod momentum;
+pub mod ops;
 mod pool;
 pub mod rnea;
 pub mod workspace;

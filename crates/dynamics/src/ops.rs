@@ -3,6 +3,11 @@
 //! matrices (Fig 6b: 8 distinct products in `X_n`, 8 non-zero constants
 //! in `I_n`, one-hot `S_n`; Fig 7b/c: incremental columns; Fig 8b:
 //! symmetric `I^A` with priority vectors).
+//!
+//! The one FLOP model of the workspace: the accelerator simulator
+//! (`rbd_accel`, which re-exports this module) derives its timing and
+//! resources from it, and [`BatchEval`](crate::BatchEval)'s work gate
+//! estimates batch cost with it ([`delta_fd_flops`] by default).
 
 use rbd_model::{JointType, RobotModel};
 
@@ -294,11 +299,10 @@ pub fn trig_cost(jt: &JointType) -> OpCount {
 /// evaluation on `model`: the ΔID sweeps ([`delta_id_flops`]), the
 /// paper's MMinvGen submodules (`Mb`/`Mf`) at each body's
 /// ancestor-column count, plus the final dense `-M⁻¹·∂τ` products.
-/// This is the **work-based gating hook** for
-/// `rbd_dynamics::BatchEval::set_point_flops`: a paper-accurate
-/// replacement for size heuristics (like iLQR's old `nv >= 4` rule)
-/// when deciding whether a batch is worth fanning out across the
-/// worker pool.
+/// This is the default per-point cost of the **work-based gate** of
+/// [`BatchEval`](crate::BatchEval): a paper-accurate replacement for
+/// size heuristics (like iLQR's old `nv >= 4` rule) when deciding
+/// whether a batch is worth fanning out across the worker pool.
 pub fn delta_fd_flops(model: &RobotModel) -> f64 {
     let topo = model.topology();
     let mut total = OpCount::default();
@@ -326,8 +330,9 @@ pub fn delta_fd_flops(model: &RobotModel) -> f64 {
 /// iLQR LQ approximation's per-point unit): four serial ΔFD stage
 /// evaluations plus the chain-rule products that combine them (~6
 /// `nv×nv` matrix products per stage over the three sensitivity
-/// blocks). Install into `BatchEval::set_point_flops` before batching
-/// LQ points.
+/// blocks). Install into
+/// [`BatchEval::set_point_flops`](crate::BatchEval::set_point_flops)
+/// before batching LQ points.
 pub fn rk4_sens_point_flops(model: &RobotModel) -> f64 {
     let nv = model.nv() as f64;
     4.0 * delta_fd_flops(model) + 48.0 * nv * nv * nv
@@ -360,7 +365,7 @@ fn aba_body_cost(jt: &JointType) -> OpCount {
 
 /// Estimated total flop count (muls + adds) of one O(n) ABA forward
 /// dynamics evaluation on `model` — the per-stage unit of the rollout
-/// workloads (`rbd_dynamics::aba_in_ws` and its K-lane lockstep
+/// workloads ([`aba_in_ws`](crate::aba_in_ws) and its K-lane lockstep
 /// mirror evaluate exactly this sweep).
 pub fn aba_flops(model: &RobotModel) -> f64 {
     let mut total = OpCount::default();
@@ -375,7 +380,7 @@ pub fn aba_flops(model: &RobotModel) -> f64 {
 /// `horizon` steps (the sampling-MPC / MPPI per-sample unit): four ABA
 /// stage evaluations plus the stage-combination and manifold-integration
 /// arithmetic per step. This is the **work-gating hook** for
-/// `rbd_dynamics::BatchEval` lane-group dispatch — install via
+/// [`BatchEval`](crate::BatchEval) lane-group dispatch — install via
 /// `set_point_flops` before batching rollout samples so tiny sample
 /// counts stay inline on the caller. The estimate is per *sample*
 /// (lane), independent of the lane width the kernels batch at.

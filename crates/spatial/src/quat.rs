@@ -71,13 +71,18 @@ impl Quat {
         (self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z).sqrt()
     }
 
-    /// Returns the unit-norm version of this quaternion.
+    /// Returns the unit-norm version of this quaternion. A quaternion
+    /// with a NaN component normalizes to NaN, so a diverged state
+    /// propagates like ±∞ instead of panicking.
     ///
     /// # Panics
     /// Panics on a (near-)zero quaternion.
     pub fn normalized(&self) -> Self {
         let n = self.norm();
-        assert!(n > 1e-300, "cannot normalize a zero quaternion");
+        assert!(
+            n > 1e-300 || n.is_nan(),
+            "cannot normalize a zero quaternion"
+        );
         Self::new(self.w / n, self.x / n, self.y / n, self.z / n)
     }
 
@@ -181,6 +186,18 @@ impl fmt::Display for Quat {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nan_quaternion_normalizes_to_nan() {
+        let q = Quat::new(f64::NAN, 0.0, 0.0, 1.0).normalized();
+        assert!([q.w, q.x, q.y, q.z].iter().all(|c| c.is_nan()));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot normalize a zero quaternion")]
+    fn zero_quaternion_still_panics() {
+        Quat::new(0.0, 0.0, 0.0, 0.0).normalized();
+    }
 
     #[test]
     fn axis_angle_matches_matrix() {

@@ -123,7 +123,8 @@ pub struct IlqrResult {
     pub us: Vec<Vec<f64>>,
     /// State trajectory `(q, q̇)` under the optimized controls.
     pub trajectory: Vec<(Vec<f64>, Vec<f64>)>,
-    /// Whether the relative improvement dropped below `tol`.
+    /// Whether the relative improvement dropped below `tol` or no line
+    /// search step improved the cost; never set at a non-finite cost.
     pub converged: bool,
     /// Wall time spent in the LQ approximation (dynamics+derivatives,
     /// the Fig 2c "parallelizable" share).
@@ -439,7 +440,8 @@ impl<'m> Ilqr<'m> {
             }
             rollout_t += t.elapsed().as_secs_f64();
             if !accepted || converged {
-                converged = converged || !accepted;
+                // No accepted step is convergence only at a finite cost.
+                converged = (converged || !accepted) && cost.is_finite();
                 break;
             }
         }

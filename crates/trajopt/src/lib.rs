@@ -27,6 +27,6 @@ pub use integrator::{
     Rk4SensScratch, StepJacobians,
 };
 pub use mpc::{run_mpc, MpcRun};
-pub use mppi::{profile_mppi_iteration, Mppi, MppiOptions, MppiScratch, MppiStep};
+pub use mppi::{Mppi, MppiOptions, MppiScratch, MppiStep};
 pub use scheduler::{accel_makespan_cycles, cpu_makespan, ScheduleInputs};
 pub use workload::{profile_mpc_iteration, profile_mpc_iteration_threaded, WorkloadProfile};

@@ -460,18 +460,6 @@ fn roll_group(
     }
 }
 
-/// Wall-clock profile of one steady-state MPPI iteration (the
-/// sampling-MPC sibling of `profile_mpc_iteration`): constructs the
-/// controller, runs one warm-up iteration so every buffer is sized,
-/// then reports the timed second iteration.
-pub fn profile_mppi_iteration(model: &RobotModel, opts: MppiOptions, threads: usize) -> MppiStep {
-    let mut mppi = Mppi::with_threads(model, opts, threads);
-    let q0 = model.neutral_config();
-    let qd0 = vec![0.0; model.nv()];
-    mppi.iterate(&q0, &qd0);
-    mppi.iterate(&q0, &qd0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -587,6 +575,29 @@ mod tests {
     }
 
     #[test]
+    fn diverged_floating_base_samples_get_zero_weight() {
+        // On a floating-base robot a diverged lane carries a NaN
+        // quaternion through the configuration integration; it must get
+        // zero weight like any other non-finite sample instead of
+        // panicking the iteration.
+        let model = robots::hyq();
+        let opts = MppiOptions {
+            samples: 16,
+            horizon: 3,
+            sigma: 1e200,
+            ..Default::default()
+        };
+        let mut mppi = Mppi::with_threads(&model, opts, 1);
+        let q0 = model.neutral_config();
+        let qd0 = vec![0.0; model.nv()];
+        let before = mppi.nominal().to_vec();
+        let step = mppi.iterate(&q0, &qd0);
+        assert!(mppi.costs()[0].is_finite());
+        assert_eq!(step.nonfinite_samples, 15);
+        assert_eq!(mppi.nominal(), &before[..]);
+    }
+
+    #[test]
     fn all_non_finite_samples_leave_the_nominal_unchanged() {
         let model = robots::iiwa();
         let opts = MppiOptions {
@@ -606,17 +617,18 @@ mod tests {
     }
 
     #[test]
-    fn profile_reports_positive_phases() {
+    fn steps_report_positive_phases() {
         let model = robots::iiwa();
-        let step = profile_mppi_iteration(
-            &model,
-            MppiOptions {
-                samples: 8,
-                horizon: 2,
-                ..Default::default()
-            },
-            2,
-        );
+        let opts = MppiOptions {
+            samples: 8,
+            horizon: 2,
+            ..Default::default()
+        };
+        let mut mppi = Mppi::with_threads(&model, opts, 2);
+        let q0 = model.neutral_config();
+        let qd0 = vec![0.0; model.nv()];
+        mppi.iterate(&q0, &qd0);
+        let step = mppi.iterate(&q0, &qd0);
         assert!(step.rollout_s > 0.0);
         assert!(step.total_s() >= step.rollout_s);
         assert!(step.batch_threads >= 1);

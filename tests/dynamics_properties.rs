@@ -1,117 +1,197 @@
-//! Property-based tests of the dynamics invariants over random
-//! kinematic trees and random states (proptest).
+//! Property tests of the dynamics invariants over random kinematic
+//! trees and random states.
+//!
+//! Each property runs 24 seeded cases on the shared harness in
+//! `support/cases.rs`: every assertion message names the case seed, and
+//! calling the property's `*_case` function with it replays the failing
+//! case alone.
 
+#[path = "support/cases.rs"]
+mod cases;
+
+use cases::{draw, for_each_case, uniform};
 use dadu_rbd::dynamics::{
     aba, crba, forward_dynamics, kinetic_energy, mminv_gen, rnea, DynamicsWorkspace,
 };
-use dadu_rbd::model::{integrate_config, robots};
+use dadu_rbd::model::{integrate_config, random_state, robots, SplitMix64};
 use dadu_rbd::spatial::{MatN, VecN};
-use proptest::prelude::*;
 
-fn tree_strategy() -> impl Strategy<Value = (usize, u64)> {
-    (2usize..12, 0u64..1000)
+/// Cases per property.
+const CASES: u64 = 24;
+
+/// A random tree's `(bodies, tree seed)`: `2..12` bodies, seed `0..1000`.
+fn tree(rng: &mut SplitMix64) -> (usize, u64) {
+    let n = draw(rng, 2, 12) as usize;
+    (n, draw(rng, 0, 1000))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// FD ∘ ID is the identity on accelerations, for arbitrary trees.
-    #[test]
-    fn fd_inverts_id((n, seed) in tree_strategy(), state_seed in 0u64..1000) {
-        let model = robots::random_tree(n, seed);
-        let mut ws = DynamicsWorkspace::new(&model);
-        let s = dadu_rbd::model::random_state(&model, state_seed);
-        let qdd: Vec<f64> = (0..model.nv()).map(|k| 0.3 - 0.04 * k as f64).collect();
-        let tau = rnea(&model, &mut ws, &s.q, &s.qd, &qdd, None);
-        let back = forward_dynamics(&model, &mut ws, &s.q, &s.qd, &tau, None).unwrap();
-        for k in 0..model.nv() {
-            prop_assert!((back[k] - qdd[k]).abs() < 1e-6 * (1.0 + qdd[k].abs()));
-        }
+/// FD ∘ ID is the identity on accelerations, for arbitrary trees.
+fn fd_inverts_id_case(seed: u64) {
+    let mut rng = SplitMix64::new(seed);
+    let (n, tree_seed) = tree(&mut rng);
+    let state_seed = draw(&mut rng, 0, 1000);
+    let model = robots::random_tree(n, tree_seed);
+    let mut ws = DynamicsWorkspace::new(&model);
+    let s = random_state(&model, state_seed);
+    let qdd: Vec<f64> = (0..model.nv()).map(|k| 0.3 - 0.04 * k as f64).collect();
+    let tau = rnea(&model, &mut ws, &s.q, &s.qd, &qdd, None);
+    let back = forward_dynamics(&model, &mut ws, &s.q, &s.qd, &tau, None)
+        .unwrap_or_else(|e| panic!("case seed {seed}: FD failed: {e}"));
+    for k in 0..model.nv() {
+        assert!(
+            (back[k] - qdd[k]).abs() < 1e-6 * (1.0 + qdd[k].abs()),
+            "case seed {seed}: dof {k}: {} vs {}",
+            back[k],
+            qdd[k]
+        );
     }
+}
 
-    /// The two forward-dynamics implementations agree (Eq. 2 vs ABA).
-    #[test]
-    fn minv_path_equals_aba((n, seed) in tree_strategy()) {
-        let model = robots::random_tree(n, seed);
-        let mut ws = DynamicsWorkspace::new(&model);
-        let s = dadu_rbd::model::random_state(&model, seed ^ 0xABCD);
-        let tau: Vec<f64> = (0..model.nv()).map(|k| 0.5 - 0.07 * k as f64).collect();
-        let a = forward_dynamics(&model, &mut ws, &s.q, &s.qd, &tau, None).unwrap();
-        let b = aba(&model, &mut ws, &s.q, &s.qd, &tau, None).unwrap();
-        for k in 0..model.nv() {
-            prop_assert!((a[k] - b[k]).abs() < 1e-6 * (1.0 + b[k].abs()));
-        }
+/// The two forward-dynamics implementations agree (Eq. 2 vs ABA).
+fn minv_path_equals_aba_case(seed: u64) {
+    let mut rng = SplitMix64::new(seed);
+    let (n, tree_seed) = tree(&mut rng);
+    let model = robots::random_tree(n, tree_seed);
+    let mut ws = DynamicsWorkspace::new(&model);
+    let s = random_state(&model, tree_seed ^ 0xABCD);
+    let tau: Vec<f64> = (0..model.nv()).map(|k| 0.5 - 0.07 * k as f64).collect();
+    let a = forward_dynamics(&model, &mut ws, &s.q, &s.qd, &tau, None)
+        .unwrap_or_else(|e| panic!("case seed {seed}: FD failed: {e}"));
+    let b = aba(&model, &mut ws, &s.q, &s.qd, &tau, None)
+        .unwrap_or_else(|e| panic!("case seed {seed}: ABA failed: {e}"));
+    for k in 0..model.nv() {
+        assert!(
+            (a[k] - b[k]).abs() < 1e-6 * (1.0 + b[k].abs()),
+            "case seed {seed}: dof {k}: {} vs {}",
+            a[k],
+            b[k]
+        );
     }
+}
 
-    /// The mass matrix is symmetric positive definite, and MMinvGen's
-    /// inverse really inverts it.
-    #[test]
-    fn mass_matrix_spd_and_inverted((n, seed) in tree_strategy()) {
-        let model = robots::random_tree(n, seed);
-        let mut ws = DynamicsWorkspace::new(&model);
-        let s = dadu_rbd::model::random_state(&model, seed.wrapping_mul(31));
-        let out = mminv_gen(&model, &mut ws, &s.q, true, true).unwrap();
-        let m = out.m.unwrap();
-        let minv = out.minv.unwrap();
-        prop_assert!(m.is_symmetric(1e-8 * (1.0 + m.max_abs())));
-        prop_assert!(m.cholesky().is_ok());
-        let nv = model.nv();
-        let prod = m.mul_mat(&minv);
-        let err = (&prod - &MatN::identity(nv)).max_abs();
-        prop_assert!(err < 1e-6 * (1.0 + m.max_abs()), "M·Minv error {}", err);
+/// The mass matrix is symmetric positive definite, and MMinvGen's
+/// inverse really inverts it.
+fn mass_matrix_spd_and_inverted_case(seed: u64) {
+    let mut rng = SplitMix64::new(seed);
+    let (n, tree_seed) = tree(&mut rng);
+    let model = robots::random_tree(n, tree_seed);
+    let mut ws = DynamicsWorkspace::new(&model);
+    let s = random_state(&model, tree_seed.wrapping_mul(31));
+    let out = mminv_gen(&model, &mut ws, &s.q, true, true)
+        .unwrap_or_else(|e| panic!("case seed {seed}: MMinvGen failed: {e}"));
+    let m = out.m.unwrap();
+    let minv = out.minv.unwrap();
+    assert!(
+        m.is_symmetric(1e-8 * (1.0 + m.max_abs())),
+        "case seed {seed}: M not symmetric"
+    );
+    assert!(
+        m.cholesky().is_ok(),
+        "case seed {seed}: M not positive definite"
+    );
+    let nv = model.nv();
+    let prod = m.mul_mat(&minv);
+    let err = (&prod - &MatN::identity(nv)).max_abs();
+    assert!(
+        err < 1e-6 * (1.0 + m.max_abs()),
+        "case seed {seed}: M·Minv error {err}"
+    );
+}
+
+/// Kinetic energy equals the mass-matrix quadratic form.
+fn energy_quadratic_form_case(seed: u64) {
+    let mut rng = SplitMix64::new(seed);
+    let (n, tree_seed) = tree(&mut rng);
+    let model = robots::random_tree(n, tree_seed);
+    let mut ws = DynamicsWorkspace::new(&model);
+    let s = random_state(&model, tree_seed ^ 0x55);
+    let ke = kinetic_energy(&model, &mut ws, &s.q, &s.qd);
+    let m = crba(&model, &mut ws, &s.q);
+    let qd = VecN::from_vec(s.qd.clone());
+    let quad = 0.5 * qd.dot(&m.mul_vec(&qd));
+    assert!(
+        (ke - quad).abs() < 1e-8 * (1.0 + quad.abs()),
+        "case seed {seed}: {ke} vs {quad}"
+    );
+}
+
+/// Torque is affine in q̈ with slope M (the Eq. 1 structure the
+/// multifunction reuse relies on).
+fn torque_affine_in_qdd_case(seed: u64) {
+    let mut rng = SplitMix64::new(seed);
+    let (n, tree_seed) = tree(&mut rng);
+    let scale = uniform(&mut rng, 0.1, 3.0);
+    let model = robots::random_tree(n, tree_seed);
+    let mut ws = DynamicsWorkspace::new(&model);
+    let s = random_state(&model, tree_seed ^ 0x77);
+    let nv = model.nv();
+    let dir: Vec<f64> = (0..nv).map(|k| ((k * 13 % 7) as f64 - 3.0) / 3.0).collect();
+    let zero = vec![0.0; nv];
+    let scaled: Vec<f64> = dir.iter().map(|x| x * scale).collect();
+
+    let t0 = rnea(&model, &mut ws, &s.q, &s.qd, &zero, None);
+    let t1 = rnea(&model, &mut ws, &s.q, &s.qd, &scaled, None);
+    let m = crba(&model, &mut ws, &s.q);
+    let m_dir = m.mul_vec(&VecN::from_vec(dir.clone()));
+    for k in 0..nv {
+        let predicted = t0[k] + scale * m_dir[k];
+        assert!(
+            (t1[k] - predicted).abs() < 1e-6 * (1.0 + predicted.abs()),
+            "case seed {seed}: dof {k}: {} vs {predicted}",
+            t1[k]
+        );
     }
+}
 
-    /// Kinetic energy equals the mass-matrix quadratic form.
-    #[test]
-    fn energy_quadratic_form((n, seed) in tree_strategy()) {
-        let model = robots::random_tree(n, seed);
-        let mut ws = DynamicsWorkspace::new(&model);
-        let s = dadu_rbd::model::random_state(&model, seed ^ 0x55);
-        let ke = kinetic_energy(&model, &mut ws, &s.q, &s.qd);
-        let m = crba(&model, &mut ws, &s.q);
-        let qd = VecN::from_vec(s.qd.clone());
-        let quad = 0.5 * qd.dot(&m.mul_vec(&qd));
-        prop_assert!((ke - quad).abs() < 1e-8 * (1.0 + quad.abs()));
+/// Configuration integration is consistent: integrating by v then by
+/// -v returns to the start (up to first-order manifold error ~ dt²).
+fn integrate_approximately_reversible_case(seed: u64) {
+    let mut rng = SplitMix64::new(seed);
+    let (n, tree_seed) = tree(&mut rng);
+    let dt = uniform(&mut rng, 0.0001, 0.01);
+    let model = robots::random_tree(n, tree_seed);
+    let s = random_state(&model, tree_seed ^ 0x99);
+    let v: Vec<f64> = (0..model.nv()).map(|k| 0.5 - 0.08 * k as f64).collect();
+    let fwd = integrate_config(&model, &s.q, &v, dt);
+    let back = integrate_config(&model, &fwd, &v, -dt);
+    for i in 0..model.nq() {
+        assert!(
+            (back[i] - s.q[i]).abs() < 10.0 * dt * dt + 1e-12,
+            "case seed {seed}: q[{i}] {} vs {}",
+            back[i],
+            s.q[i]
+        );
     }
+}
 
-    /// Torque is affine in q̈ with slope M (the Eq. 1 structure the
-    /// multifunction reuse relies on).
-    #[test]
-    fn torque_affine_in_qdd((n, seed) in tree_strategy(), scale in 0.1f64..3.0) {
-        let model = robots::random_tree(n, seed);
-        let mut ws = DynamicsWorkspace::new(&model);
-        let s = dadu_rbd::model::random_state(&model, seed ^ 0x77);
-        let nv = model.nv();
-        let dir: Vec<f64> = (0..nv).map(|k| ((k * 13 % 7) as f64 - 3.0) / 3.0).collect();
-        let zero = vec![0.0; nv];
-        let scaled: Vec<f64> = dir.iter().map(|x| x * scale).collect();
+#[test]
+fn fd_inverts_id() {
+    for_each_case(1_000, CASES, fd_inverts_id_case);
+}
 
-        let t0 = rnea(&model, &mut ws, &s.q, &s.qd, &zero, None);
-        let t1 = rnea(&model, &mut ws, &s.q, &s.qd, &scaled, None);
-        let m = crba(&model, &mut ws, &s.q);
-        let m_dir = m.mul_vec(&VecN::from_vec(dir.clone()));
-        for k in 0..nv {
-            let predicted = t0[k] + scale * m_dir[k];
-            prop_assert!(
-                (t1[k] - predicted).abs() < 1e-6 * (1.0 + predicted.abs()),
-                "dof {}: {} vs {}", k, t1[k], predicted
-            );
-        }
-    }
+#[test]
+fn minv_path_equals_aba() {
+    for_each_case(2_000, CASES, minv_path_equals_aba_case);
+}
 
-    /// Configuration integration is consistent: integrating by v then by
-    /// -v returns to the start (up to first-order manifold error ~ dt²).
-    #[test]
-    fn integrate_approximately_reversible((n, seed) in tree_strategy(), dt in 0.0001f64..0.01) {
-        let model = robots::random_tree(n, seed);
-        let s = dadu_rbd::model::random_state(&model, seed ^ 0x99);
-        let v: Vec<f64> = (0..model.nv()).map(|k| 0.5 - 0.08 * k as f64).collect();
-        let fwd = integrate_config(&model, &s.q, &v, dt);
-        let back = integrate_config(&model, &fwd, &v, -dt);
-        for i in 0..model.nq() {
-            prop_assert!((back[i] - s.q[i]).abs() < 10.0 * dt * dt + 1e-12);
-        }
-    }
+#[test]
+fn mass_matrix_spd_and_inverted() {
+    for_each_case(3_000, CASES, mass_matrix_spd_and_inverted_case);
+}
+
+#[test]
+fn energy_quadratic_form() {
+    for_each_case(4_000, CASES, energy_quadratic_form_case);
+}
+
+#[test]
+fn torque_affine_in_qdd() {
+    for_each_case(5_000, CASES, torque_affine_in_qdd_case);
+}
+
+#[test]
+fn integrate_approximately_reversible() {
+    for_each_case(6_000, CASES, integrate_approximately_reversible_case);
 }
 
 /// Power balance: d/dt(KE) = q̇ᵀτ - q̇ᵀg(q) where τ is the applied torque

@@ -4,13 +4,17 @@
 //! lane-group batch dispatch, padded last group included, at every
 //! worker count.
 //!
-//! Each property runs 24 seeded cases. A case draws its parameters from
-//! an `rbd_model::SplitMix64` seeded with the case seed, and every
-//! assertion message names that seed: calling the property's `*_case`
-//! function with it replays the failing case alone.
+//! Each property runs 24 seeded cases on the shared harness in
+//! `support/cases.rs`: every assertion message names the case seed, and
+//! calling the property's `*_case` function with it replays the failing
+//! case alone.
 
+#[path = "support/cases.rs"]
+mod cases;
 #[path = "../crates/dynamics/tests/support/rk4.rs"]
 mod rk4;
+
+use cases::{draw, for_each_case};
 
 use dadu_rbd::dynamics::{
     aba_in_ws, forward_dynamics_aba_lanes_in_ws, lanes::LaneWorkspace, rk4_rollout_lanes_into,
@@ -22,18 +26,6 @@ const K: usize = 4;
 
 /// Cases per property.
 const CASES: u64 = 24;
-
-/// Runs `case` once per seed `first_seed..first_seed + CASES`.
-fn for_each_case(first_seed: u64, case: impl Fn(u64)) {
-    for seed in first_seed..first_seed + CASES {
-        case(seed);
-    }
-}
-
-/// Uniform draw from `lo..hi`.
-fn draw(rng: &mut SplitMix64, lo: u64, hi: u64) -> u64 {
-    lo + rng.next_u64() % (hi - lo)
-}
 
 /// Every test model class: the three paper robots (Atlas and HyQ are
 /// floating-base), the hybrid, plus a randomized tree per case.
@@ -286,15 +278,15 @@ fn lane_group_dispatch_case(seed: u64) {
 
 #[test]
 fn lane_sweeps_bit_identical_to_scalar() {
-    for_each_case(1_000, lane_sweeps_case);
+    for_each_case(1_000, CASES, lane_sweeps_case);
 }
 
 #[test]
 fn lane_rollout_bit_identical_to_scalar() {
-    for_each_case(2_000, lane_rollout_case);
+    for_each_case(2_000, CASES, lane_rollout_case);
 }
 
 #[test]
 fn lane_group_dispatch_bit_identical_at_any_worker_count() {
-    for_each_case(3_000, lane_group_dispatch_case);
+    for_each_case(3_000, CASES, lane_group_dispatch_case);
 }
