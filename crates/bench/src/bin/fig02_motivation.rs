@@ -1,17 +1,17 @@
 //! Fig 2 — motivation study: (b) multi-thread scaling of the robot MPC
 //! workload saturates; (c) the LQ approximation (dynamics + derivatives)
 //! dominates the iteration and the derivatives of dynamics alone are a
-//! large share (paper: 23.61%).
+//! large share (paper: 23.61%). Fig 2c breaks down a real iLQR solve
+//! (iiwa, horizon 20), with the ΔFD time taken inside its LQ pass.
 //!
-//! Run with `--release`; the measurement is live on the host CPU.
+//! Run with `--release`; the measurement is live on the host CPU. Exits
+//! non-zero when the solve accepts no iteration or its breakdown is
+//! inconsistent.
 
 use rbd_accel::FunctionKind;
 use rbd_baselines::thread_scaling;
-#[allow(unused_imports)]
-use rbd_baselines::{DeviceKind, DeviceModel};
-use rbd_bench::{bar, print_table};
+use rbd_bench::{bar, ilqr_iiwa_tick, print_table};
 use rbd_model::robots;
-use rbd_trajopt::profile_mpc_iteration;
 
 fn main() {
     let model = robots::quadruped_arm();
@@ -97,47 +97,36 @@ fn main() {
         &rows,
     );
 
-    // ---- Fig 2c: task breakdown of one MPC iteration.
-    let p = profile_mpc_iteration(&model, 64);
-    let total = p.total_s();
-    let rows = vec![
+    // ---- Fig 2c: task breakdown of one iLQR MPC tick.
+    let (sol, workers) = ilqr_iiwa_tick();
+    let total = sol.lq_time_s + sol.solver_time_s + sol.rollout_time_s;
+    let rows: Vec<Vec<String>> = [
+        ("LQ approximation (parallelizable)", sol.lq_time_s),
+        ("  of which: ΔFD derivatives", sol.derivatives_time_s),
+        ("backward Riccati pass (serial)", sol.solver_time_s),
+        ("rollouts / line search", sol.rollout_time_s),
+    ]
+    .iter()
+    .map(|&(task, t)| {
         vec![
-            "LQ approximation (parallelizable)".to_string(),
-            format!("{:.1}%", 100.0 * p.lq_approx_s / total),
-            bar(p.lq_approx_s, total, 40),
-        ],
-        vec![
-            "  of which: derivatives of dynamics".to_string(),
-            format!("{:.1}%", 100.0 * p.derivatives_s / total),
-            bar(p.derivatives_s, total, 40),
-        ],
-        vec![
-            "backward solver (serial)".to_string(),
-            format!("{:.1}%", 100.0 * p.solver_s / total),
-            bar(p.solver_s, total, 40),
-        ],
-        vec![
-            "rollout / other".to_string(),
-            format!("{:.1}%", 100.0 * p.other_s / total),
-            bar(p.other_s, total, 40),
-        ],
-    ];
+            task.to_string(),
+            format!("{:.1}%", 100.0 * t / total),
+            bar(t, total, 40),
+        ]
+    })
+    .collect();
     print_table(
-        "Fig 2c — task breakdown of one MPC iteration (quadruped + arm)",
+        &format!(
+            "Fig 2c — task breakdown of one iLQR MPC tick (iiwa, horizon {})",
+            sol.us.len()
+        ),
         &["task class", "share", ""],
         &rows,
     );
-    println!("paper anchor: derivatives of dynamics = 23.61% of the application.");
-
-    // ---- Live batched LQ evaluation (BatchEval across host workers).
     println!(
-        "\nbatched LQ approximation ({} worker(s)): {:.2} ms vs {:.2} ms serial \
-         ({:.2}x); iteration total {:.2} ms -> {:.2} ms",
-        p.batch_threads,
-        p.lq_batch_s * 1e3,
-        p.lq_approx_s * 1e3,
-        p.lq_batch_speedup(),
-        p.total_s() * 1e3,
-        p.total_batched_s() * 1e3,
+        "solve: {:.2} ms, {} accepted iteration(s), LQ on {workers} executor(s).\n\
+         paper anchor: derivatives of dynamics = 23.61% of the application.",
+        total * 1e3,
+        sol.cost_history.len() - 1
     );
 }

@@ -9,6 +9,55 @@
 pub mod compare;
 pub mod harness;
 
+use rbd_model::robots;
+use rbd_trajopt::{Ilqr, IlqrOptions, IlqrResult};
+
+/// Prints `msg` and exits non-zero: a figure binary's own check failed.
+pub fn fail(msg: &str) -> ! {
+    eprintln!("check failed: {msg}");
+    std::process::exit(1)
+}
+
+/// The MPC tick Fig 2c and §VI-B break down: a warm `Ilqr::solve` on
+/// iiwa in the `ilqr_iiwa` tick configuration (horizon 20, dt 0.02, 8
+/// iterations) from neutral at rest to a fixed goal. Of 20 warm solves
+/// it returns the one with the smallest timer sum (unpinned
+/// multi-executor runs swing widely), and the LQ executors engaged.
+/// Exits non-zero when no iteration was accepted, a phase share is not
+/// finite, or the derivatives time exceeds the LQ time.
+pub fn ilqr_iiwa_tick() -> (IlqrResult, usize) {
+    let model = robots::iiwa();
+    let q0 = model.neutral_config();
+    let qd0 = vec![0.0; model.nv()];
+    let goal = q0
+        .iter()
+        .enumerate()
+        .map(|(i, q)| q + 0.5 - 0.15 * i as f64);
+    let options = IlqrOptions {
+        horizon: 20,
+        dt: 0.02,
+        max_iters: 8,
+        ..IlqrOptions::default()
+    };
+    let mut ilqr = Ilqr::new(&model, goal.collect(), options);
+    let total = |r: &IlqrResult| r.lq_time_s + r.solver_time_s + r.rollout_time_s;
+    ilqr.solve(&q0, &qd0);
+    let best = (0..20)
+        .map(|_| ilqr.solve(&q0, &qd0))
+        .min_by(|a, b| total(a).total_cmp(&total(b)))
+        .expect("20 solves");
+    let (lq, dfd) = (best.lq_time_s, best.derivatives_time_s);
+    let shares = [lq, dfd, best.solver_time_s, best.rollout_time_s].map(|t| t / total(&best));
+    if best.cost_history.len() < 2 {
+        fail("the iLQR solve accepted no iteration");
+    } else if !shares.iter().all(|s| s.is_finite()) {
+        fail("a phase share of the iLQR solve is not finite");
+    } else if dfd > lq {
+        fail("derivatives time exceeds the LQ time");
+    }
+    (best, ilqr.lq_workers())
+}
+
 /// Prints a titled ASCII table.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n=== {title} ===");

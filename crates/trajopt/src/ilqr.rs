@@ -17,6 +17,9 @@ use std::time::Instant;
 /// — proven end-to-end in `crates/trajopt/tests/zero_alloc.rs`.
 #[derive(Debug, Clone, Default)]
 pub struct LqScratch {
+    /// Seconds this executor spent in its sampling points, accumulated
+    /// over calls; the ΔFD part of it accumulates in `sens.dfd_s`.
+    point_s: f64,
     sens: Rk4SensScratch,
     q_next: Vec<f64>,
     qd_next: Vec<f64>,
@@ -26,6 +29,7 @@ impl LqScratch {
     /// Scratch pre-sized for `model` (also grows lazily on first use).
     pub fn for_model(model: &RobotModel) -> Self {
         Self {
+            point_s: 0.0,
             sens: Rk4SensScratch::for_model(model),
             q_next: vec![0.0; model.nq()],
             qd_next: vec![0.0; model.nv()],
@@ -58,6 +62,7 @@ pub fn lq_jacobians_batched(
     let ok: Result<(), std::convert::Infallible> =
         batch.for_each_with_scratch(us, jacs, scratch, |model, ws, s, k, u, jac| {
             let (q, qd) = &traj[k];
+            let t = Instant::now();
             rk4_step_with_sensitivity_into(
                 model,
                 ws,
@@ -70,6 +75,7 @@ pub fn lq_jacobians_batched(
                 &mut s.qd_next,
                 jac,
             );
+            s.point_s += t.elapsed().as_secs_f64();
             Ok(())
         });
     ok.expect("infallible");
@@ -129,6 +135,13 @@ pub struct IlqrResult {
     /// Wall time spent in the LQ approximation (dynamics+derivatives,
     /// the Fig 2c "parallelizable" share).
     pub lq_time_s: f64,
+    /// The derivatives-of-dynamics share of `lq_time_s` (Fig 2c): each
+    /// LQ pass's wall time scaled by the fraction of its per-point time
+    /// the executors spent inside the ΔFD calls, both timed where the
+    /// calls happen. With one executor this is the raw ΔFD time up to
+    /// dispatch overhead; with several it stays a share of the pass's
+    /// wall time. Never exceeds `lq_time_s`.
+    pub derivatives_time_s: f64,
     /// Wall time in the backward Riccati solve (serial share).
     pub solver_time_s: f64,
     /// Wall time in forward rollouts.
@@ -303,7 +316,7 @@ impl<'m> Ilqr<'m> {
             lq,
         } = scratch;
         let mut us = vec![vec![0.0; nv]; o.horizon];
-        let (mut lq_t, mut solver_t, mut rollout_t) = (0.0, 0.0, 0.0);
+        let (mut lq_t, mut deriv_t, mut solver_t, mut rollout_t) = (0.0, 0.0, 0.0, 0.0);
 
         let t0 = Instant::now();
         let mut traj = rollout_traj(model, o.dt, ws, q0, qd0, &us);
@@ -316,9 +329,20 @@ impl<'m> Ilqr<'m> {
             // ---- LQ approximation (batched across sampling points,
             //      one workspace + scratch slot per executor; Fig 2c).
             //      Fully preallocated: zero steady-state allocation.
+            for s in lq.iter_mut() {
+                s.point_s = 0.0;
+                s.sens.dfd_s = 0.0;
+            }
             let t = Instant::now();
             lq_jacobians_batched(batch, o.dt, &traj, &us, jacs, lq);
-            lq_t += t.elapsed().as_secs_f64();
+            let pass_s = t.elapsed().as_secs_f64();
+            lq_t += pass_s;
+            let (dfd_s, point_s) = lq
+                .iter()
+                .fold((0.0, 0.0), |(d, p), s| (d + s.sens.dfd_s, p + s.point_s));
+            if point_s > 0.0 {
+                deriv_t += pass_s * dfd_s / point_s;
+            }
 
             // ---- Backward Riccati pass (serial, allocation-free).
             let t = Instant::now();
@@ -452,6 +476,7 @@ impl<'m> Ilqr<'m> {
             trajectory: traj,
             converged,
             lq_time_s: lq_t,
+            derivatives_time_s: deriv_t,
             solver_time_s: solver_t,
             rollout_time_s: rollout_t,
         }
@@ -568,8 +593,76 @@ mod tests {
         );
         let r = ilqr.solve(&[0.0; 2], &[0.0; 2]);
         assert!(r.lq_time_s > 0.0);
+        assert!(
+            r.derivatives_time_s > 0.0 && r.derivatives_time_s <= r.lq_time_s,
+            "derivatives {} s vs LQ {} s",
+            r.derivatives_time_s,
+            r.lq_time_s
+        );
         assert!(r.solver_time_s > 0.0);
         assert!(r.rollout_time_s > 0.0);
+    }
+
+    #[test]
+    fn batched_lq_pass_equals_serial_loop() {
+        // Floating base (HyQ, quaternion joint) and fixed base (iiwa),
+        // 11 points: the 4-executor run splits them unevenly.
+        for model in [robots::hyq(), robots::iiwa()] {
+            let nv = model.nv();
+            let dt = 0.01;
+            let traj: Vec<(Vec<f64>, Vec<f64>)> = (0..11)
+                .map(|i| {
+                    let s = rbd_model::random_state(&model, i);
+                    (s.q, s.qd)
+                })
+                .collect();
+            let us: Vec<Vec<f64>> = (0..11)
+                .map(|k| (0..nv).map(|i| 0.3 - 0.05 * (k + i) as f64).collect())
+                .collect();
+
+            let mut ws = DynamicsWorkspace::new(&model);
+            let mut sens = Rk4SensScratch::for_model(&model);
+            let (mut q_next, mut qd_next) = (Vec::new(), Vec::new());
+            let serial: Vec<StepJacobians> = traj
+                .iter()
+                .zip(&us)
+                .map(|((q, qd), u)| {
+                    let mut jac = StepJacobians::zeros(nv);
+                    rk4_step_with_sensitivity_into(
+                        &model,
+                        &mut ws,
+                        &mut sens,
+                        q,
+                        qd,
+                        u,
+                        dt,
+                        &mut q_next,
+                        &mut qd_next,
+                        &mut jac,
+                    );
+                    jac
+                })
+                .collect();
+
+            for threads in [1, 4] {
+                // A huge per-point cost makes the work gate engage every
+                // executor.
+                let mut batch = BatchEval::with_threads(&model, threads).with_point_flops(1e12);
+                let mut lq: Vec<LqScratch> =
+                    (0..threads).map(|_| LqScratch::for_model(&model)).collect();
+                let mut jacs: Vec<StepJacobians> =
+                    (0..11).map(|_| StepJacobians::zeros(nv)).collect();
+                lq_jacobians_batched(&mut batch, dt, &traj, &us, &mut jacs, &mut lq);
+                assert_eq!(batch.last_workers(), threads);
+                for (k, (b, s)) in jacs.iter().zip(&serial).enumerate() {
+                    assert!(
+                        b.a == s.a && b.b == s.b,
+                        "{} point {k}, {threads} executor(s)",
+                        model.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

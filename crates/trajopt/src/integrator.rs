@@ -8,6 +8,7 @@
 use rbd_dynamics::{fd_derivatives_into, DynamicsWorkspace, FdDerivatives};
 use rbd_model::{integrate_config, integrate_config_into, RobotModel};
 use rbd_spatial::MatN;
+use std::time::Instant;
 
 /// Discrete dynamics Jacobians of one integration step in tangent
 /// coordinates: `δx⁺ ≈ A δx + B δu` with `x = (q, q̇) ∈ R^{2nv}`.
@@ -28,24 +29,6 @@ impl StepJacobians {
             b: MatN::zeros(2 * nv, nv),
         }
     }
-}
-
-/// One semi-implicit Euler step: `q̇⁺ = q̇ + h·FD`, `q⁺ = q ⊕ h·q̇⁺`.
-///
-/// # Panics
-/// Panics if forward dynamics fails (singular mass matrix).
-pub fn semi_implicit_euler_step(
-    model: &RobotModel,
-    ws: &mut DynamicsWorkspace,
-    q: &[f64],
-    qd: &[f64],
-    tau: &[f64],
-    h: f64,
-) -> (Vec<f64>, Vec<f64>) {
-    let qdd = rbd_dynamics::forward_dynamics(model, ws, q, qd, tau, None).expect("fd");
-    let qd_new: Vec<f64> = qd.iter().zip(&qdd).map(|(v, a)| v + h * a).collect();
-    let q_new = integrate_config(model, q, &qd_new, h);
-    (q_new, qd_new)
 }
 
 /// One classical RK4 step on the configuration manifold.
@@ -143,6 +126,9 @@ impl Sens {
 /// allocation-free in steady state.
 #[derive(Debug, Clone, Default)]
 pub struct Rk4SensScratch {
+    /// Seconds spent inside `fd_derivatives_into`, accumulated over
+    /// calls; whoever reads it zeroes it.
+    pub(crate) dfd_s: f64,
     d: FdDerivatives,
     tmp: MatN,
     s_q0: Sens,
@@ -209,12 +195,14 @@ impl Rk4SensScratch {
 }
 
 /// One ΔFD chain-rule stage: evaluates ΔFD at `(q_i, qd_i)` into
-/// `scratch-owned` storage and forms the stage acceleration sensitivity
+/// `scratch-owned` storage, adding its wall time to `dfd_s`, and forms
+/// the stage acceleration sensitivity
 /// `ka = J_q·sq + J_qd·sqd (+ M⁻¹ on the u block)`.
 #[allow(clippy::too_many_arguments)]
 fn stage_sens(
     model: &RobotModel,
     ws: &mut DynamicsWorkspace,
+    dfd_s: &mut f64,
     d: &mut FdDerivatives,
     tmp: &mut MatN,
     tau: &[f64],
@@ -225,7 +213,9 @@ fn stage_sens(
     ka_out: &mut [f64],
     ka: &mut Sens,
 ) {
+    let t = Instant::now();
     fd_derivatives_into(model, ws, q_i, qd_i, tau, None, d).expect("ΔFD");
+    *dfd_s += t.elapsed().as_secs_f64();
     let nv = d.qdd.len();
     ka_out.copy_from_slice(&d.qdd);
     // k_v = qd_i → sensitivity is sqd (referenced by the caller).
@@ -250,55 +240,18 @@ fn stage_sens(
 }
 
 /// One RK4 step together with its discrete Jacobians, computed from four
-/// serial ΔFD evaluations (the Fig 13 sub-task chain).
+/// serial ΔFD evaluations (the Fig 13 sub-task chain), into
+/// caller-reused scratch and outputs: zero steady-state heap allocation
+/// (all per-stage `Sens` matrices live in `scratch`, the outputs are
+/// resized only on first use).
 ///
 /// Derivatives are taken in tangent coordinates; for quaternion joints
 /// the transport of the configuration tangent across the step is
 /// approximated to first order in `h` (exact for 1-DOF joints).
 ///
-/// Allocates its scratch and outputs per call; hot paths should hold a
-/// [`Rk4SensScratch`] and call [`rk4_step_with_sensitivity_into`].
-///
-/// # Panics
-/// Panics if forward dynamics fails.
-pub fn rk4_step_with_sensitivity(
-    model: &RobotModel,
-    ws: &mut DynamicsWorkspace,
-    q: &[f64],
-    qd: &[f64],
-    tau: &[f64],
-    h: f64,
-) -> (Vec<f64>, Vec<f64>, StepJacobians) {
-    let mut scratch = Rk4SensScratch::for_model(model);
-    let mut q_new = vec![0.0; model.nq()];
-    let mut qd_new = vec![0.0; model.nv()];
-    let mut jac = StepJacobians {
-        a: MatN::zeros(0, 0),
-        b: MatN::zeros(0, 0),
-    };
-    rk4_step_with_sensitivity_into(
-        model,
-        ws,
-        &mut scratch,
-        q,
-        qd,
-        tau,
-        h,
-        &mut q_new,
-        &mut qd_new,
-        &mut jac,
-    );
-    (q_new, qd_new, jac)
-}
-
-/// [`rk4_step_with_sensitivity`] into caller-reused scratch and outputs:
-/// performs zero steady-state heap allocation (all per-stage `Sens`
-/// matrices live in `scratch`, the outputs are resized only on first
-/// use) — the last allocating link of the LQ approximation chain.
-///
 /// # Panics
 /// Panics if forward dynamics fails or on dimension mismatches.
-#[allow(clippy::too_many_arguments)] // stage inputs + three outputs, mirrors the by-value API
+#[allow(clippy::too_many_arguments)] // stage inputs + three outputs
 pub fn rk4_step_with_sensitivity_into(
     model: &RobotModel,
     ws: &mut DynamicsWorkspace,
@@ -319,6 +272,7 @@ pub fn rk4_step_with_sensitivity_into(
     jac.b.resize(2 * nv, nv);
 
     let Rk4SensScratch {
+        dfd_s,
         d,
         tmp,
         s_q0,
@@ -341,7 +295,9 @@ pub fn rk4_step_with_sensitivity_into(
 
     // Stage 1 at (q, q̇); stage-velocity sensitivities are the incoming
     // q̇-sensitivities themselves (s_k1v = s_qd0, s_k2v = s_qd2, …).
-    stage_sens(model, ws, d, tmp, tau, q, qd, s_q0, s_qd0, k1a, s_k1a);
+    stage_sens(
+        model, ws, dfd_s, d, tmp, tau, q, qd, s_q0, s_qd0, k1a, s_k1a,
+    );
     // Stage 2: q2 = q ⊕ (h/2 k1v), qd2 = qd + h/2 k1a.
     integrate_config_into(model, q, qd, h / 2.0, q_stage);
     for i in 0..nv {
@@ -350,7 +306,7 @@ pub fn rk4_step_with_sensitivity_into(
     s_q2.axpy_from(s_q0, h / 2.0, s_qd0);
     s_qd2.axpy_from(s_qd0, h / 2.0, s_k1a);
     stage_sens(
-        model, ws, d, tmp, tau, q_stage, qd2, s_q2, s_qd2, k2a, s_k2a,
+        model, ws, dfd_s, d, tmp, tau, q_stage, qd2, s_q2, s_qd2, k2a, s_k2a,
     );
     // Stage 3.
     integrate_config_into(model, q, qd2, h / 2.0, q_stage);
@@ -360,7 +316,7 @@ pub fn rk4_step_with_sensitivity_into(
     s_q3.axpy_from(s_q0, h / 2.0, s_qd2);
     s_qd3.axpy_from(s_qd0, h / 2.0, s_k2a);
     stage_sens(
-        model, ws, d, tmp, tau, q_stage, qd3, s_q3, s_qd3, k3a, s_k3a,
+        model, ws, dfd_s, d, tmp, tau, q_stage, qd3, s_q3, s_qd3, k3a, s_k3a,
     );
     // Stage 4.
     integrate_config_into(model, q, qd3, h, q_stage);
@@ -370,7 +326,7 @@ pub fn rk4_step_with_sensitivity_into(
     s_q4.axpy_from(s_q0, h, s_qd3);
     s_qd4.axpy_from(s_qd0, h, s_k3a);
     stage_sens(
-        model, ws, d, tmp, tau, q_stage, qd4, s_q4, s_qd4, k4a, s_k4a,
+        model, ws, dfd_s, d, tmp, tau, q_stage, qd4, s_q4, s_qd4, k4a, s_k4a,
     );
 
     // Combine.
@@ -415,33 +371,26 @@ mod tests {
     use rbd_model::{random_state, robots};
 
     #[test]
-    fn rk4_more_accurate_than_euler() {
+    fn rk4_energy_drift_is_fourth_order() {
+        // Unforced iiwa over 0.2 s: halving h must divide the energy
+        // drift by about 2⁴ = 16; 12 leaves room for round-off.
         let model = robots::iiwa();
-        let mut ws = DynamicsWorkspace::new(&model);
         let s = random_state(&model, 1);
         let tau = vec![0.0; model.nv()];
+        let mut ws = DynamicsWorkspace::new(&model);
         let e0 = total_energy(&model, &mut ws, &s.q, &s.qd);
-
-        let run = |steps: usize, h: f64, rk4: bool| {
-            let mut ws = DynamicsWorkspace::new(&model);
+        let mut drift = |steps: usize| {
+            let h = 0.2 / steps as f64;
             let (mut q, mut qd) = (s.q.clone(), s.qd.clone());
             for _ in 0..steps {
-                let (qn, qdn) = if rk4 {
-                    rk4_step(&model, &mut ws, &q, &qd, &tau, h)
-                } else {
-                    semi_implicit_euler_step(&model, &mut ws, &q, &qd, &tau, h)
-                };
-                q = qn;
-                qd = qdn;
+                (q, qd) = rk4_step(&model, &mut ws, &q, &qd, &tau, h);
             }
             (total_energy(&model, &mut ws, &q, &qd) - e0).abs()
         };
-        let drift_rk4 = run(100, 2e-3, true);
-        let drift_euler = run(100, 2e-3, false);
-        assert!(
-            drift_rk4 < drift_euler,
-            "rk4 {drift_rk4} vs euler {drift_euler}"
-        );
+        let drifts = [drift(100), drift(200), drift(400)];
+        for w in drifts.windows(2) {
+            assert!(w[0] >= 12.0 * w[1], "drifts {drifts:?}");
+        }
     }
 
     #[test]
@@ -453,7 +402,19 @@ mod tests {
         let h = 0.01;
         let nv = model.nv();
 
-        let (_, _, jac) = rk4_step_with_sensitivity(&model, &mut ws, &s.q, &s.qd, &tau, h);
+        let mut jac = StepJacobians::zeros(nv);
+        rk4_step_with_sensitivity_into(
+            &model,
+            &mut ws,
+            &mut Rk4SensScratch::for_model(&model),
+            &s.q,
+            &s.qd,
+            &tau,
+            h,
+            &mut Vec::new(),
+            &mut Vec::new(),
+            &mut jac,
+        );
 
         let eps = 1e-6;
         // Perturb each state coordinate and difference the step.

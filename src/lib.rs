@@ -13,7 +13,7 @@
 //! | [`fixed`] | fixed-point datapath, Taylor trig, fast reciprocal |
 //! | [`accel`] | the Dadu-RBD simulator (RTP, SAP, dataflow, resources, power) |
 //! | [`baselines`] | calibrated CPU/GPU/Robomorphic device models, host harness |
-//! | [`trajopt`] | RK4 sensitivities, iLQR, the MPC workload, Fig 13 scheduling |
+//! | [`trajopt`] | RK4 sensitivities, iLQR, MPPI, Fig 13 scheduling |
 //!
 //! # Quickstart
 //!
