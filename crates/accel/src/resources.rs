@@ -2,7 +2,6 @@
 //! configuration, checked against the XCVU9P device the paper (and
 //! Robomorphic) target.
 
-use crate::ops::OpCount;
 use crate::submodule::Submodule;
 use std::fmt;
 use std::ops::{Add, AddAssign};
@@ -162,20 +161,6 @@ pub fn scheduler_usage(nv: usize) -> ResourceUsage {
         lut: 40_000 + lanes * coef::LUT_PER_LANE,
         bram: 24,
     }
-}
-
-/// Aggregate from an OpCount at a given lane count — helper for ad-hoc
-/// estimates in the figure bins.
-pub fn usage_for_ops(ops: &OpCount, lanes: usize) -> ResourceUsage {
-    let sub = Submodule {
-        kind: crate::submodule::SubmoduleKind::Rf,
-        body: 0,
-        level: 1,
-        mult: 1,
-        ops: *ops,
-        lanes: lanes.max(1),
-    };
-    submodule_usage(&sub)
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Articulated Body Algorithm (forward dynamics), the software baseline
-//! the paper deliberately does *not* instantiate in hardware (§III-A) —
-//! we implement it as an independent reference for validating the
-//! `FD = M⁻¹·(τ - C)` path.
+//! the paper deliberately does *not* instantiate in hardware (§III-A). It
+//! steps every rollout (both controllers' lane kernel and the plant's
+//! `rk4_step`) and is the reference for the `FD = M⁻¹·(τ - C)` path.
 //!
 //! There is one sweep, [`aba_in_ws`]; [`aba`] allocates the output and
 //! calls it, the way `forward_dynamics` wraps `forward_dynamics_into`.

@@ -19,7 +19,7 @@ use crate::DynamicsError;
 use rbd_model::RobotModel;
 use rbd_spatial::{ForceVec, MatN};
 
-/// Forward dynamics via `q̈ = M⁻¹ (τ - C)` (Eq. 2 of the paper).
+/// Forward dynamics via `q̈ = M⁻¹ (τ - C)` (Eq. 2), the accelerator's FD; rollouts use ABA.
 ///
 /// # Errors
 /// Returns an error when the mass matrix is singular.

@@ -61,8 +61,8 @@
 //!
 //! # Lane batching
 //!
-//! Sample rollouts (the MPPI workload) run `K` samples in lockstep
-//! through the [`lanes`] kernels, the only rollout path: a batch whose
+//! Rollouts run `K` samples in lockstep through the [`lanes`] kernels,
+//! the only rollout path (MPPI at `K = 4`, iLQR at `K = 1`): a batch whose
 //! size is not a multiple of [`LANE_WIDTH`] pads its last group with
 //! copies of a real sample. Each lane is bit-identical to the scalar
 //! kernel on that lane's inputs ([`rnea_in_ws`], [`aba_in_ws`], which

@@ -227,11 +227,6 @@ impl Joint {
         Self { jtype, placement }
     }
 
-    /// Creates a joint whose frame coincides with the parent frame.
-    pub fn at_origin(jtype: JointType) -> Self {
-        Self::new(jtype, Xform::identity())
-    }
-
     /// Full parent→child transform `Xup = X_J(q) ∘ X_T`.
     pub fn child_xform(&self, q: &[f64]) -> Xform {
         self.jtype.joint_xform(q).compose(&self.placement)

@@ -129,11 +129,6 @@ impl RobotModel {
             Err(i) => i - 1,
         }
     }
-
-    /// Returns the per-body DOF counts, `N_i` in the paper.
-    pub fn dof_counts(&self) -> Vec<usize> {
-        self.joints.iter().map(|j| j.jtype.nv()).collect()
-    }
 }
 
 impl fmt::Display for RobotModel {

@@ -110,12 +110,6 @@ impl Vec3 {
         self.dot(self).sqrt()
     }
 
-    /// Squared Euclidean norm.
-    #[inline]
-    pub fn norm_squared(&self) -> f64 {
-        self.dot(self)
-    }
-
     /// Returns the vector scaled to unit length.
     ///
     /// # Panics

@@ -195,12 +195,6 @@ impl Xform {
     pub fn inverse(&self) -> Xform {
         Xform::new(self.rot.transpose(), -(self.rot * self.trans))
     }
-
-    /// The position of A's origin expressed in B coordinates.
-    #[inline]
-    pub fn origin_in_b(&self) -> Vec3 {
-        -(self.rot * self.trans)
-    }
 }
 
 impl fmt::Display for Xform {

@@ -4,8 +4,8 @@
 //! Restricted to vector-space configuration models (`nq == nv`), which
 //! covers the fixed-base arms the optimizer examples use.
 
-use crate::integrator::{rk4_step, rk4_step_with_sensitivity_into, Rk4SensScratch, StepJacobians};
-use rbd_dynamics::{BatchEval, DynamicsWorkspace};
+use crate::integrator::{rk4_step_with_sensitivity_into, Rk4SensScratch, StepJacobians};
+use rbd_dynamics::{rk4_rollout_lanes_into, BatchEval, LaneRolloutScratch, LaneWorkspace};
 use rbd_model::RobotModel;
 use rbd_spatial::{MatN, VecN};
 use std::time::Instant;
@@ -98,7 +98,7 @@ pub struct IlqrOptions {
     pub w_terminal: f64,
     /// Maximum outer iterations.
     pub max_iters: usize,
-    /// Levenberg regularization added to `Q_uu`.
+    /// Levenberg regularization added to `Q_uu`: the floor of its schedule.
     pub reg: f64,
     /// Relative cost-decrease convergence threshold.
     pub tol: f64,
@@ -129,8 +129,8 @@ pub struct IlqrResult {
     pub us: Vec<Vec<f64>>,
     /// State trajectory `(q, q̇)` under the optimized controls.
     pub trajectory: Vec<(Vec<f64>, Vec<f64>)>,
-    /// Whether the relative improvement dropped below `tol` or no line
-    /// search step improved the cost; never set at a non-finite cost.
+    /// Whether the last step gained less than `tol` (relative), or no step
+    /// gained where the model predicted under `tol`; never at a non-finite cost.
     pub converged: bool,
     /// Wall time spent in the LQ approximation (dynamics+derivatives,
     /// the Fig 2c "parallelizable" share).
@@ -148,14 +148,12 @@ pub struct IlqrResult {
     pub rollout_time_s: f64,
 }
 
-/// Per-solver reusable state: the rollout workspace, the batch worker
-/// pool and every Riccati scratch buffer — allocated once in
-/// [`Ilqr::new`] and reused by every [`Ilqr::solve`] call, so a
-/// receding-horizon MPC loop re-solving each tick performs no repeated
-/// setup allocation.
+/// Per-solver state — the forward pass, the batch worker pool and every
+/// Riccati scratch buffer — allocated once in [`Ilqr::new`] and reused
+/// by every [`Ilqr::solve`].
 #[derive(Debug)]
 struct IlqrScratch<'m> {
-    ws: DynamicsWorkspace,
+    fwd: ForwardPass,
     batch: BatchEval<'m>,
     vx: VecN,
     vxx: MatN,
@@ -188,15 +186,24 @@ impl<'m> IlqrScratch<'m> {
     fn new(model: &'m RobotModel, horizon: usize) -> Self {
         let nv = model.nv();
         let nx = 2 * nv;
-        // The pool is sized to the host; whether a given LQ pass
-        // actually fans out is decided per dispatch by BatchEval's
-        // estimated-FLOP work gate (fed with the paper's RK4-point cost
-        // model), replacing the old `nv >= 4` model-size heuristic.
+        // The pool is sized to the host; BatchEval's estimated-FLOP work
+        // gate (fed with the paper's RK4-point cost model) decides per
+        // dispatch whether an LQ pass fans out.
         let batch =
             BatchEval::new(model).with_point_flops(rbd_accel::ops::rk4_sens_point_flops(model));
         let executors = batch.threads();
         Self {
-            ws: DynamicsWorkspace::new(model),
+            fwd: ForwardPass {
+                traj: vec![(vec![0.0; model.nq()], vec![0.0; nv]); horizon + 1],
+                us: vec![vec![0.0; nv]; horizon],
+                new_traj: vec![(vec![0.0; model.nq()], vec![0.0; nv]); horizon + 1],
+                new_us: vec![vec![0.0; nv]; horizon],
+                lws: LaneWorkspace::new(model),
+                lane_rs: LaneRolloutScratch::for_model(model, 1),
+                dx: vec![0.0; nx],
+                q_step: vec![0.0; 2 * model.nq()],
+                qd_step: vec![0.0; 2 * nv],
+            },
             batch,
             vx: VecN::zeros(nx),
             vxx: MatN::zeros(nx, nx),
@@ -228,6 +235,63 @@ impl<'m> IlqrScratch<'m> {
         }
     }
 }
+
+/// The closed-loop forward pass: the nominal rollout, a candidate, and
+/// the state of the width-1 lane RK4/ABA kernel that steps the candidate.
+#[derive(Debug)]
+struct ForwardPass {
+    traj: Vec<(Vec<f64>, Vec<f64>)>,
+    us: Vec<Vec<f64>>,
+    new_traj: Vec<(Vec<f64>, Vec<f64>)>,
+    new_us: Vec<Vec<f64>>,
+    lws: LaneWorkspace<1>,
+    lane_rs: LaneRolloutScratch,
+    dx: Vec<f64>,
+    /// One kernel step: `(q_k, q_{k+1})` and `(q̇_k, q̇_{k+1})`.
+    q_step: Vec<f64>,
+    qd_step: Vec<f64>,
+}
+
+impl ForwardPass {
+    /// Rolls the candidate out from `traj[0]` under the controls `us[k] +
+    /// α·k_ff[k] + K_fb[k]·(x_k − traj[k])`, or zero ones without `gains`.
+    fn run(&mut self, model: &RobotModel, dt: f64, gains: Option<(f64, &[VecN], &[MatN])>) {
+        let (nq, nv) = (model.nq(), model.nv());
+        let (traj, us, new_traj) = (&self.traj, &self.us, &mut self.new_traj);
+        let (lws, rs, dx) = (&mut self.lws, &mut self.lane_rs, &mut self.dx);
+        let (q_step, qd_step) = (&mut self.q_step, &mut self.qd_step);
+        new_traj[0].0.copy_from_slice(&traj[0].0);
+        new_traj[0].1.copy_from_slice(&traj[0].1);
+        for (k, u) in self.new_us.iter_mut().enumerate() {
+            let (q, qd) = &new_traj[k];
+            if let Some((alpha, k_ff, k_fb)) = gains {
+                for i in 0..nv {
+                    dx[i] = q[i] - traj[k].0[i];
+                    dx[nv + i] = qd[i] - traj[k].1[i];
+                }
+                k_fb[k].mul_slice_into(dx, u);
+                for i in 0..nv {
+                    u[i] += us[k][i] + alpha * k_ff[k][i];
+                }
+            } else {
+                u.fill(0.0);
+            }
+            rk4_rollout_lanes_into::<1>(model, lws, rs, q, qd, u, 1, dt, q_step, qd_step)
+                .expect("ABA");
+            new_traj[k + 1].0.copy_from_slice(&q_step[nq..]);
+            new_traj[k + 1].1.copy_from_slice(&qd_step[nv..]);
+        }
+    }
+}
+
+/// Levenberg–Marquardt schedule of `reg` (Tassa et al., IROS 2012): each
+/// failed backward pass or line search multiplies it by `REG_UP` (to at
+/// least `REG_FLOOR`) up to `REG_MAX`; each accepted step divides it by
+/// `REG_DOWN`, down to [`IlqrOptions::reg`].
+const REG_UP: f64 = 10.0;
+const REG_DOWN: f64 = 2.0;
+const REG_FLOOR: f64 = 1e-6;
+const REG_MAX: f64 = 1e10;
 
 /// The optimizer.
 #[derive(Debug)]
@@ -268,26 +332,18 @@ impl<'m> Ilqr<'m> {
     ///
     /// The LQ approximation fans out across worker threads through
     /// [`BatchEval`] (the sampling points are independent, Fig 2c/13);
-    /// the backward Riccati pass runs serially on scratch preallocated in
-    /// [`Ilqr::new`] — zero heap allocation per step, and no repeated
-    /// setup allocation across the solves of a receding-horizon loop.
+    /// the Riccati pass and the rollouts run serially on scratch
+    /// preallocated in [`Ilqr::new`], so a warm solve allocates only its
+    /// result.
     ///
     /// # Panics
-    /// Panics if forward dynamics fails along the way.
+    /// Panics if ABA fails along the way.
     pub fn solve(&mut self, q0: &[f64], qd0: &[f64]) -> IlqrResult {
-        let Self {
-            model,
-            options,
-            goal,
-            scratch,
-        } = self;
-        let model: &RobotModel = model;
-        let o = *options;
-        let goal: &[f64] = goal;
+        let (model, o, goal) = (self.model, self.options, &self.goal[..]);
         let nv = model.nv();
         let nx = 2 * nv;
         let IlqrScratch {
-            ws,
+            fwd,
             batch,
             vx,
             vxx,
@@ -314,17 +370,22 @@ impl<'m> Ilqr<'m> {
             k_fb,
             jacs,
             lq,
-        } = scratch;
-        let mut us = vec![vec![0.0; nv]; o.horizon];
+        } = &mut self.scratch;
         let (mut lq_t, mut deriv_t, mut solver_t, mut rollout_t) = (0.0, 0.0, 0.0, 0.0);
 
         let t0 = Instant::now();
-        let mut traj = rollout_traj(model, o.dt, ws, q0, qd0, &us);
+        fwd.traj[0].0.copy_from_slice(q0);
+        fwd.traj[0].1.copy_from_slice(qd0);
+        fwd.run(model, o.dt, None);
+        std::mem::swap(&mut fwd.traj, &mut fwd.new_traj);
+        std::mem::swap(&mut fwd.us, &mut fwd.new_us);
         rollout_t += t0.elapsed().as_secs_f64();
-        let mut cost = stage_cost(&o, goal, nv, &traj, &us);
-        let mut history = vec![cost];
-        let mut converged = false;
+        let mut cost = stage_cost(&o, goal, nv, &fwd.traj, &fwd.us);
+        let mut history = Vec::with_capacity(o.max_iters + 1);
+        history.push(cost);
+        let (mut converged, mut reg, mut linearize) = (false, o.reg, true);
 
+        // An iteration that fails raises `reg` and reuses its LQ pass.
         for _ in 0..o.max_iters {
             // ---- LQ approximation (batched across sampling points,
             //      one workspace + scratch slot per executor; Fig 2c).
@@ -333,15 +394,17 @@ impl<'m> Ilqr<'m> {
                 s.point_s = 0.0;
                 s.sens.dfd_s = 0.0;
             }
-            let t = Instant::now();
-            lq_jacobians_batched(batch, o.dt, &traj, &us, jacs, lq);
-            let pass_s = t.elapsed().as_secs_f64();
-            lq_t += pass_s;
-            let (dfd_s, point_s) = lq
-                .iter()
-                .fold((0.0, 0.0), |(d, p), s| (d + s.sens.dfd_s, p + s.point_s));
-            if point_s > 0.0 {
-                deriv_t += pass_s * dfd_s / point_s;
+            if linearize {
+                let t = Instant::now();
+                lq_jacobians_batched(batch, o.dt, &fwd.traj, &fwd.us, jacs, lq);
+                let pass_s = t.elapsed().as_secs_f64();
+                lq_t += pass_s;
+                let (dfd_s, point_s) = lq
+                    .iter()
+                    .fold((0.0, 0.0), |(d, p), s| (d + s.sens.dfd_s, p + s.point_s));
+                if point_s > 0.0 {
+                    deriv_t += pass_s * dfd_s / point_s;
+                }
             }
 
             // ---- Backward Riccati pass (serial, allocation-free).
@@ -349,7 +412,7 @@ impl<'m> Ilqr<'m> {
             vx.fill(0.0);
             vxx.fill(0.0);
             {
-                let (qn, qdn) = traj.last().unwrap();
+                let (qn, qdn) = fwd.traj.last().unwrap();
                 for i in 0..nv {
                     vx[i] = o.w_terminal * (qn[i] - goal[i]);
                     vx[nv + i] = o.w_terminal * qdn[i];
@@ -358,9 +421,11 @@ impl<'m> Ilqr<'m> {
                 }
             }
             let mut backward_ok = true;
+            // Cost decrease the quadratic model predicts at α = 1.
+            let mut predicted = 0.0;
             for k in (0..o.horizon).rev() {
-                let (q, qd) = &traj[k];
-                let u = &us[k];
+                let (q, qd) = &fwd.traj[k];
+                let u = &fwd.us[k];
                 let a = &jacs[k].a;
                 let b = &jacs[k].b;
                 a.transpose_into(at);
@@ -383,7 +448,7 @@ impl<'m> Ilqr<'m> {
                 for i in 0..nv {
                     qxx[(i, i)] += o.w_q;
                     qxx[(nv + i, nv + i)] += o.w_v;
-                    quu[(i, i)] += o.w_u + o.reg;
+                    quu[(i, i)] += o.w_u + reg;
                 }
                 bt.mul_mat_into(vxx_a, qux);
 
@@ -394,6 +459,7 @@ impl<'m> Ilqr<'m> {
                 let kf = &mut k_ff[k];
                 quu_inv.mul_vec_into(qu, kf);
                 kf.scale(-1.0);
+                predicted -= 0.5 * kf.dot(qu);
                 let kb = &mut k_fb[k];
                 quu_inv.mul_mat_into(qux, kb);
                 kb.scale(-1.0);
@@ -423,57 +489,45 @@ impl<'m> Ilqr<'m> {
                 }
             }
             solver_t += t.elapsed().as_secs_f64();
-            if !backward_ok {
-                break;
-            }
 
-            // ---- Forward pass with line search.
+            // ---- Forward pass with line search (none after a failed backward pass).
             let t = Instant::now();
             let mut accepted = false;
-            for &alpha in &[1.0, 0.5, 0.25, 0.1, 0.03] {
-                let mut new_us = Vec::with_capacity(o.horizon);
-                let mut new_traj = vec![traj[0].clone()];
-                for k in 0..o.horizon {
-                    let (q, qd) = new_traj.last().unwrap().clone();
-                    let mut dx = VecN::zeros(nx);
-                    for i in 0..nv {
-                        dx[i] = q[i] - traj[k].0[i];
-                        dx[nv + i] = qd[i] - traj[k].1[i];
-                    }
-                    let fb = k_fb[k].mul_vec(&dx);
-                    let u: Vec<f64> = (0..nv)
-                        .map(|i| us[k][i] + alpha * k_ff[k][i] + fb[i])
-                        .collect();
-                    let next = rk4_step(model, ws, &q, &qd, &u, o.dt);
-                    new_us.push(u);
-                    new_traj.push(next);
-                }
-                let new_cost = stage_cost(&o, goal, nv, &new_traj, &new_us);
+            for &alpha in [1.0, 0.5, 0.25, 0.1, 0.03].iter().filter(|_| backward_ok) {
+                fwd.run(model, o.dt, Some((alpha, k_ff, k_fb)));
+                let new_cost = stage_cost(&o, goal, nv, &fwd.new_traj, &fwd.new_us);
                 if new_cost < cost {
                     let rel = (cost - new_cost) / cost.max(1e-12);
-                    us = new_us;
-                    traj = new_traj;
+                    std::mem::swap(&mut fwd.traj, &mut fwd.new_traj);
+                    std::mem::swap(&mut fwd.us, &mut fwd.new_us);
                     cost = new_cost;
                     history.push(cost);
                     accepted = true;
-                    if rel < o.tol {
-                        converged = true;
-                    }
+                    converged = rel < o.tol;
                     break;
                 }
             }
             rollout_t += t.elapsed().as_secs_f64();
-            if !accepted || converged {
-                // No accepted step is convergence only at a finite cost.
-                converged = (converged || !accepted) && cost.is_finite();
+            linearize = accepted;
+            if accepted {
+                reg = (reg / REG_DOWN).max(o.reg);
+            } else if backward_ok && predicted.abs() < o.tol * cost {
+                // No step improves and the model predicts nothing more to
+                // gain: convergence, though only at a finite cost.
+                converged = cost.is_finite();
+            } else if reg < REG_MAX {
+                reg = (reg * REG_UP).max(REG_FLOOR);
+                continue;
+            }
+            if converged || !accepted {
                 break;
             }
         }
 
         IlqrResult {
             cost_history: history,
-            us,
-            trajectory: traj,
+            us: fwd.us.clone(),
+            trajectory: fwd.traj.clone(),
             converged,
             lq_time_s: lq_t,
             derivatives_time_s: deriv_t,
@@ -507,27 +561,10 @@ fn stage_cost(
     c
 }
 
-/// RK4 rollout of a control sequence from `(q0, qd0)`.
-fn rollout_traj(
-    model: &RobotModel,
-    dt: f64,
-    ws: &mut DynamicsWorkspace,
-    q0: &[f64],
-    qd0: &[f64],
-    us: &[Vec<f64>],
-) -> Vec<(Vec<f64>, Vec<f64>)> {
-    let mut traj = vec![(q0.to_vec(), qd0.to_vec())];
-    for u in us {
-        let (q, qd) = traj.last().unwrap();
-        let next = rk4_step(model, ws, q, qd, u, dt);
-        traj.push(next);
-    }
-    traj
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rbd_dynamics::DynamicsWorkspace;
     use rbd_model::robots;
 
     #[test]
@@ -577,6 +614,31 @@ mod tests {
                 goal[i]
             );
         }
+    }
+
+    #[test]
+    fn raised_regularisation_rescues_a_long_horizon() {
+        // iiwa from neutral to the Fig 2c goal over 64 steps: at the
+        // starting `reg` every α of the first line search fails, and with
+        // a fixed `reg` the solve stopped there.
+        let model = robots::iiwa();
+        let q0 = model.neutral_config();
+        let goal = q0
+            .iter()
+            .enumerate()
+            .map(|(i, q)| q + 0.5 - 0.15 * i as f64)
+            .collect();
+        let options = IlqrOptions {
+            horizon: 64,
+            dt: 0.01,
+            max_iters: 8,
+            ..IlqrOptions::default()
+        };
+        let r = Ilqr::new(&model, goal, options).solve(&q0, &[0.0; 7]);
+        let h = &r.cost_history;
+        assert!(h.len() >= 3, "{h:?}");
+        assert!(h[h.len() - 1] < 0.5 * h[0], "{h:?}");
+        assert!(!r.converged, "{h:?}");
     }
 
     #[test]

@@ -31,10 +31,11 @@ impl StepJacobians {
     }
 }
 
-/// One classical RK4 step on the configuration manifold.
+/// One classical RK4 step on the configuration manifold over ABA: the
+/// allocating scalar mirror, bit for bit, of [`rbd_dynamics::rk4_rollout_lanes_into`].
 ///
 /// # Panics
-/// Panics if forward dynamics fails.
+/// Panics if ABA fails.
 pub fn rk4_step(
     model: &RobotModel,
     ws: &mut DynamicsWorkspace,
@@ -44,7 +45,7 @@ pub fn rk4_step(
     h: f64,
 ) -> (Vec<f64>, Vec<f64>) {
     let fd = |ws: &mut DynamicsWorkspace, q: &[f64], qd: &[f64]| {
-        rbd_dynamics::forward_dynamics(model, ws, q, qd, tau, None).expect("fd")
+        rbd_dynamics::aba(model, ws, q, qd, tau, None).expect("ABA")
     };
     let nv = model.nv();
     let k1v = qd.to_vec();
@@ -390,6 +391,52 @@ mod tests {
         let drifts = [drift(100), drift(200), drift(400)];
         for w in drifts.windows(2) {
             assert!(w[0] >= 12.0 * w[1], "drifts {drifts:?}");
+        }
+    }
+
+    #[test]
+    fn rk4_step_equals_lane_kernel_bitwise() {
+        // The plant (`rk4_step`) and the iLQR/MPPI rollouts (the lane
+        // kernel) must integrate the same bits, floating base included.
+        for model in [robots::iiwa(), robots::hyq(), robots::atlas()] {
+            let (nq, nv) = (model.nq(), model.nv());
+            let mut ws = DynamicsWorkspace::new(&model);
+            let mut lws = rbd_dynamics::LaneWorkspace::<1>::new(&model);
+            let mut lane_rs = rbd_dynamics::LaneRolloutScratch::for_model(&model, 1);
+            let (mut q_step, mut qd_step) = (vec![0.0; 2 * nq], vec![0.0; 2 * nv]);
+            for seed in 0..8 {
+                let s = random_state(&model, seed);
+                let tau: Vec<f64> = (0..nv)
+                    .map(|i| 0.5 - 0.1 * ((i as u64 + seed) % 11) as f64)
+                    .collect();
+                let (q, qd) = rk4_step(&model, &mut ws, &s.q, &s.qd, &tau, 0.01);
+                rbd_dynamics::rk4_rollout_lanes_into::<1>(
+                    &model,
+                    &mut lws,
+                    &mut lane_rs,
+                    &s.q,
+                    &s.qd,
+                    &tau,
+                    1,
+                    0.01,
+                    &mut q_step,
+                    &mut qd_step,
+                )
+                .unwrap();
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&q),
+                    bits(&q_step[nq..]),
+                    "{} q, seed {seed}",
+                    model.name()
+                );
+                assert_eq!(
+                    bits(&qd),
+                    bits(&qd_step[nv..]),
+                    "{} q̇, seed {seed}",
+                    model.name()
+                );
+            }
         }
     }
 

@@ -1,6 +1,6 @@
-//! Receding-horizon MPC: re-solves a short iLQR problem at every control
-//! tick, warm-started from the previous solution — the >100 Hz loop of
-//! Fig 1 whose dynamics workload Dadu-RBD offloads.
+//! Receding-horizon MPC: re-solves a short iLQR problem from zero
+//! controls at every control tick — the >100 Hz loop of Fig 1 whose
+//! dynamics workload Dadu-RBD offloads.
 
 use crate::ilqr::{Ilqr, IlqrOptions};
 use crate::integrator::rk4_step;
@@ -154,6 +154,73 @@ mod tests {
             closed_err < open_err + 1e-9,
             "closed {closed_err} vs open {open_err}"
         );
+    }
+
+    #[test]
+    fn trajectory_is_the_plant_rollout_of_the_controls() {
+        // The planner's rollout and the plant integrate the same bits:
+        // each returned state is `rk4_step` of the previous one under
+        // the returned control, from the requested start. Three solves
+        // per solver, so stale or misswapped buffers would show;
+        // `max_iters: 0` returns the initial zero-control rollout alone.
+        let iiwa = robots::iiwa();
+        let q0 = iiwa.neutral_config();
+        let goal = q0
+            .iter()
+            .enumerate()
+            .map(|(i, q)| q + 0.5 - 0.15 * i as f64);
+        let fig2c = IlqrOptions {
+            horizon: 20,
+            dt: 0.02,
+            max_iters: 8,
+            ..IlqrOptions::default()
+        };
+        let chain = robots::serial_chain(2);
+        let chain_opts = IlqrOptions {
+            horizon: 20,
+            max_iters: 6,
+            w_terminal: 120.0,
+            ..IlqrOptions::default()
+        };
+        let cases = [
+            (&iiwa, goal.collect::<Vec<_>>(), fig2c, q0),
+            (&chain, vec![0.6, -0.4], chain_opts, vec![0.1, 0.0]),
+        ];
+        let bits = |(q, qd): &(Vec<f64>, Vec<f64>)| -> Vec<u64> {
+            q.iter().chain(qd).map(|x| x.to_bits()).collect()
+        };
+        for (model, goal, options, q0) in cases {
+            let mut ws = DynamicsWorkspace::new(model);
+            let qd0 = vec![0.0; model.nv()];
+            for max_iters in [0, options.max_iters] {
+                let options = IlqrOptions {
+                    max_iters,
+                    ..options
+                };
+                let mut ilqr = Ilqr::new(model, goal.clone(), options);
+                for shift in [0.0, 0.05, -0.1] {
+                    let q_start: Vec<f64> = q0.iter().map(|q| q + shift).collect();
+                    let r = ilqr.solve(&q_start, &qd0);
+                    assert_eq!(
+                        r.cost_history.len() > 1,
+                        max_iters > 0,
+                        "accepted iterations"
+                    );
+                    assert_eq!(r.trajectory.len(), options.horizon + 1);
+                    assert_eq!(r.trajectory[0], (q_start, qd0.clone()));
+                    for (k, u) in r.us.iter().enumerate() {
+                        let (q, qd) = &r.trajectory[k];
+                        let next = rk4_step(model, &mut ws, q, qd, u, options.dt);
+                        assert_eq!(
+                            bits(&next),
+                            bits(&r.trajectory[k + 1]),
+                            "{} step {k} differs from rk4_step",
+                            model.name()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

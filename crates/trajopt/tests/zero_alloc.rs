@@ -186,6 +186,45 @@ fn mppi_iteration_does_not_allocate_in_steady_state() {
 }
 
 #[test]
+fn warm_ilqr_solve_allocates_only_its_result() {
+    let _serial = serialize();
+    // A warm solve — initial rollout, LQ passes, Riccati and every
+    // line-search candidate — allocates nothing but the `IlqrResult` it
+    // returns: `cost_history` (1), `us` (1 + horizon) and `trajectory`
+    // (1 + 2·(horizon + 1)), i.e. 3·horizon + 5. The Fig 2c
+    // configuration (iiwa, horizon 20, `max_iters` 8).
+    use rbd_trajopt::{Ilqr, IlqrOptions};
+    let model = robots::iiwa();
+    let q0 = model.neutral_config();
+    let qd0 = vec![0.0; model.nv()];
+    let goal = q0
+        .iter()
+        .enumerate()
+        .map(|(i, q)| q + 0.5 - 0.15 * i as f64)
+        .collect();
+    let horizon = 20;
+    let options = IlqrOptions {
+        horizon,
+        dt: 0.02,
+        max_iters: 8,
+        ..IlqrOptions::default()
+    };
+    let mut ilqr = Ilqr::new(&model, goal, options);
+    // Warm-up spawns the pool and sizes every per-executor buffer.
+    ilqr.solve(&q0, &qd0);
+
+    let mut result = None;
+    let count = alloc_count(|| result = Some(ilqr.solve(&q0, &qd0)));
+    let result = result.expect("solved");
+    assert!(result.cost_history.len() >= 2, "no accepted iteration");
+    assert_eq!(
+        count,
+        3 * horizon as u64 + 5,
+        "a warm iLQR solve allocated {count} time(s)"
+    );
+}
+
+#[test]
 fn batched_multi_worker_lq_phase_does_not_allocate_in_steady_state() {
     let _serial = serialize();
     // The *whole* batched LQ approximation — persistent-pool dispatch,

@@ -1,6 +1,8 @@
 //! Trajectory optimization end-to-end: iLQR swings a 3-link arm to a
 //! goal configuration, with the LQ-approximation phase (the batched
-//! dynamics+derivatives workload of Fig 2c) timed separately.
+//! dynamics+derivatives workload of Fig 2c) timed separately. Exits 1
+//! unless the solve converged with every final joint within 0.05 rad of
+//! the goal.
 //!
 //! ```text
 //! cargo run --example arm_reaching_ilqr --release
@@ -20,7 +22,7 @@ fn main() {
         IlqrOptions {
             horizon: 50,
             dt: 0.02,
-            max_iters: 40,
+            max_iters: 100,
             w_terminal: 200.0,
             ..IlqrOptions::default()
         },
@@ -52,4 +54,18 @@ fn main() {
         "the LQ approximation is the batched ΔFD workload Dadu-RBD accelerates\n\
          (see `cargo run -p rbd-bench --bin sec6b_end_to_end`)."
     );
+
+    let miss: Vec<f64> = q_final
+        .iter()
+        .zip(&goal)
+        .map(|(q, g)| (q - g).abs())
+        .collect();
+    if !result.converged || !miss.iter().all(|e| *e <= 0.05) {
+        eprintln!(
+            "FAIL: the solve must converge with every final joint within 0.05 rad \
+             of the goal (converged: {}, |q - goal| = {miss:.4?})",
+            result.converged
+        );
+        std::process::exit(1);
+    }
 }
