@@ -1,5 +1,5 @@
-//! The multifunction interface: Table I functions, micro-instructions
-//! and the per-function dataflow descriptions of Fig 14.
+//! The multifunction interface: the Table I functions and the outputs a
+//! functional run emits.
 
 use rbd_spatial::MatN;
 use std::fmt;
@@ -71,80 +71,6 @@ impl fmt::Display for FunctionKind {
     }
 }
 
-/// Micro-instructions (`inst`) driving the dataflow switches (§V-B3).
-/// A host-level `type` (one [`FunctionKind`]) is translated into a
-/// sequence of these during its life cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Inst {
-    /// Run the Forward-Backward module in RNEA mode.
-    FbRnea,
-    /// Run the Forward-Backward module with the ΔRNEA array active.
-    FbDelta,
-    /// Run the Backward-Forward module (`outM`, `outMinv` flags).
-    Bf {
-        /// Emit the mass matrix.
-        out_m: bool,
-        /// Emit the inverse mass matrix.
-        out_minv: bool,
-    },
-    /// Schedule-module matrix product `A(x-y)` (Fig 9c).
-    SchedMatVec,
-    /// Feedback: requeue intermediate results as a new internal task.
-    Feedback,
-    /// Encode and emit outputs.
-    Emit,
-}
-
-/// The micro-instruction program for a function (Fig 14 dataflows).
-pub fn microprogram(f: FunctionKind) -> Vec<Inst> {
-    use Inst::*;
-    match f {
-        FunctionKind::Id => vec![FbRnea, Emit],
-        FunctionKind::MassMatrix => vec![
-            Bf {
-                out_m: true,
-                out_minv: false,
-            },
-            Emit,
-        ],
-        FunctionKind::MassMatrixInverse => vec![
-            Bf {
-                out_m: false,
-                out_minv: true,
-            },
-            Emit,
-        ],
-        FunctionKind::Fd => vec![
-            FbRnea,
-            Bf {
-                out_m: false,
-                out_minv: true,
-            },
-            SchedMatVec,
-            Emit,
-        ],
-        FunctionKind::DId => vec![FbRnea, FbDelta, Emit],
-        FunctionKind::DiFd => vec![FbRnea, FbDelta, SchedMatVec, Emit],
-        FunctionKind::DFd => vec![
-            // Stage 1: FD (C via FB, M⁻¹ via BF, q̈ via the matvec unit).
-            FbRnea,
-            Bf {
-                out_m: false,
-                out_minv: true,
-            },
-            SchedMatVec,
-            Feedback,
-            // Stage 2: ΔID at the computed q̈ (FB used a second time).
-            FbRnea,
-            FbDelta,
-            Feedback,
-            // Stage 3: ∂q̈ = -M⁻¹ ∂τ.
-            SchedMatVec,
-            Emit,
-        ],
-    }
-}
-
 /// Outputs of a functional run — any subset may be populated depending
 /// on the function (the Encode module "selects and combines" them,
 /// §V-B).
@@ -167,26 +93,6 @@ pub struct FunctionOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn every_function_has_a_program_ending_in_emit() {
-        for f in FunctionKind::all() {
-            let p = microprogram(f);
-            assert!(!p.is_empty());
-            assert_eq!(*p.last().unwrap(), Inst::Emit, "{f}");
-        }
-    }
-
-    #[test]
-    fn dfd_uses_fb_twice_with_feedback() {
-        let p = microprogram(FunctionKind::DFd);
-        let fb_count = p
-            .iter()
-            .filter(|i| matches!(i, Inst::FbRnea | Inst::FbDelta))
-            .count();
-        assert!(fb_count >= 3, "ΔFD re-enters the FB module");
-        assert!(p.contains(&Inst::Feedback));
-    }
 
     #[test]
     fn names_match_paper() {

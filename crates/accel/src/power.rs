@@ -39,18 +39,6 @@ impl PowerModel {
             + duty * (u.dsp as f64 * self.w_per_dsp + u.lut as f64 / 1000.0 * self.w_per_klut)
             + gbps * self.w_per_gbps
     }
-
-    /// Energy (J) to process `tasks` at `throughput` tasks/s under the
-    /// given power.
-    pub fn energy_j(&self, power_w: f64, tasks: u64, throughput: f64) -> f64 {
-        power_w * tasks as f64 / throughput
-    }
-
-    /// Energy-delay product (J·s) for a batch.
-    pub fn edp(&self, power_w: f64, tasks: u64, throughput: f64) -> f64 {
-        let t = tasks as f64 / throughput;
-        power_w * t * t
-    }
 }
 
 #[cfg(test)]
@@ -95,14 +83,5 @@ mod tests {
         let p_heavy = m.power_w(&heavy, 12.0, 1.0);
         assert!((4.0..12.0).contains(&p_light), "{p_light}");
         assert!((25.0..65.0).contains(&p_heavy), "{p_heavy}");
-    }
-
-    #[test]
-    fn energy_and_edp_consistent() {
-        let m = PowerModel::default();
-        let e = m.energy_j(10.0, 1000, 1e6);
-        assert!((e - 0.01).abs() < 1e-12);
-        let edp = m.edp(10.0, 1000, 1e6);
-        assert!((edp - 10.0 * 1e-3 * 1e-3).abs() < 1e-12);
     }
 }

@@ -176,21 +176,6 @@ pub fn decode_task(model: &RobotModel, words: &[u32]) -> Result<TaskPacket, Deco
     })
 }
 
-/// Encodes a result vector (τ or q̈) the way the Encode module streams it
-/// back ("a CPU-friendly type").
-pub fn encode_result(values: &[f64]) -> Vec<u32> {
-    let mut words = Vec::with_capacity(values.len());
-    for &x in values {
-        push_f64(&mut words, x);
-    }
-    words
-}
-
-/// Decodes a result vector.
-pub fn decode_result(words: &[u32]) -> Vec<f64> {
-    words.iter().map(|&w| read_f64(w)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,19 +267,21 @@ mod tests {
     }
 
     #[test]
-    fn result_roundtrip() {
-        let vals = vec![1.5, -2.25, 0.0078125, 900.0];
-        let back = decode_result(&encode_result(&vals));
-        for (a, b) in vals.iter().zip(&back) {
-            assert!((a - b).abs() <= stream_epsilon());
-        }
-    }
-
-    #[test]
     fn negative_values_survive_sign_extension() {
-        let vals = vec![-1000.0, -1e-5, -0.5];
-        let back = decode_result(&encode_result(&vals));
-        for (a, b) in vals.iter().zip(&back) {
+        let model = robots::serial_chain(4);
+        let task = TaskPacket {
+            function: FunctionKind::Id,
+            q: vec![-1000.0, -1e-5, -0.5, 1.5],
+            qd: vec![-2.25, 0.0078125, 900.0, -1023.0],
+            u: vec![-0.25; 4],
+            minv_tri: None,
+        };
+        let back = decode_task(&model, &encode_task(&model, &task)).unwrap();
+        for (a, b) in [task.q, task.qd, task.u]
+            .iter()
+            .flatten()
+            .zip([back.q, back.qd, back.u].iter().flatten())
+        {
             assert!((a - b).abs() <= stream_epsilon(), "{a} vs {b}");
         }
     }

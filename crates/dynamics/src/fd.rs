@@ -3,9 +3,11 @@
 //!
 //! * `FD = M⁻¹ · (τ - C)` — the accelerator computes FD without ever
 //!   instantiating the ABA (§III-A);
-//! * `ΔFD = -M⁻¹ · ΔID` evaluated at `q̈ = FD(q, q̇, τ)`;
-//! * `ΔiFD` — same, with `M⁻¹` supplied by the caller (Robomorphic's
-//!   function signature, Table I last row).
+//! * `ΔFD = -M⁻¹ · ΔID` evaluated at `q̈ = FD(q, q̇, τ)`, with `M⁻¹`
+//!   from MMinvGen. The ΔiFD of Table I's last row (the same product
+//!   with a caller-supplied `M⁻¹`, Robomorphic's signature) is modelled
+//!   by the accelerator (`rbd_accel::DaduRbd::run_difd`) and checked
+//!   against [`fd_derivatives`].
 //!
 //! All entry points have `*_into` variants that reuse caller-held
 //! outputs and workspace scratch, performing zero heap allocation in
@@ -77,7 +79,7 @@ pub fn forward_dynamics_into(
     Ok(())
 }
 
-/// Result of [`fd_derivatives`] / [`fd_derivatives_with_minv`].
+/// Result of [`fd_derivatives`].
 #[derive(Debug, Clone, Default)]
 pub struct FdDerivatives {
     /// `∂q̈/∂q` (tangent space), `nv × nv`.
@@ -161,70 +163,13 @@ pub fn fd_derivatives_into(
         ws.rhs_scratch[i] = tau[i] - ws.tau[i];
     }
     out.dqdd_dtau.mul_slice_into(&ws.rhs_scratch, &mut out.qdd);
-    // Steps ④-⑥: ΔID at q̈, then the M⁻¹ products. MMinvGen's output is
-    // exactly symmetric (`symmetrize_from_upper`), so the tail can use it
-    // as its own transpose bit-identically.
-    difd_core_into(model, ws, q, qd, fext, out, true);
+    // Steps ④-⑥: ΔID at q̈, then the M⁻¹ products.
+    difd_core_into(model, ws, q, qd, fext, out);
     Ok(())
 }
 
-/// `ΔiFD`: derivatives of dynamics with `M⁻¹` (and `q̈`) already known —
-/// `∂_u q̈ = ΔiFD(q, q̇, q̈, M⁻¹, f_ext)`, Table I last row. This is the
-/// function Robomorphic accelerates and the workload of Fig 16.
-///
-/// # Panics
-/// Panics on dimension mismatches.
-pub fn fd_derivatives_with_minv(
-    model: &RobotModel,
-    ws: &mut DynamicsWorkspace,
-    q: &[f64],
-    qd: &[f64],
-    qdd: &[f64],
-    minv: MatN,
-    fext: Option<&[ForceVec]>,
-) -> FdDerivatives {
-    assert_eq!(minv.rows(), model.nv());
-    let mut out = FdDerivatives::zeros(model.nv());
-    out.dqdd_dtau = minv;
-    out.qdd.copy_from_slice(qdd);
-    difd_core_into(model, ws, q, qd, fext, &mut out, false);
-    out
-}
-
-/// [`fd_derivatives_with_minv`] into caller-reused output storage (the
-/// supplied `M⁻¹` is copied into `out.dqdd_dtau`): zero heap allocation
-/// in steady state.
-///
-/// # Panics
-/// Panics on dimension mismatches.
-#[allow(clippy::too_many_arguments)] // mirrors the Table I ΔiFD signature + output
-pub fn fd_derivatives_with_minv_into(
-    model: &RobotModel,
-    ws: &mut DynamicsWorkspace,
-    q: &[f64],
-    qd: &[f64],
-    qdd: &[f64],
-    minv: &MatN,
-    fext: Option<&[ForceVec]>,
-    out: &mut FdDerivatives,
-) {
-    let nv = model.nv();
-    assert_eq!(minv.rows(), nv);
-    assert_eq!(qdd.len(), nv, "qdd dimension");
-    out.ensure_dims(nv);
-    out.dqdd_dtau.copy_from(minv);
-    out.qdd.copy_from_slice(qdd);
-    difd_core_into(model, ws, q, qd, fext, out, false);
-}
-
-/// Shared ΔiFD tail: expects `out.dqdd_dtau = M⁻¹` and `out.qdd` set,
-/// fills `out.dqdd_dq` / `out.dqdd_dqd` via `∂q̈/∂u = -M⁻¹ ∂τ/∂u`.
-///
-/// `minv_symmetric` asserts that `out.dqdd_dtau` is *bitwise* symmetric
-/// (true for MMinvGen's symmetrized output), letting the tail skip the
-/// `M⁻¹ᵀ` staging transpose with identical results. Callers passing an
-/// arbitrary user-supplied `M⁻¹` (the Robomorphic ΔiFD signature) must
-/// pass `false`.
+/// ΔFD tail: expects `out.dqdd_dtau = M⁻¹` and `out.qdd` set, fills
+/// `out.dqdd_dq` / `out.dqdd_dqd` via `∂q̈/∂u = -M⁻¹ ∂τ/∂u`.
 fn difd_core_into(
     model: &RobotModel,
     ws: &mut DynamicsWorkspace,
@@ -232,7 +177,6 @@ fn difd_core_into(
     qd: &[f64],
     fext: Option<&[ForceVec]>,
     out: &mut FdDerivatives,
-    minv_symmetric: bool,
 ) {
     // ΔID scratch lives in the workspace; moved out so `ws` can be
     // passed down (the move swaps buffers, no heap traffic).
@@ -242,33 +186,22 @@ fn difd_core_into(
     rnea_derivatives_into(model, ws, q, qd, &out.qdd, fext, &mut did);
     // ∂q̈/∂u = -M⁻¹ ∂τ/∂u, computed as (-∂τ/∂uᵀ · M⁻¹ᵀ)ᵀ: putting the
     // branch-sparse ∂τ matrix on the left lets the product skip its zero
-    // blocks (Fig 5 sparsity), at the cost of one O(nv²) transpose of
-    // M⁻¹ — exact for any M⁻¹ (same multiply pairs, same k-summation
-    // order as the direct product; skipped terms are exact zeros). The
+    // blocks (Fig 5 sparsity) — same multiply pairs, same k-summation
+    // order as the direct product; skipped terms are exact zeros. The
     // transposed-left product and the -1 scale are fused into
-    // `tr_mul_mat_scaled_into`, so only M⁻¹ and the two outputs are ever
-    // transposed.
+    // `neg_sparse_tr_product`, so only the two outputs are transposed.
+    // MMinvGen's M⁻¹ is bitwise symmetric (`symmetrize_from_upper`;
+    // pinned by `tests::tail_is_the_dense_product_and_minv_is_symmetric`),
+    // so it serves as its own transpose.
     let nv = model.nv();
     let mut prod_t = std::mem::take(&mut ws.mat_scratch_b);
-    let mut minv_t = std::mem::take(&mut ws.minv_scratch);
     prod_t.resize(nv, nv);
-    if minv_symmetric {
-        // M⁻¹ᵀ = M⁻¹ bit-for-bit: use it in place.
-        let minv = &out.dqdd_dtau;
-        neg_sparse_tr_product(&did.dtau_dq, minv, ws, &mut prod_t);
-        prod_t.transpose_into(&mut out.dqdd_dq);
-        neg_sparse_tr_product(&did.dtau_dqd, minv, ws, &mut prod_t);
-        prod_t.transpose_into(&mut out.dqdd_dqd);
-    } else {
-        minv_t.resize(nv, nv);
-        out.dqdd_dtau.transpose_into(&mut minv_t);
-        neg_sparse_tr_product(&did.dtau_dq, &minv_t, ws, &mut prod_t);
-        prod_t.transpose_into(&mut out.dqdd_dq);
-        neg_sparse_tr_product(&did.dtau_dqd, &minv_t, ws, &mut prod_t);
-        prod_t.transpose_into(&mut out.dqdd_dqd);
-    }
+    let minv = &out.dqdd_dtau;
+    neg_sparse_tr_product(&did.dtau_dq, minv, ws, &mut prod_t);
+    prod_t.transpose_into(&mut out.dqdd_dq);
+    neg_sparse_tr_product(&did.dtau_dqd, minv, ws, &mut prod_t);
+    prod_t.transpose_into(&mut out.dqdd_dqd);
     ws.mat_scratch_b = prod_t;
-    ws.minv_scratch = minv_t;
     ws.did_scratch = did;
 }
 
@@ -324,8 +257,7 @@ mod tests {
     use super::*;
     use crate::aba::aba;
     use crate::finite_diff::fd_derivatives_numeric;
-    use crate::mminv::mminv_gen;
-    use rbd_model::{random_state, robots, RobotModel};
+    use rbd_model::{random_state, robots, RobotModel, SplitMix64};
 
     fn check_fd_matches_aba(model: &RobotModel, seed: u64, tol: f64) {
         let mut ws = DynamicsWorkspace::new(model);
@@ -400,72 +332,50 @@ mod tests {
         check_dfd(&robots::atlas(), 6, 1e-4);
     }
 
+    /// The sparse ΔFD tail is exactly the dense `-M⁻¹ · ∂τ` at the
+    /// returned `q̈`, and MMinvGen's `M⁻¹` is bitwise symmetric — the
+    /// property that lets the tail use `M⁻¹` as its own transpose.
     #[test]
-    fn difd_with_external_minv_matches_dfd() {
-        let model = robots::hyq();
-        let mut ws = DynamicsWorkspace::new(&model);
-        let s = random_state(&model, 7);
-        let tau: Vec<f64> = (0..model.nv()).map(|k| 0.3 * k as f64 - 1.0).collect();
-        let full = fd_derivatives(&model, &mut ws, &s.q, &s.qd, &tau, None).unwrap();
-        let minv = mminv_gen(&model, &mut ws, &s.q, false, true)
-            .unwrap()
-            .minv
-            .unwrap();
-        let difd = fd_derivatives_with_minv(&model, &mut ws, &s.q, &s.qd, &full.qdd, minv, None);
-        assert!((&full.dqdd_dq - &difd.dqdd_dq).max_abs() < 1e-10);
-        assert!((&full.dqdd_dqd - &difd.dqdd_dqd).max_abs() < 1e-10);
-    }
-
-    #[test]
-    fn with_minv_into_matches_by_value_variant() {
-        let model = robots::atlas();
-        let mut ws = DynamicsWorkspace::new(&model);
-        let s = random_state(&model, 12);
-        let tau: Vec<f64> = (0..model.nv()).map(|k| 0.1 * k as f64 - 0.5).collect();
-        let full = fd_derivatives(&model, &mut ws, &s.q, &s.qd, &tau, None).unwrap();
-        let minv = mminv_gen(&model, &mut ws, &s.q, false, true)
-            .unwrap()
-            .minv
-            .unwrap();
-        let by_value =
-            fd_derivatives_with_minv(&model, &mut ws, &s.q, &s.qd, &full.qdd, minv.clone(), None);
-        let mut reused = FdDerivatives::zeros(0);
-        fd_derivatives_with_minv_into(
-            &model,
-            &mut ws,
-            &s.q,
-            &s.qd,
-            &full.qdd,
-            &minv,
-            None,
-            &mut reused,
-        );
-        assert_eq!((&by_value.dqdd_dq - &reused.dqdd_dq).max_abs(), 0.0);
-        assert_eq!((&by_value.dqdd_dqd - &reused.dqdd_dqd).max_abs(), 0.0);
-        assert_eq!((&by_value.dqdd_dtau - &reused.dqdd_dtau).max_abs(), 0.0);
-    }
-
-    #[test]
-    fn with_minv_is_exact_for_asymmetric_input() {
-        // The sparse-product evaluation must implement the documented
-        // -M⁻¹·∂τ for ANY supplied matrix, not only symmetric ones.
-        let model = robots::iiwa();
-        let nv = model.nv();
-        let mut ws = DynamicsWorkspace::new(&model);
-        let s = random_state(&model, 51);
-        let qdd: Vec<f64> = (0..nv).map(|k| 0.2 - 0.04 * k as f64).collect();
-        // A deliberately asymmetric "M⁻¹".
-        let minv = MatN::from_fn(nv, nv, |i, j| {
-            1.0 / (1.0 + (i + 2 * j) as f64) + if i == j { 2.0 } else { 0.0 }
-        });
-        let d = fd_derivatives_with_minv(&model, &mut ws, &s.q, &s.qd, &qdd, minv.clone(), None);
-        let did = crate::rnea_derivatives(&model, &mut ws, &s.q, &s.qd, &qdd, None);
-        let mut expect_dq = minv.mul_mat(&did.dtau_dq);
-        expect_dq.scale(-1.0);
-        let mut expect_dqd = minv.mul_mat(&did.dtau_dqd);
-        expect_dqd.scale(-1.0);
-        assert_eq!((&d.dqdd_dq - &expect_dq).max_abs(), 0.0);
-        assert_eq!((&d.dqdd_dqd - &expect_dqd).max_abs(), 0.0);
+    fn tail_is_the_dense_product_and_minv_is_symmetric() {
+        let models = [
+            robots::iiwa(),
+            robots::hyq(),
+            robots::atlas(),
+            robots::quadruped_arm(),
+            robots::serial_chain(5),
+        ];
+        for model in &models {
+            let (nv, nb) = (model.nv(), model.num_bodies());
+            let mut ws = DynamicsWorkspace::new(model);
+            for seed in 0..8 {
+                let s = random_state(model, 100 + seed);
+                let mut rng = SplitMix64::new(200 + seed);
+                let tau: Vec<f64> = (0..nv).map(|_| rng.next_symmetric()).collect();
+                let fx: Vec<ForceVec> = (0..nb)
+                    .map(|_| ForceVec::from_array(std::array::from_fn(|_| rng.next_symmetric())))
+                    .collect();
+                for fext in [None, Some(&fx[..])] {
+                    let d = fd_derivatives(model, &mut ws, &s.q, &s.qd, &tau, fext).unwrap();
+                    let did = crate::rnea_derivatives(model, &mut ws, &s.q, &s.qd, &d.qdd, fext);
+                    let mut expect_dq = d.dqdd_dtau.mul_mat(&did.dtau_dq);
+                    expect_dq.scale(-1.0);
+                    let mut expect_dqd = d.dqdd_dtau.mul_mat(&did.dtau_dqd);
+                    expect_dqd.scale(-1.0);
+                    let what = format!("{} seed {seed} fext {}", model.name(), fext.is_some());
+                    assert_eq!((&d.dqdd_dq - &expect_dq).max_abs(), 0.0, "{what}: ∂q̈/∂q");
+                    assert_eq!((&d.dqdd_dqd - &expect_dqd).max_abs(), 0.0, "{what}: ∂q̈/∂q̇");
+                    for i in 0..nv {
+                        for j in 0..i {
+                            assert_eq!(
+                                d.dqdd_dtau[(i, j)].to_bits(),
+                                d.dqdd_dtau[(j, i)].to_bits(),
+                                "{what}: M⁻¹ ({i}, {j})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

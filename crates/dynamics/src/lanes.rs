@@ -14,17 +14,17 @@
 //! Every lane kernel performs the identical op sequence as its scalar
 //! counterpart, lane by lane:
 //!
-//! * [`rnea_lanes_in_ws`] mirrors [`crate::rnea_in_ws`] (without
-//!   external forces);
-//! * [`forward_dynamics_aba_lanes_in_ws`] mirrors [`crate::aba_in_ws`];
+//! * [`forward_dynamics_aba_lanes_in_ws`] mirrors [`crate::aba_in_ws`]
+//!   (without external forces);
 //! * [`rk4_rollout_lanes_into`] mirrors a scalar RK4 step over
 //!   [`crate::aba_in_ws`], run per sample.
 //!
 //! Lane `l` of any output is therefore **bit-identical** to running
 //! the scalar kernel on lane `l`'s inputs, and no lane reads another
 //! lane's inputs. `tests/lane_equivalence.rs` pins this per model
-//! (floating base included) against a test-local scalar RK4 reference,
-//! and `tests/lane_properties.rs` at seeded random states. The lane
+//! (floating base included) against [`crate::aba_in_ws`] and a
+//! test-local scalar RK4 reference, and `tests/lane_properties.rs` at
+//! seeded random states. The lane
 //! kernels are the only rollout path: batch consumers cut a sample
 //! batch into lane groups (`BatchEval::for_each_lane_groups`) and pad
 //! the last, short group with copies of one of its samples, and the
@@ -50,14 +50,14 @@
 //!     q[l * nq..(l + 1) * nq].copy_from_slice(&s.q);
 //!     qd[l * nv..(l + 1) * nv].copy_from_slice(&s.qd);
 //! }
-//! let qdd = vec![0.1; 4 * nv];
-//! lanes::rnea_lanes_in_ws(&model, &mut lws, &q, &qd, &qdd, 1.0);
-//! // Lane 2's torque equals the scalar RNEA at lane 2's state.
+//! let tau = vec![0.1; 4 * nv];
+//! lanes::forward_dynamics_aba_lanes_in_ws(&model, &mut lws, &q, &qd, &tau).unwrap();
+//! // Lane 2's acceleration equals the scalar ABA at lane 2's state.
 //! let mut ws = DynamicsWorkspace::new(&model);
 //! let s2 = random_state(&model, 2);
-//! let tau2 = rbd_dynamics::rnea(&model, &mut ws, &s2.q, &s2.qd, &vec![0.1; nv], None);
+//! let qdd2 = rbd_dynamics::aba(&model, &mut ws, &s2.q, &s2.qd, &vec![0.1; nv], None).unwrap();
 //! for d in 0..nv {
-//!     assert_eq!(lws.tau_lanes()[d][2], tau2[d]);
+//!     assert_eq!(lws.qdd_lanes()[d][2], qdd2[d]);
 //! }
 //! ```
 
@@ -88,8 +88,6 @@ pub struct LaneWorkspace<const K: usize> {
     a: Vec<LaneMotionVec<K>>,
     /// Velocity-product accelerations `c_i = v_i × vJ_i` (ABA).
     c_bias: Vec<LaneMotionVec<K>>,
-    /// Net body forces (RNEA backward accumulator).
-    f: Vec<LaneForceVec<K>>,
     /// ABA bias forces.
     pa: Vec<LaneForceVec<K>>,
     /// Articulated inertias per body.
@@ -105,9 +103,9 @@ pub struct LaneWorkspace<const K: usize> {
     ub: Vec<[f64; K]>,
     /// Lane-packed generalized velocity input.
     qd_l: Vec<[f64; K]>,
-    /// Lane-packed `q̈` input (RNEA) / output (ABA).
+    /// Lane-packed `q̈` output.
     qdd_l: Vec<[f64; K]>,
-    /// Lane-packed torque input (ABA) / output (RNEA).
+    /// Lane-packed torque input.
     tau_l: Vec<[f64; K]>,
     /// Per-lane scalar staging for the kinematics gather (fallback
     /// path of non-revolute joints).
@@ -160,7 +158,6 @@ impl<const K: usize> LaneWorkspace<K> {
             v: vec![LaneMotionVec::zero(); nb],
             a: vec![LaneMotionVec::zero(); nb],
             c_bias: vec![LaneMotionVec::zero(); nb],
-            f: vec![LaneForceVec::zero(); nb],
             pa: vec![LaneForceVec::zero(); nb],
             ia: vec![LaneMat6::zero(); nb],
             ia_init: (0..nb)
@@ -197,11 +194,6 @@ impl<const K: usize> LaneWorkspace<K> {
         }
     }
 
-    /// Lane-packed joint torques (RNEA output), one `[f64; K]` per DOF.
-    pub fn tau_lanes(&self) -> &[[f64; K]] {
-        &self.tau_l
-    }
-
     /// Lane-packed joint accelerations (ABA output), one `[f64; K]` per
     /// DOF.
     pub fn qdd_lanes(&self) -> &[[f64; K]] {
@@ -213,7 +205,7 @@ impl<const K: usize> LaneWorkspace<K> {
     ///
     /// # Panics
     /// Panics on length mismatch.
-    pub fn scatter_qdd(&self, out: &mut [f64]) {
+    fn scatter_qdd(&self, out: &mut [f64]) {
         let nv = self.qdd_l.len();
         assert_eq!(out.len(), K * nv, "scatter_qdd length");
         for (d, lanes) in self.qdd_l.iter().enumerate() {
@@ -422,84 +414,6 @@ macro_rules! avx2_dispatch {
             $body($($arg),*)
         }
     };
-}
-
-avx2_dispatch! {
-/// Lane-batched inverse dynamics: `K` RNEA sweeps in lockstep (mirror
-/// of [`crate::rnea_in_ws`] without external forces). Inputs are flat
-/// lane-major slices (`q`: `K·nq`, `qd`/`qdd`: `K·nv`); the torques
-/// land in [`LaneWorkspace::tau_lanes`]. Zero steady-state allocation.
-/// AVX2 hosts run an AVX2-compiled clone with bit-identical outputs.
-///
-/// # Panics
-/// Panics on dimension mismatches.
-pub fn rnea_lanes_in_ws<const K: usize>(
-    model: &RobotModel,
-    lws: &mut LaneWorkspace<K>,
-    q: &[f64],
-    qd: &[f64],
-    qdd: &[f64],
-    gravity_scale: f64,
-) => rnea_lanes_impl
-}
-
-#[inline(always)]
-fn rnea_lanes_impl<const K: usize>(
-    model: &RobotModel,
-    lws: &mut LaneWorkspace<K>,
-    q: &[f64],
-    qd: &[f64],
-    qdd: &[f64],
-    gravity_scale: f64,
-) {
-    let nb = model.num_bodies();
-    lws.update_kinematics(model, q);
-    LaneWorkspace::pack_dof(qd, &mut lws.qd_l);
-    LaneWorkspace::pack_dof(qdd, &mut lws.qdd_l);
-    let a0 = LaneMotionVec::broadcast(MotionVec::new(
-        rbd_spatial::Vec3::zero(),
-        -model.gravity * gravity_scale,
-    ));
-
-    // Forward pass: velocities, accelerations, net body forces.
-    for i in 0..nb {
-        let vo = model.v_offset(i);
-        let ni = lws.s_off[i + 1] - lws.s_off[i];
-        let cols = &lws.s[vo..vo + ni];
-
-        let vj = LaneMotionVec::weighted_sum(cols, &lws.qd_l[vo..vo + ni]);
-        let aj = LaneMotionVec::weighted_sum(cols, &lws.qdd_l[vo..vo + ni]);
-
-        let xup = &lws.xup[i];
-        let (v_par, a_par) = match model.topology().parent(i) {
-            Some(p) => (xup.apply_motion(&lws.v[p]), xup.apply_motion(&lws.a[p])),
-            None => (LaneMotionVec::zero(), xup.apply_motion(&a0)),
-        };
-        let v = v_par.add(&vj);
-        let a = a_par.add(&aj).add(&v.cross_motion(&vj));
-
-        let inertia = model.link_inertia(i);
-        let f = inertia
-            .mul_motion_lanes(&a)
-            .add(&v.cross_force(&inertia.mul_motion_lanes(&v)));
-
-        lws.v[i] = v;
-        lws.a[i] = a;
-        lws.f[i] = f;
-    }
-
-    // Backward pass: project torques, propagate forces to parents.
-    for i in (0..nb).rev() {
-        let vo = model.v_offset(i);
-        let ni = lws.s_off[i + 1] - lws.s_off[i];
-        for k in 0..ni {
-            lws.tau_l[vo + k] = LaneMotionVec::dot_scalar_col(&lws.f[i], &lws.s[vo + k]);
-        }
-        if let Some(p) = model.topology().parent(i) {
-            let fp = lws.xup[i].inv_apply_force(&lws.f[i]);
-            lws.f[p].add_assign(&fp);
-        }
-    }
 }
 
 avx2_dispatch! {

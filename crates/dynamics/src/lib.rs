@@ -9,7 +9,7 @@
 //! | Inverse mass matrix | `M⁻¹ = Minv(q)` | [`mminv_gen`] |
 //! | Derivatives of ID | `∂_u τ = ΔID(…)` | [`rnea_derivatives`] |
 //! | Derivatives of FD | `∂_u q̈ = ΔFD(…)` | [`fd_derivatives`] |
-//! | Derivatives of dynamics | `∂_u q̈ = ΔiFD(…, M⁻¹)` | [`fd_derivatives_with_minv`] |
+//! | Derivatives of dynamics | `∂_u q̈ = ΔiFD(…, M⁻¹)` | `rbd_accel::DaduRbd::run_difd`, checked against [`fd_derivatives`] |
 //!
 //! The crate plays the role Pinocchio plays in the paper's evaluation: the
 //! software baseline *and* the functional reference against which the
@@ -17,7 +17,7 @@
 //!
 //! # Derivative kernel
 //!
-//! The analytical ΔID (and hence ΔFD/ΔiFD, which evaluate it
+//! The analytical ΔID (and hence ΔFD, which evaluates it
 //! internally) has one production kernel: the IDSVA composite-quantity
 //! formulation ([`rnea_derivatives_idsva_into`], Singh/Russell/Wensing
 //! RA-L 2022), which [`rnea_derivatives_into`] calls. The
@@ -64,10 +64,11 @@
 //! Rollouts run `K` samples in lockstep through the [`lanes`] kernels,
 //! the only rollout path (MPPI at `K = 4`, iLQR at `K = 1`): a batch whose
 //! size is not a multiple of [`LANE_WIDTH`] pads its last group with
-//! copies of a real sample. Each lane is bit-identical to the scalar
-//! kernel on that lane's inputs ([`rnea_in_ws`], [`aba_in_ws`], which
-//! stay scalar: they take external forces and serve as the lane
-//! kernels' references).
+//! copies of a real sample. Lane kernels exist for ABA and RK4, and each
+//! lane is bit-identical to the scalar [`aba_in_ws`] on that lane's
+//! inputs. [`aba_in_ws`] and [`rnea_in_ws`] stay scalar because they
+//! take external forces; [`rnea_in_ws`] is on the ΔFD hot path (through
+//! [`bias_force_in_ws`]).
 //!
 //! # Example
 //!
@@ -94,7 +95,6 @@ pub mod energy;
 pub mod fd;
 pub mod finite_diff;
 pub mod idsva;
-pub mod jacobian;
 pub mod lanes;
 pub mod mminv;
 pub mod momentum;
@@ -109,19 +109,17 @@ pub use crba::{crba, crba_into};
 pub use derivatives::{rnea_derivatives, rnea_derivatives_into, RneaDerivatives};
 pub use energy::{kinetic_energy, potential_energy, total_energy};
 pub use fd::{
-    fd_derivatives, fd_derivatives_into, fd_derivatives_with_minv, fd_derivatives_with_minv_into,
-    forward_dynamics, forward_dynamics_into, FdDerivatives,
+    fd_derivatives, fd_derivatives_into, forward_dynamics, forward_dynamics_into, FdDerivatives,
 };
 pub use finite_diff::{fd_derivatives_numeric, rnea_derivatives_numeric};
 pub use idsva::rnea_derivatives_idsva_into;
-pub use jacobian::{body_jacobian_world, body_position_world, point_velocity_world};
 pub use lanes::{
-    forward_dynamics_aba_lanes_in_ws, rk4_rollout_lanes_into, rnea_lanes_in_ws, LaneRolloutScratch,
-    LaneWorkspace, LANE_WIDTH,
+    forward_dynamics_aba_lanes_in_ws, rk4_rollout_lanes_into, LaneRolloutScratch, LaneWorkspace,
+    LANE_WIDTH,
 };
 pub use mminv::{mminv_gen, mminv_gen_into, MMinvOutput};
 pub use momentum::{center_of_mass, spatial_momentum, total_mass};
-pub use rnea::{bias_force, bias_force_in_ws, rnea, rnea_in_ws, rnea_with_gravity_scale};
+pub use rnea::{bias_force_in_ws, rnea, rnea_in_ws, rnea_with_gravity_scale};
 pub use workspace::DynamicsWorkspace;
 
 /// Error type for dynamics computations that can fail (singular mass

@@ -128,20 +128,9 @@ pub fn rnea_in_ws(
     }
 }
 
-/// Generalised bias force `C(q, q̇, f_ext) = ID(q, q̇, 0, f_ext)`.
-pub fn bias_force(
-    model: &RobotModel,
-    ws: &mut DynamicsWorkspace,
-    q: &[f64],
-    qd: &[f64],
-    fext: Option<&[ForceVec]>,
-) -> Vec<f64> {
-    bias_force_in_ws(model, ws, q, qd, fext);
-    ws.tau.clone()
-}
-
-/// [`bias_force`] leaving `C` in `ws.tau` instead of returning it — zero
-/// heap allocation (the constant zero `q̈` also lives in the workspace).
+/// Generalised bias force `C(q, q̇, f_ext) = ID(q, q̇, 0, f_ext)`, left in
+/// `ws.tau` — zero heap allocation (the constant zero `q̈` also lives in
+/// the workspace).
 ///
 /// # Panics
 /// Panics on dimension mismatch.
@@ -305,8 +294,8 @@ mod tests {
         let mut ws = DynamicsWorkspace::new(&model);
         let s = random_state(&model, 5);
         let zero = vec![0.0; model.nv()];
-        let c = bias_force(&model, &mut ws, &s.q, &s.qd, None);
         let id0 = rnea(&model, &mut ws, &s.q, &s.qd, &zero, None);
-        assert_eq!(c, id0);
+        bias_force_in_ws(&model, &mut ws, &s.q, &s.qd, None);
+        assert_eq!(ws.tau, id0);
     }
 }

@@ -297,13 +297,6 @@ impl DynamicsWorkspace {
         }
     }
 
-    /// Body `i`'s motion-subspace columns (a contiguous slice of the
-    /// flat per-DOF table).
-    #[inline]
-    pub fn s_cols(&self, i: usize) -> &[MotionVec] {
-        &self.s[self.s_off[i]..self.s_off[i + 1]]
-    }
-
     /// Body `i`'s ancestor+self DOF ids (ascending).
     #[inline]
     pub fn chain(&self, i: usize) -> &[usize] {
@@ -364,8 +357,7 @@ mod tests {
         assert_eq!(ws.tau.len(), m.nv());
         assert_eq!(ws.s_world.len(), m.nv());
         assert_eq!(ws.s.len(), m.nv());
-        let total_cols: usize = (0..m.num_bodies()).map(|i| ws.s_cols(i).len()).sum();
-        assert_eq!(total_cols, m.nv());
+        assert_eq!(ws.s_off[m.num_bodies()], m.nv());
     }
 
     #[test]

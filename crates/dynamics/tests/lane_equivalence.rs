@@ -1,5 +1,5 @@
-//! Pins the K-lane lockstep sweeps **bit-identical** to their scalar
-//! counterparts on every test model (floating base included), at lane
+//! Pins the K-lane lockstep sweeps (ABA and the RK4 rollout over it)
+//! **bit-identical** to their scalar counterparts on every test model (floating base included), at lane
 //! widths 1, 2 and 4, across randomized states: lane `l` of any lane
 //! kernel output must equal the scalar kernel run on lane `l`'s inputs
 //! with `==`, not a tolerance. The lane rollout's scalar counterpart is
@@ -10,7 +10,7 @@ mod rk4;
 
 use rbd_dynamics::{
     aba_in_ws, forward_dynamics_aba_lanes_in_ws, lanes::LaneWorkspace, rk4_rollout_lanes_into,
-    rnea_lanes_in_ws, DynamicsWorkspace, LaneRolloutScratch,
+    DynamicsWorkspace, LaneRolloutScratch,
 };
 use rbd_model::{random_state, robots, RobotModel};
 
@@ -46,38 +46,14 @@ fn lane_controls(model: &RobotModel, k: usize) -> Vec<f64> {
         .collect()
 }
 
-fn check_rnea_and_fd<const K: usize>(model: &RobotModel) {
+fn check_aba<const K: usize>(model: &RobotModel) {
     let (nq, nv) = (model.nq(), model.nv());
     let (q, qd) = lane_states(model, K, 100);
-    let qdd: Vec<f64> = (0..K * nv).map(|i| 0.2 - 0.01 * i as f64).collect();
     let tau = lane_controls(model, K);
 
     let mut lws = LaneWorkspace::<K>::new(model);
     let mut ws = DynamicsWorkspace::new(model);
 
-    // Inverse dynamics.
-    rnea_lanes_in_ws(model, &mut lws, &q, &qd, &qdd, 1.0);
-    for l in 0..K {
-        rbd_dynamics::rnea_in_ws(
-            model,
-            &mut ws,
-            &q[l * nq..(l + 1) * nq],
-            &qd[l * nv..(l + 1) * nv],
-            &qdd[l * nv..(l + 1) * nv],
-            None,
-            1.0,
-        );
-        for d in 0..nv {
-            assert_eq!(
-                lws.tau_lanes()[d][l],
-                ws.tau[d],
-                "{} RNEA lane {l}/{K} dof {d}",
-                model.name()
-            );
-        }
-    }
-
-    // Forward dynamics (ABA).
     forward_dynamics_aba_lanes_in_ws(model, &mut lws, &q, &qd, &tau).unwrap();
     let mut qdd_scalar = vec![0.0; nv];
     for l in 0..K {
@@ -157,9 +133,9 @@ fn check_rollout<const K: usize>(model: &RobotModel) {
 #[test]
 fn lane_kernels_bit_identical_to_scalar_all_models() {
     for model in test_models() {
-        check_rnea_and_fd::<1>(&model);
-        check_rnea_and_fd::<2>(&model);
-        check_rnea_and_fd::<4>(&model);
+        check_aba::<1>(&model);
+        check_aba::<2>(&model);
+        check_aba::<4>(&model);
     }
 }
 

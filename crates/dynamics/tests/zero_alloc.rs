@@ -11,9 +11,9 @@
 //! thread and the pool workers are counted (see [`record_alloc`]).
 
 use rbd_dynamics::{
-    bias_force_in_ws, crba_into, fd_derivatives_into, fd_derivatives_with_minv_into,
-    forward_dynamics_into, mminv_gen_into, rnea_derivatives_idsva_into, rnea_derivatives_into,
-    rnea_in_ws, BatchEval, DynamicsWorkspace, FdDerivatives, RneaDerivatives, SamplePoint,
+    bias_force_in_ws, crba_into, fd_derivatives_into, forward_dynamics_into, mminv_gen_into,
+    rnea_derivatives_idsva_into, rnea_derivatives_into, rnea_in_ws, BatchEval, DynamicsWorkspace,
+    FdDerivatives, RneaDerivatives, SamplePoint,
 };
 use rbd_model::{random_state, robots};
 use rbd_spatial::MatN;
@@ -106,7 +106,6 @@ fn steady_state_kernels_do_not_allocate() {
         let mut minv = MatN::zeros(nv, nv);
         let mut did = RneaDerivatives::zeros(nv);
         let mut dfd = FdDerivatives::zeros(nv);
-        let mut dfd2 = FdDerivatives::zeros(nv);
 
         // Warm-up: first calls may size output buffers.
         rnea_in_ws(&model, &mut ws, &s.q, &s.qd, &qdd, None, 1.0);
@@ -116,10 +115,9 @@ fn steady_state_kernels_do_not_allocate() {
         forward_dynamics_into(&model, &mut ws, &s.q, &s.qd, &tau, None, &mut qdd_out).unwrap();
         rnea_derivatives_into(&model, &mut ws, &s.q, &s.qd, &qdd, None, &mut did);
         fd_derivatives_into(&model, &mut ws, &s.q, &s.qd, &tau, None, &mut dfd).unwrap();
-        fd_derivatives_with_minv_into(&model, &mut ws, &s.q, &s.qd, &qdd, &minv, None, &mut dfd2);
 
         // Steady state: every hot-path kernel must be allocation-free.
-        let checks: [(&str, u64); 9] = [
+        let checks: [(&str, u64); 8] = [
             (
                 "rnea_derivatives_idsva_into",
                 alloc_count(|| {
@@ -163,14 +161,6 @@ fn steady_state_kernels_do_not_allocate() {
                     fd_derivatives_into(&model, &mut ws, &s.q, &s.qd, &tau, None, &mut dfd).unwrap()
                 }),
             ),
-            (
-                "fd_derivatives_with_minv_into",
-                alloc_count(|| {
-                    fd_derivatives_with_minv_into(
-                        &model, &mut ws, &s.q, &s.qd, &qdd, &minv, None, &mut dfd2,
-                    )
-                }),
-            ),
         ];
         for (name, count) in checks {
             assert_eq!(
@@ -188,7 +178,7 @@ fn lane_kernels_do_not_allocate_in_steady_state() {
     let _serial = serialize();
     use rbd_dynamics::{
         aba_in_ws, forward_dynamics_aba_lanes_in_ws, lanes::LaneWorkspace, rk4_rollout_lanes_into,
-        rnea_lanes_in_ws, LaneRolloutScratch,
+        LaneRolloutScratch,
     };
     const K: usize = 4;
     for model in [robots::iiwa(), robots::atlas()] {
@@ -204,7 +194,6 @@ fn lane_kernels_do_not_allocate_in_steady_state() {
             q[l * nq..(l + 1) * nq].copy_from_slice(&s.q);
             qd[l * nv..(l + 1) * nv].copy_from_slice(&s.qd);
         }
-        let qdd: Vec<f64> = (0..K * nv).map(|i| 0.1 - 0.002 * i as f64).collect();
         let tau: Vec<f64> = (0..K * nv).map(|i| 0.3 - 0.004 * i as f64).collect();
         let us: Vec<f64> = (0..K * horizon * nv)
             .map(|i| 0.2 - 0.001 * i as f64)
@@ -214,7 +203,6 @@ fn lane_kernels_do_not_allocate_in_steady_state() {
         let mut qdd_out = vec![0.0; nv];
 
         // Warm-up: sizes the rollout scratch and the kinematics memo.
-        rnea_lanes_in_ws(&model, &mut lws, &q, &qd, &qdd, 1.0);
         forward_dynamics_aba_lanes_in_ws(&model, &mut lws, &q, &qd, &tau).unwrap();
         rk4_rollout_lanes_into(
             &model,
@@ -243,11 +231,7 @@ fn lane_kernels_do_not_allocate_in_steady_state() {
 
         // Steady state: the whole lane sweep family plus the scalar ABA
         // reference must be allocation-free.
-        let checks: [(&str, u64); 4] = [
-            (
-                "rnea_lanes_in_ws",
-                alloc_count(|| rnea_lanes_in_ws(&model, &mut lws, &q, &qd, &qdd, 1.0)),
-            ),
+        let checks: [(&str, u64); 3] = [
             (
                 "forward_dynamics_aba_lanes_in_ws",
                 alloc_count(|| {

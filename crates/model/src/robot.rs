@@ -98,11 +98,6 @@ impl RobotModel {
         &q[self.q_index[i]..self.q_index[i] + self.joints[i].jtype.nq()]
     }
 
-    /// Slice of `v` belonging to joint `i`.
-    pub fn v_slice<'a>(&self, i: usize, v: &'a [f64]) -> &'a [f64] {
-        &v[self.v_index[i]..self.v_index[i] + self.joints[i].jtype.nv()]
-    }
-
     /// The neutral configuration (identity quaternions, zeros elsewhere).
     pub fn neutral_config(&self) -> Vec<f64> {
         let mut q = Vec::with_capacity(self.nq);
@@ -318,7 +313,5 @@ mod tests {
         let m = two_link();
         let q = vec![0.1, 0.2];
         assert_eq!(m.q_slice(1, &q), &[0.2]);
-        let v = vec![1.0, 2.0];
-        assert_eq!(m.v_slice(0, &v), &[1.0]);
     }
 }

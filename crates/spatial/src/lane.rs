@@ -205,7 +205,7 @@ impl Vec3 {
     /// Broadcast cross product `self × r` with a lane right operand —
     /// same expression as [`Vec3::cross`] per lane.
     #[inline(always)]
-    pub fn cross_lanes<const K: usize>(&self, r: &LaneVec3<K>) -> LaneVec3<K> {
+    fn cross_lanes<const K: usize>(&self, r: &LaneVec3<K>) -> LaneVec3<K> {
         let [ax, ay, az] = *self.as_array();
         let [bx, by, bz] = r.a;
         LaneVec3 {
@@ -222,7 +222,7 @@ impl Mat3 {
     /// Broadcast matrix × lane vector (mirror of `Mat3 * Vec3`):
     /// row `i` = `m[3i]·x + m[3i+1]·y + m[3i+2]·z`, left-associated.
     #[inline(always)]
-    pub fn mul_lanes<const K: usize>(&self, v: &LaneVec3<K>) -> LaneVec3<K> {
+    fn mul_lanes<const K: usize>(&self, v: &LaneVec3<K>) -> LaneVec3<K> {
         let m = self.as_array();
         let [x, y, z] = v.a;
         LaneVec3 {
@@ -462,19 +462,6 @@ impl<const K: usize> LaneMotionVec<K> {
             *a = ladd(*a, smul(x, w));
         }
     }
-
-    /// Lane duality pairing with a shared scalar motion column on the
-    /// left (mirror of `col.dot_force(f)` with `self` in force layout —
-    /// used as `τ_j = S_jᵀ f` with lane `f`).
-    #[inline(always)]
-    pub fn dot_scalar_col(f: &LaneForceVec<K>, col: &MotionVec) -> [f64; K] {
-        let a = col.as_array();
-        let b = &f.d;
-        ladd(
-            ladd(ladd(smul(a[0], b[0]), smul(a[1], b[1])), smul(a[2], b[2])),
-            ladd(ladd(smul(a[3], b[3]), smul(a[4], b[4])), smul(a[5], b[5])),
-        )
-    }
 }
 
 impl<const K: usize> LaneForceVec<K> {
@@ -482,7 +469,12 @@ impl<const K: usize> LaneForceVec<K> {
     /// [`ForceVec::dot_motion`], i.e. `m.dot_force(self)` per lane).
     #[inline(always)]
     pub fn dot_scalar_motion(&self, m: &MotionVec) -> [f64; K] {
-        LaneMotionVec::dot_scalar_col(self, m)
+        let a = m.as_array();
+        let b = &self.d;
+        ladd(
+            ladd(ladd(smul(a[0], b[0]), smul(a[1], b[1])), smul(a[2], b[2])),
+            ladd(ladd(smul(a[3], b[3]), smul(a[4], b[4])), smul(a[5], b[5])),
+        )
     }
 
     /// Lane pairing with a lane motion vector (mirror of

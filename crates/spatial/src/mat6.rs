@@ -283,17 +283,6 @@ impl Mat6 {
         }
     }
 
-    /// Rank-one update `self - u uᵀ / d` used by ABA-style factorizations.
-    /// `u` is a force-layout 6-vector.
-    pub fn sub_outer_scaled(&mut self, u: &ForceVec, inv_d: f64) {
-        let ua = u.as_array();
-        for i in 0..6 {
-            for j in 0..6 {
-                self.m[6 * i + j] -= ua[i] * ua[j] * inv_d;
-            }
-        }
-    }
-
     /// Fused rank-`k` update `self -= U · W · Uᵀ` over force-layout
     /// columns `U` with weights `w(a, b)` — the `IA - U D⁻¹ Uᵀ`
     /// articulated-inertia step of ABA/MMinvGen, evaluated in one pass so
@@ -503,17 +492,6 @@ mod tests {
         let mut acc = Mat6::identity();
         s.add_congruence_xform(&x, &mut acc);
         assert!((acc - (fast + Mat6::identity())).max_abs() < 1e-15);
-    }
-
-    #[test]
-    fn rank_one_update() {
-        let mut a = Mat6::identity();
-        let u = ForceVec::from_slice(&[1.0, 0.0, 0.0, 0.0, 0.0, 2.0]);
-        a.sub_outer_scaled(&u, 0.5);
-        assert!((a[(0, 0)] - 0.5).abs() < 1e-15);
-        assert!((a[(0, 5)] + 1.0).abs() < 1e-15);
-        assert!((a[(5, 5)] + 1.0).abs() < 1e-15);
-        assert!(a.is_symmetric(1e-15));
     }
 
     #[test]

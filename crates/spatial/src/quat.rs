@@ -86,12 +86,6 @@ impl Quat {
         Self::new(self.w / n, self.x / n, self.y / n, self.z / n)
     }
 
-    /// Conjugate (inverse for unit quaternions).
-    #[inline]
-    pub fn conjugate(&self) -> Self {
-        Self::new(self.w, -self.x, -self.y, -self.z)
-    }
-
     /// Applies the rotation to a vector.
     pub fn rotate(&self, v: Vec3) -> Vec3 {
         self.to_rotation_matrix() * v
@@ -214,14 +208,6 @@ mod tests {
         let lhs = (a * b).rotate(v);
         let rhs = a.rotate(b.rotate(v));
         assert!((lhs - rhs).max_abs() < 1e-12);
-    }
-
-    #[test]
-    fn conjugate_inverts() {
-        let q = Quat::from_axis_angle(Vec3::new(1.0, 1.0, 0.0).normalized(), 0.77);
-        let v = Vec3::new(1.0, 2.0, 3.0);
-        let back = q.conjugate().rotate(q.rotate(v));
-        assert!((back - v).max_abs() < 1e-12);
     }
 
     #[test]

@@ -70,18 +70,6 @@ macro_rules! impl_spatial_common {
                 Vec3::new(self.d[3], self.d[4], self.d[5])
             }
 
-            /// Replaces the angular part.
-            #[inline(always)]
-            pub fn set_ang(&mut self, ang: Vec3) {
-                self.d[..3].copy_from_slice(ang.as_array());
-            }
-
-            /// Replaces the linear part.
-            #[inline(always)]
-            pub fn set_lin(&mut self, lin: Vec3) {
-                self.d[3..].copy_from_slice(lin.as_array());
-            }
-
             /// Builds from a slice of at least six elements
             /// (`[ang; lin]` order).
             ///
@@ -371,14 +359,6 @@ mod tests {
         assert_eq!(v.to_array(), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         assert_eq!(v.ang().to_array(), [1.0, 2.0, 3.0]);
         assert_eq!(v.lin().to_array(), [4.0, 5.0, 6.0]);
-    }
-
-    #[test]
-    fn part_setters() {
-        let mut v = MotionVec::zero();
-        v.set_ang(Vec3::new(1.0, 2.0, 3.0));
-        v.set_lin(Vec3::new(4.0, 5.0, 6.0));
-        assert_eq!(v, mv([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]));
         assert_eq!(MotionVec::from_array(v.to_array()), v);
     }
 
