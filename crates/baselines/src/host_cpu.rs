@@ -66,7 +66,7 @@ fn run_once(
 ) {
     match f {
         FunctionKind::Id => {
-            rnea_in_ws(model, ws, q, qd, u, None, 1.0);
+            rnea_in_ws(model, ws, q, qd, u, None);
             std::hint::black_box(&ws.tau);
         }
         FunctionKind::Fd => {

@@ -1,17 +1,20 @@
 //! Fig 2 — motivation study: (b) multi-thread scaling of the robot MPC
 //! workload saturates; (c) the LQ approximation (dynamics + derivatives)
 //! dominates the iteration and the derivatives of dynamics alone are a
-//! large share (paper: 23.61%). Fig 2c breaks down a real iLQR solve
-//! (iiwa, horizon 20), with the ΔFD time taken inside its LQ pass.
+//! large share (paper: 23.61%). Fig 2c breaks down the warm ticks of a
+//! real iLQR MPC loop (iiwa, horizon 20), with the ΔFD time taken inside
+//! their LQ passes.
 //!
 //! Run with `--release`; the measurement is live on the host CPU. Exits
-//! non-zero when the solve accepts no iteration or its breakdown is
+//! non-zero when a tick ends at a non-finite cost, the warm start does
+//! not save iterations over the cold first tick, or the breakdown is
 //! inconsistent.
 
 use rbd_accel::FunctionKind;
 use rbd_baselines::thread_scaling;
 use rbd_bench::{bar, ilqr_iiwa_tick, print_table};
 use rbd_model::robots;
+use rbd_trajopt::IlqrResult;
 
 fn main() {
     let model = robots::quadruped_arm();
@@ -97,14 +100,18 @@ fn main() {
         &rows,
     );
 
-    // ---- Fig 2c: task breakdown of one iLQR MPC tick.
-    let (sol, workers) = ilqr_iiwa_tick();
-    let total = sol.lq_time_s + sol.solver_time_s + sol.rollout_time_s;
+    // ---- Fig 2c: task breakdown of a warm iLQR MPC tick.
+    let (warm, cold_iters, workers) = ilqr_iiwa_tick();
+    let mean = |f: fn(&IlqrResult) -> f64| warm.iter().map(f).sum::<f64>() / warm.len() as f64;
+    let total = mean(|r| r.lq_time_s + r.solver_time_s + r.rollout_time_s);
     let rows: Vec<Vec<String>> = [
-        ("LQ approximation (parallelizable)", sol.lq_time_s),
-        ("  of which: ΔFD derivatives", sol.derivatives_time_s),
-        ("backward Riccati pass (serial)", sol.solver_time_s),
-        ("rollouts / line search", sol.rollout_time_s),
+        ("LQ approximation (parallelizable)", mean(|r| r.lq_time_s)),
+        (
+            "  of which: ΔFD derivatives",
+            mean(|r| r.derivatives_time_s),
+        ),
+        ("backward Riccati pass (serial)", mean(|r| r.solver_time_s)),
+        ("rollouts / line search", mean(|r| r.rollout_time_s)),
     ]
     .iter()
     .map(|&(task, t)| {
@@ -117,16 +124,18 @@ fn main() {
     .collect();
     print_table(
         &format!(
-            "Fig 2c — task breakdown of one iLQR MPC tick (iiwa, horizon {})",
-            sol.us.len()
+            "Fig 2c — task breakdown of a warm iLQR MPC tick (iiwa, horizon {})",
+            warm[0].us.len()
         ),
         &["task class", "share", ""],
         &rows,
     );
     println!(
-        "solve: {:.2} ms, {} accepted iteration(s), LQ on {workers} executor(s).\n\
+        "warm tick: {:.2} ms, {:.2} accepted iterations (mean of {}; cold first tick: {cold_iters}),\n\
+         LQ on {workers} executor(s).\n\
          paper anchor: derivatives of dynamics = 23.61% of the application.",
         total * 1e3,
-        sol.cost_history.len() - 1
+        mean(|r| (r.cost_history.len() - 1) as f64),
+        warm.len()
     );
 }

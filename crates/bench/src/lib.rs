@@ -9,8 +9,9 @@
 pub mod compare;
 pub mod harness;
 
-use rbd_model::robots;
-use rbd_trajopt::{Ilqr, IlqrOptions, IlqrResult};
+use rbd_dynamics::DynamicsWorkspace;
+use rbd_model::{robots, SplitMix64};
+use rbd_trajopt::{rk4_step, Ilqr, IlqrOptions, IlqrResult};
 
 /// Prints `msg` and exits non-zero: a figure binary's own check failed.
 pub fn fail(msg: &str) -> ! {
@@ -18,44 +19,82 @@ pub fn fail(msg: &str) -> ! {
     std::process::exit(1)
 }
 
-/// The MPC tick Fig 2c and §VI-B break down: a warm `Ilqr::solve` on
-/// iiwa in the `ilqr_iiwa` tick configuration (horizon 20, dt 0.02, 8
-/// iterations) from neutral at rest to a fixed goal. Of 20 warm solves
-/// it returns the one with the smallest timer sum (unpinned
-/// multi-executor runs swing widely), and the LQ executors engaged.
-/// Exits non-zero when no iteration was accepted, a phase share is not
-/// finite, or the derivatives time exceeds the LQ time.
-pub fn ilqr_iiwa_tick() -> (IlqrResult, usize) {
+/// The MPC ticks Fig 2c and §VI-B break down: a short closed loop in the
+/// `ilqr_iiwa` tick configuration (horizon 20, dt 0.02, 8 iterations),
+/// the plant stepped by `rk4_step` under each plan's first control. Goal
+/// (neutral ± 0.8 rad) and start (neutral ± 0.3 rad, at rest) are drawn
+/// from `SplitMix64::new(1000)`. The 10-tick loop runs five times, each
+/// with a fresh controller, so a tick does the same work in every repeat;
+/// each tick keeps its repeat with the smallest timer sum (unpinned
+/// multi-executor runs swing widely).
+///
+/// Returns the warm ticks (all but the first), the cold first tick's
+/// accepted iterations and the LQ executors engaged. Exits non-zero when
+/// a repeat differs from the first in any bit, a tick ends at a
+/// non-finite cost, the warm ticks average no fewer accepted iterations
+/// than the cold tick, a phase share is not finite, or the derivatives
+/// time exceeds the LQ time.
+pub fn ilqr_iiwa_tick() -> (Vec<IlqrResult>, usize, usize) {
     let model = robots::iiwa();
-    let q0 = model.neutral_config();
-    let qd0 = vec![0.0; model.nv()];
-    let goal = q0
-        .iter()
-        .enumerate()
-        .map(|(i, q)| q + 0.5 - 0.15 * i as f64);
+    let mut ws = DynamicsWorkspace::new(&model);
+    let mut rng = SplitMix64::new(1000);
+    let mut draw = |range: f64| -> Vec<f64> {
+        let neutral = model.neutral_config();
+        neutral
+            .iter()
+            .map(|q| q + range * rng.next_symmetric())
+            .collect()
+    };
+    let (goal, start) = (draw(0.8), draw(0.3));
     let options = IlqrOptions {
         horizon: 20,
         dt: 0.02,
         max_iters: 8,
         ..IlqrOptions::default()
     };
-    let mut ilqr = Ilqr::new(&model, goal.collect(), options);
     let total = |r: &IlqrResult| r.lq_time_s + r.solver_time_s + r.rollout_time_s;
-    ilqr.solve(&q0, &qd0);
-    let best = (0..20)
-        .map(|_| ilqr.solve(&q0, &qd0))
-        .min_by(|a, b| total(a).total_cmp(&total(b)))
-        .expect("20 solves");
-    let (lq, dfd) = (best.lq_time_s, best.derivatives_time_s);
-    let shares = [lq, dfd, best.solver_time_s, best.rollout_time_s].map(|t| t / total(&best));
-    if best.cost_history.len() < 2 {
-        fail("the iLQR solve accepted no iteration");
-    } else if !shares.iter().all(|s| s.is_finite()) {
-        fail("a phase share of the iLQR solve is not finite");
+    let bits = |r: &IlqrResult| -> Vec<u64> {
+        r.cost_history
+            .iter()
+            .chain(r.us.concat().iter())
+            .map(|x| x.to_bits())
+            .collect()
+    };
+    let mut best: Vec<IlqrResult> = Vec::new();
+    let mut workers = 0;
+    for _ in 0..5 {
+        let mut ilqr = Ilqr::new(&model, goal.clone(), options);
+        let (mut q, mut qd) = (start.clone(), vec![0.0; model.nv()]);
+        for k in 0..10 {
+            let r = ilqr.solve(&q, &qd);
+            (q, qd) = rk4_step(&model, &mut ws, &q, &qd, &r.us[0], options.dt);
+            match best.get_mut(k) {
+                _ if !r.cost_history.last().unwrap().is_finite() => {
+                    fail("a tick ended at a non-finite cost")
+                }
+                None => best.push(r),
+                Some(b) if bits(b) != bits(&r) => fail("a repeat of the closed loop differs"),
+                Some(b) if total(&r) < total(b) => *b = r,
+                Some(_) => {}
+            }
+        }
+        workers = workers.max(ilqr.lq_workers());
+    }
+    let iters = |r: &IlqrResult| r.cost_history.len() - 1;
+    let warm = best.split_off(1);
+    let cold_iters = iters(&best[0]);
+    let warm_iters = warm.iter().map(iters).sum::<usize>() as f64 / warm.len() as f64;
+    let sum = |f: fn(&IlqrResult) -> f64| warm.iter().map(f).sum::<f64>();
+    let (lq, dfd) = (sum(|r| r.lq_time_s), sum(|r| r.derivatives_time_s));
+    let phases = [lq, dfd, sum(|r| r.solver_time_s), sum(|r| r.rollout_time_s)];
+    if warm_iters >= cold_iters as f64 {
+        fail("the warm ticks accept no fewer iterations than the cold tick");
+    } else if !phases.iter().all(|t| (t / sum(total)).is_finite()) {
+        fail("a phase share of the iLQR ticks is not finite");
     } else if dfd > lq {
         fail("derivatives time exceeds the LQ time");
     }
-    (best, ilqr.lq_workers())
+    (warm, cold_iters, workers)
 }
 
 /// Prints a titled ASCII table.

@@ -88,29 +88,32 @@ pub fn crba_into(model: &RobotModel, ws: &mut DynamicsWorkspace, q: &[f64], m: &
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rnea::rnea_with_gravity_scale;
+    use crate::rnea::rnea;
     use crate::DynamicsWorkspace;
     use rbd_model::{random_state, robots};
 
-    /// M columns can be generated one at a time by ID with unit q̈, zero
-    /// velocity and zero gravity — the classical cross-check.
+    /// M columns can be generated one at a time by ID with unit q̈ and zero
+    /// velocity, less the gravity torque `ID(q, 0, 0)` — the classical
+    /// cross-check.
     fn check_against_rnea_columns(model: &rbd_model::RobotModel, seed: u64, tol: f64) {
         let mut ws = DynamicsWorkspace::new(model);
         let s = random_state(model, seed);
         let nv = model.nv();
         let m = crba(model, &mut ws, &s.q);
         let zero = vec![0.0; nv];
+        let g = rnea(model, &mut ws, &s.q, &zero, &zero, None);
         for j in 0..nv {
             let mut e = vec![0.0; nv];
             e[j] = 1.0;
-            let col = rnea_with_gravity_scale(model, &mut ws, &s.q, &zero, &e, None, 0.0);
+            let col = rnea(model, &mut ws, &s.q, &zero, &e, None);
             for i in 0..nv {
+                let col_i = col[i] - g[i];
                 assert!(
-                    (m[(i, j)] - col[i]).abs() < tol,
+                    (m[(i, j)] - col_i).abs() < tol,
                     "{} M[{i},{j}] = {} vs ID column {}",
                     model.name(),
                     m[(i, j)],
-                    col[i]
+                    col_i
                 );
             }
         }

@@ -119,7 +119,7 @@ pub use lanes::{
 };
 pub use mminv::{mminv_gen, mminv_gen_into, MMinvOutput};
 pub use momentum::{center_of_mass, spatial_momentum, total_mass};
-pub use rnea::{bias_force_in_ws, rnea, rnea_in_ws, rnea_with_gravity_scale};
+pub use rnea::{bias_force_in_ws, rnea, rnea_in_ws};
 pub use workspace::DynamicsWorkspace;
 
 /// Error type for dynamics computations that can fail (singular mass

@@ -38,30 +38,12 @@ pub fn rnea(
     qdd: &[f64],
     fext: Option<&[ForceVec]>,
 ) -> Vec<f64> {
-    rnea_with_gravity_scale(model, ws, q, qd, qdd, fext, 1.0)
-}
-
-/// [`rnea`] with a gravity scale factor (`0.0` disables gravity — used by
-/// the mass-matrix-from-ID checks and the bias-force computation
-/// helpers).
-///
-/// # Panics
-/// Panics on dimension mismatch.
-pub fn rnea_with_gravity_scale(
-    model: &RobotModel,
-    ws: &mut DynamicsWorkspace,
-    q: &[f64],
-    qd: &[f64],
-    qdd: &[f64],
-    fext: Option<&[ForceVec]>,
-    gravity_scale: f64,
-) -> Vec<f64> {
-    rnea_in_ws(model, ws, q, qd, qdd, fext, gravity_scale);
+    rnea_in_ws(model, ws, q, qd, qdd, fext);
     ws.tau.clone()
 }
 
-/// [`rnea_with_gravity_scale`] leaving the torque in `ws.tau` instead of
-/// returning it — the zero-allocation form of the kernel.
+/// [`rnea`] leaving the torque in `ws.tau` instead of returning it — the
+/// zero-allocation form of the kernel.
 ///
 /// # Panics
 /// Panics on dimension mismatch.
@@ -72,7 +54,6 @@ pub fn rnea_in_ws(
     qd: &[f64],
     qdd: &[f64],
     fext: Option<&[ForceVec]>,
-    gravity_scale: f64,
 ) {
     let nb = model.num_bodies();
     assert_eq!(q.len(), model.nq(), "q dimension");
@@ -85,7 +66,7 @@ pub fn rnea_in_ws(
     ws.update_kinematics(model, q);
     // a0 = -g expressed as a motion vector (d'Alembert trick: gravity is
     // implemented as an upward acceleration of the base).
-    let a0 = MotionVec::new(rbd_spatial::Vec3::zero(), -model.gravity * gravity_scale);
+    let a0 = MotionVec::new(rbd_spatial::Vec3::zero(), -model.gravity);
 
     // Forward pass: velocities, accelerations, net body forces.
     for i in 0..nb {
@@ -144,7 +125,7 @@ pub fn bias_force_in_ws(
     // The zero q̈ buffer is moved out for the call so `ws` can be borrowed
     // mutably alongside it (a pointer swap, not an allocation).
     let zero = std::mem::take(&mut ws.zero_qdd);
-    rnea_in_ws(model, ws, q, qd, &zero, fext, 1.0);
+    rnea_in_ws(model, ws, q, qd, &zero, fext);
     ws.zero_qdd = zero;
 }
 
@@ -254,18 +235,6 @@ mod tests {
         let tau = rnea(&model, &mut ws, &s.q, &zero, &zero, Some(&fext));
         for t in &tau {
             assert!(t.abs() < 1e-9, "tau = {tau:?}");
-        }
-    }
-
-    #[test]
-    fn gravity_scale_zero_removes_gravity() {
-        let model = robots::iiwa();
-        let mut ws = DynamicsWorkspace::new(&model);
-        let q = model.neutral_config();
-        let zero = vec![0.0; model.nv()];
-        let tau = rnea_with_gravity_scale(&model, &mut ws, &q, &zero, &zero, None, 0.0);
-        for t in &tau {
-            assert!(t.abs() < 1e-12);
         }
     }
 

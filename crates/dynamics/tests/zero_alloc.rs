@@ -108,7 +108,7 @@ fn steady_state_kernels_do_not_allocate() {
         let mut dfd = FdDerivatives::zeros(nv);
 
         // Warm-up: first calls may size output buffers.
-        rnea_in_ws(&model, &mut ws, &s.q, &s.qd, &qdd, None, 1.0);
+        rnea_in_ws(&model, &mut ws, &s.q, &s.qd, &qdd, None);
         bias_force_in_ws(&model, &mut ws, &s.q, &s.qd, None);
         crba_into(&model, &mut ws, &s.q, &mut m);
         mminv_gen_into(&model, &mut ws, &s.q, Some(&mut m), Some(&mut minv)).unwrap();
@@ -126,7 +126,7 @@ fn steady_state_kernels_do_not_allocate() {
             ),
             (
                 "rnea_in_ws",
-                alloc_count(|| rnea_in_ws(&model, &mut ws, &s.q, &s.qd, &qdd, None, 1.0)),
+                alloc_count(|| rnea_in_ws(&model, &mut ws, &s.q, &s.qd, &qdd, None)),
             ),
             (
                 "bias_force_in_ws",

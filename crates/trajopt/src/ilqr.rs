@@ -5,7 +5,10 @@
 //! covers the fixed-base arms the optimizer examples use.
 
 use crate::integrator::{rk4_step_with_sensitivity_into, Rk4SensScratch, StepJacobians};
-use rbd_dynamics::{rk4_rollout_lanes_into, BatchEval, LaneRolloutScratch, LaneWorkspace};
+use rbd_dynamics::{
+    bias_force_in_ws, rk4_rollout_lanes_into, BatchEval, DynamicsWorkspace, LaneRolloutScratch,
+    LaneWorkspace,
+};
 use rbd_model::RobotModel;
 use rbd_spatial::{MatN, VecN};
 use std::time::Instant;
@@ -203,6 +206,9 @@ impl<'m> IlqrScratch<'m> {
                 dx: vec![0.0; nx],
                 q_step: vec![0.0; 2 * model.nq()],
                 qd_step: vec![0.0; 2 * nv],
+                warm: false,
+                ws: DynamicsWorkspace::new(model),
+                rest: vec![0.0; nv],
             },
             batch,
             vx: VecN::zeros(nx),
@@ -236,8 +242,9 @@ impl<'m> IlqrScratch<'m> {
     }
 }
 
-/// The closed-loop forward pass: the nominal rollout, a candidate, and
-/// the state of the width-1 lane RK4/ABA kernel that steps the candidate.
+/// The closed-loop forward pass: the nominal rollout, a candidate, the
+/// state of the width-1 lane RK4/ABA kernel that steps the candidate, and
+/// the scratch of the gravity-compensated cold start.
 #[derive(Debug)]
 struct ForwardPass {
     traj: Vec<(Vec<f64>, Vec<f64>)>,
@@ -250,11 +257,33 @@ struct ForwardPass {
     /// One kernel step: `(q_k, q_{k+1})` and `(q̇_k, q̇_{k+1})`.
     q_step: Vec<f64>,
     qd_step: Vec<f64>,
+    /// Whether `us` holds the last solve's plan, which ended at a finite cost.
+    warm: bool,
+    ws: DynamicsWorkspace,
+    /// q̇ = 0, for the gravity torque `g(q0)`.
+    rest: Vec<f64>,
 }
 
 impl ForwardPass {
+    /// Sets `us` to a solve's initial controls: when warm, the last plan
+    /// shifted by one step with its last control repeated; when cold,
+    /// gravity compensation `g(q0)` at every step.
+    fn initial_controls(&mut self, model: &RobotModel, q0: &[f64]) {
+        let n = self.us.len();
+        if !self.warm {
+            bias_force_in_ws(model, &mut self.ws, q0, &self.rest, None);
+            for u in &mut self.us {
+                u.copy_from_slice(&self.ws.tau);
+            }
+        } else if n >= 2 {
+            self.us.rotate_left(1);
+            let (head, last) = self.us.split_at_mut(n - 1);
+            last[0].copy_from_slice(&head[n - 2]);
+        }
+    }
+
     /// Rolls the candidate out from `traj[0]` under the controls `us[k] +
-    /// α·k_ff[k] + K_fb[k]·(x_k − traj[k])`, or zero ones without `gains`.
+    /// α·k_ff[k] + K_fb[k]·(x_k − traj[k])`, or `us[k]` without `gains`.
     fn run(&mut self, model: &RobotModel, dt: f64, gains: Option<(f64, &[VecN], &[MatN])>) {
         let (nq, nv) = (model.nq(), model.nv());
         let (traj, us, new_traj) = (&self.traj, &self.us, &mut self.new_traj);
@@ -274,7 +303,7 @@ impl ForwardPass {
                     u[i] += us[k][i] + alpha * k_ff[k][i];
                 }
             } else {
-                u.fill(0.0);
+                u.copy_from_slice(&us[k]);
             }
             rk4_rollout_lanes_into::<1>(model, lws, rs, q, qd, u, 1, dt, q_step, qd_step)
                 .expect("ABA");
@@ -303,7 +332,8 @@ pub struct Ilqr<'m> {
 }
 
 impl<'m> Ilqr<'m> {
-    /// Creates an optimizer steering towards `q_goal` at rest.
+    /// Creates an optimizer steering towards `q_goal` at rest; its first
+    /// solve starts cold.
     ///
     /// # Panics
     /// Panics unless `model.nq() == model.nv()` (vector-space models).
@@ -328,7 +358,11 @@ impl<'m> Ilqr<'m> {
         self.scratch.batch.last_workers()
     }
 
-    /// Runs the optimizer from `(q0, qd0)` with zero initial controls.
+    /// Runs the optimizer from `(q0, qd0)`. The initial controls are the
+    /// last solve's plan shifted by one step (its last control repeated),
+    /// the receding-horizon warm start; the first solve, and any solve
+    /// after one that ended at a non-finite cost, starts instead from
+    /// gravity compensation `g(q0)` at every step.
     ///
     /// The LQ approximation fans out across worker threads through
     /// [`BatchEval`] (the sampling points are independent, Fig 2c/13);
@@ -376,6 +410,7 @@ impl<'m> Ilqr<'m> {
         let t0 = Instant::now();
         fwd.traj[0].0.copy_from_slice(q0);
         fwd.traj[0].1.copy_from_slice(qd0);
+        fwd.initial_controls(model, q0);
         fwd.run(model, o.dt, None);
         std::mem::swap(&mut fwd.traj, &mut fwd.new_traj);
         std::mem::swap(&mut fwd.us, &mut fwd.new_us);
@@ -524,6 +559,7 @@ impl<'m> Ilqr<'m> {
             }
         }
 
+        fwd.warm = cost.is_finite();
         IlqrResult {
             cost_history: history,
             us: fwd.us.clone(),

@@ -1,6 +1,6 @@
-//! Receding-horizon MPC: re-solves a short iLQR problem from zero
-//! controls at every control tick — the >100 Hz loop of Fig 1 whose
-//! dynamics workload Dadu-RBD offloads.
+//! Receding-horizon MPC: re-solves a short iLQR problem at every control
+//! tick, warm-started from the last tick's plan shifted by one step — the
+//! >100 Hz loop of Fig 1 whose dynamics workload Dadu-RBD offloads.
 
 use crate::ilqr::{Ilqr, IlqrOptions};
 use crate::integrator::rk4_step;
@@ -77,7 +77,8 @@ fn goal_error(q: &[f64], goal: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rbd_model::robots;
+    use rbd_dynamics::bias_force_in_ws;
+    use rbd_model::{robots, SplitMix64};
 
     #[test]
     fn closed_loop_reaches_goal() {
@@ -161,8 +162,11 @@ mod tests {
         // The planner's rollout and the plant integrate the same bits:
         // each returned state is `rk4_step` of the previous one under
         // the returned control, from the requested start. Three solves
-        // per solver, so stale or misswapped buffers would show;
-        // `max_iters: 0` returns the initial zero-control rollout alone.
+        // per solver, so stale or misswapped buffers would show.
+        // `max_iters: 0` returns the initial controls alone: gravity
+        // compensation `g(q0)` on the first solve, then the last plan
+        // shifted by one step with its last control repeated. The first
+        // start is off the upright pose, where `g` vanishes.
         let iiwa = robots::iiwa();
         let q0 = iiwa.neutral_config();
         let goal = q0
@@ -189,6 +193,8 @@ mod tests {
         let bits = |(q, qd): &(Vec<f64>, Vec<f64>)| -> Vec<u64> {
             q.iter().chain(qd).map(|x| x.to_bits()).collect()
         };
+        let us_bits =
+            |us: &[Vec<f64>]| -> Vec<u64> { us.concat().iter().map(|x| x.to_bits()).collect() };
         for (model, goal, options, q0) in cases {
             let mut ws = DynamicsWorkspace::new(model);
             let qd0 = vec![0.0; model.nv()];
@@ -198,9 +204,22 @@ mod tests {
                     ..options
                 };
                 let mut ilqr = Ilqr::new(model, goal.clone(), options);
-                for shift in [0.0, 0.05, -0.1] {
+                let mut last: Option<Vec<Vec<f64>>> = None;
+                for shift in [0.05, 0.0, -0.1] {
                     let q_start: Vec<f64> = q0.iter().map(|q| q + shift).collect();
                     let r = ilqr.solve(&q_start, &qd0);
+                    if max_iters == 0 {
+                        let initial = match last {
+                            None => {
+                                bias_force_in_ws(model, &mut ws, &q_start, &qd0, None);
+                                vec![ws.tau.clone(); options.horizon]
+                            }
+                            Some(us) => [&us[1..], &us[us.len() - 1..]].concat(),
+                        };
+                        assert!(initial.concat().iter().any(|&u| u != 0.0));
+                        assert_eq!(us_bits(&r.us), us_bits(&initial), "{}", model.name());
+                    }
+                    last = Some(r.us.clone());
                     assert_eq!(
                         r.cost_history.len() > 1,
                         max_iters > 0,
@@ -220,6 +239,39 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn horizon_40_closed_loop_stays_finite() {
+        // The `IlqrOptions` default horizon on a seeded iiwa episode.
+        // From zero initial controls, ticks 1 and 2 ended at a NaN cost
+        // after no accepted iteration: the free-fall rollout diverged.
+        let model = robots::iiwa();
+        let mut rng = SplitMix64::new(1000);
+        let mut draw = |range: f64| -> Vec<f64> {
+            let neutral = model.neutral_config();
+            neutral
+                .iter()
+                .map(|q| q + range * rng.next_symmetric())
+                .collect()
+        };
+        let (goal, mut q) = (draw(0.8), draw(0.3));
+        let mut qd = vec![0.0; model.nv()];
+        let options = IlqrOptions {
+            horizon: 40,
+            dt: 0.02,
+            max_iters: 8,
+            ..IlqrOptions::default()
+        };
+        let mut ilqr = Ilqr::new(&model, goal, options);
+        let mut ws = DynamicsWorkspace::new(&model);
+        for tick in 0..3 {
+            let r = ilqr.solve(&q, &qd);
+            let h = &r.cost_history;
+            assert!(h.iter().all(|c| c.is_finite()), "tick {tick}: {h:?}");
+            assert!(h.len() >= 2, "tick {tick}: no accepted iteration");
+            (q, qd) = rk4_step(&model, &mut ws, &q, &qd, &r.us[0], options.dt);
         }
     }
 

@@ -188,11 +188,11 @@ fn mppi_iteration_does_not_allocate_in_steady_state() {
 #[test]
 fn warm_ilqr_solve_allocates_only_its_result() {
     let _serial = serialize();
-    // A warm solve — initial rollout, LQ passes, Riccati and every
-    // line-search candidate — allocates nothing but the `IlqrResult` it
-    // returns: `cost_history` (1), `us` (1 + horizon) and `trajectory`
-    // (1 + 2·(horizon + 1)), i.e. 3·horizon + 5. The Fig 2c
-    // configuration (iiwa, horizon 20, `max_iters` 8).
+    // A warm solve — the shifted last plan and its rollout, LQ passes,
+    // Riccati and every line-search candidate — allocates nothing but
+    // the `IlqrResult` it returns: `cost_history` (1), `us` (1 + horizon)
+    // and `trajectory` (1 + 2·(horizon + 1)), i.e. 3·horizon + 5. The
+    // Fig 2c configuration (iiwa, horizon 20, `max_iters` 8).
     use rbd_trajopt::{Ilqr, IlqrOptions};
     let model = robots::iiwa();
     let q0 = model.neutral_config();

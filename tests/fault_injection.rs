@@ -2,8 +2,9 @@
 //! one sample, horizons of 0–2) and non-finite or huge initial states.
 //! Every case must return without panicking and report a typed outcome
 //! that tells the fault apart from a result: iLQR never claims
-//! `converged` at a non-finite cost, and MPPI gives diverged samples
-//! zero weight, counts them, and leaves its nominal controls finite.
+//! `converged` at a non-finite cost and never warm-starts from a solve
+//! that ended at one, and MPPI gives diverged samples zero weight,
+//! counts them, and leaves its nominal controls finite.
 //!
 //! The seeded property runs 24 cases on the shared harness in
 //! `support/cases.rs`; its assertion messages name the case seed, and
@@ -16,14 +17,18 @@ use cases::{draw, for_each_case};
 use dadu_rbd::model::{robots, RobotModel, SplitMix64};
 use dadu_rbd::trajopt::{Ilqr, IlqrOptions, IlqrResult, Mppi, MppiOptions, MppiStep};
 
-fn ilqr_solve(model: &RobotModel, horizon: usize, q0: &[f64], qd0: &[f64]) -> IlqrResult {
+fn ilqr(model: &RobotModel, horizon: usize) -> Ilqr<'_> {
     let goal: Vec<f64> = model.neutral_config().iter().map(|x| x + 0.3).collect();
     let opts = IlqrOptions {
         horizon,
         max_iters: 8,
         ..Default::default()
     };
-    Ilqr::new(model, goal, opts).solve(q0, qd0)
+    Ilqr::new(model, goal, opts)
+}
+
+fn ilqr_solve(model: &RobotModel, horizon: usize, q0: &[f64], qd0: &[f64]) -> IlqrResult {
+    ilqr(model, horizon).solve(q0, qd0)
 }
 
 fn mppi_iterate(
@@ -79,6 +84,41 @@ fn ilqr_non_finite_start_is_not_converged() {
             assert_eq!(cost, f64::INFINITY, "q0 = {q}");
         }
         assert!(!r.converged, "q0 = {q}: converged at cost {cost}");
+    }
+}
+
+#[test]
+fn ilqr_non_finite_solve_does_not_poison_the_next() {
+    // After a solve that ends at a non-finite cost the next one starts
+    // cold, bit for bit like a fresh controller; a third solve then runs
+    // the warm shift, at horizons 0 and 1 too.
+    let model = robots::iiwa();
+    let q0: Vec<f64> = model.neutral_config().iter().map(|x| x + 0.1).collect();
+    let qd0 = vec![0.0; model.nv()];
+    let bits = |r: &IlqrResult| -> Vec<u64> {
+        let states = r.trajectory.iter().flat_map(|(q, qd)| q.iter().chain(qd));
+        let all = r
+            .cost_history
+            .iter()
+            .chain(states)
+            .chain(r.us.iter().flatten());
+        all.map(|x| x.to_bits()).collect()
+    };
+    for horizon in [0, 1, 2, 5] {
+        for q in [f64::NAN, 1e200] {
+            let mut ilqr = ilqr(&model, horizon);
+            let bad = ilqr.solve(&vec![q; model.nq()], &qd0);
+            assert!(!bad.cost_history[0].is_finite(), "q0 = {q}");
+            let r = ilqr.solve(&q0, &qd0);
+            let cold = ilqr_solve(&model, horizon, &q0, &qd0);
+            assert_eq!(bits(&r), bits(&cold), "horizon {horizon}, q0 = {q}");
+            assert_eq!(r.converged, cold.converged, "horizon {horizon}, q0 = {q}");
+            let warm = ilqr.solve(&q0, &qd0);
+            assert!(
+                warm.cost_history.iter().all(|c| c.is_finite()),
+                "horizon {horizon}"
+            );
+        }
     }
 }
 
