@@ -176,15 +176,15 @@ mod tests {
 
     #[test]
     fn derivatives_slower_than_id_on_host() {
+        // Interleaved ID/ΔFD rounds, fastest of five each: a burst of
+        // load from another process slows one round, not the minimum.
         let m = robots::iiwa();
-        let id = measure_function(&m, FunctionKind::Id, 64, 1, 4);
-        let dfd = measure_function(&m, FunctionKind::DFd, 64, 1, 4);
-        assert!(
-            dfd.latency_s() > 2.0 * id.latency_s(),
-            "dFD {} vs ID {}",
-            dfd.latency_s(),
-            id.latency_s()
-        );
+        let (mut id, mut dfd) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..5 {
+            id = id.min(measure_function(&m, FunctionKind::Id, 64, 1, 1).latency_s());
+            dfd = dfd.min(measure_function(&m, FunctionKind::DFd, 64, 1, 1).latency_s());
+        }
+        assert!(dfd > 2.0 * id, "dFD {dfd} vs ID {id}");
     }
 
     #[test]

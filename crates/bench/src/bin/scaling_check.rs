@@ -15,7 +15,14 @@
 //! group is padded, must stay bit-identical to lane 1 at every worker
 //! count.
 //!
-//! On hosts with fewer cores both speedup assertions are skipped (exit
+//! **Lane ΔFD gate** — the Atlas 64-point ΔFD through the lane kernel
+//! (`fd_derivatives_lanes_into`) must deliver **≥ 1.3x per-sample
+//! throughput at lane width 4 vs lane width 1** on a single executor,
+//! with the outputs at both widths bit-identical to the serial
+//! `fd_derivatives_into` loop. The gain is smaller than the rollout's
+//! because the `−M⁻¹·∂τ` gather costs the same per point at any width.
+//!
+//! On hosts with fewer cores the speedup assertions are skipped (exit
 //! 0 after the correctness checks) unless `RBD_SCALING_STRICT=1`
 //! forces them — the 1-CPU dev containers this repo is grown in cannot
 //! exhibit thread scaling and their lane ratios are noisy, which is
@@ -23,12 +30,13 @@
 //!
 //! ```text
 //! scaling_check [--min-speedup 1.5] [--threads 4] [--min-lane-speedup 1.8]
+//!               [--min-lane-dfd-speedup 1.3]
 //! ```
 
 use rbd_bench::harness::{fmt_ns, Bench};
 use rbd_dynamics::{
-    fd_derivatives, lanes::LaneWorkspace, rk4_rollout_lanes_into, BatchEval, DynamicsWorkspace,
-    FdDerivatives, LaneRolloutScratch, SamplePoint,
+    fd_derivatives, fd_derivatives_lanes_into, lanes::LaneWorkspace, rk4_rollout_lanes_into,
+    BatchEval, DynamicsWorkspace, FdDerivatives, LaneFdScratch, LaneRolloutScratch, SamplePoint,
 };
 use rbd_model::{random_state, robots, RobotModel};
 use std::process::ExitCode;
@@ -42,6 +50,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut min_speedup = 1.5_f64;
     let mut min_lane_speedup = 1.8_f64;
+    let mut min_lane_dfd_speedup = 1.3_f64;
     let mut threads = 4_usize;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -53,11 +62,12 @@ fn main() -> ExitCode {
         match a.as_str() {
             "--min-speedup" => min_speedup = num("--min-speedup"),
             "--min-lane-speedup" => min_lane_speedup = num("--min-lane-speedup"),
+            "--min-lane-dfd-speedup" => min_lane_dfd_speedup = num("--min-lane-dfd-speedup"),
             "--threads" => threads = num("--threads") as usize,
             other => {
                 eprintln!(
                     "unknown flag {other}; usage: scaling_check [--min-speedup X] \
-                     [--threads N] [--min-lane-speedup Y]"
+                     [--threads N] [--min-lane-speedup Y] [--min-lane-dfd-speedup Z]"
                 );
                 return ExitCode::from(2);
             }
@@ -97,6 +107,16 @@ fn main() -> ExitCode {
         }
     }
     println!("correctness: outputs bit-identical to the serial loop at 1 and {threads} worker(s)");
+    for (width, r) in [
+        (1, lane_dfd::<1>(&model, &points, Some(&serial))),
+        (4, lane_dfd::<4>(&model, &points, Some(&serial))),
+    ] {
+        if let Err(k) = r {
+            eprintln!("scaling_check: lane{width} ΔFD point {k} differs from the serial loop");
+            return ExitCode::FAILURE;
+        }
+    }
+    println!("correctness: lane ΔFD at widths 1 and 4 bit-identical to the serial loop");
 
     // ---- Lane correctness: lane-1 reference trajectories, then lane
     //      width 4 and the padded lane-group pool dispatch at 1 and
@@ -163,7 +183,87 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
+
+    // Lane ΔFD speedup: the same 64 points at lane width 4 vs 1.
+    let (dfd1, dfd4) = (
+        lane_dfd::<1>(&model, &points, None).unwrap_or(f64::NAN),
+        lane_dfd::<4>(&model, &points, None).unwrap_or(f64::NAN),
+    );
+    println!(
+        "atlas dFD batch64 @ lane1: median {}, @ lane4: median {}",
+        fmt_ns(dfd1),
+        fmt_ns(dfd4)
+    );
+    let dfd_speedup = dfd1 / dfd4;
+    println!(
+        "lane4 vs lane1 per-sample dFD throughput: {dfd_speedup:.2}x \
+         (required ≥ {min_lane_dfd_speedup:.2}x)"
+    );
+    if dfd_speedup.is_nan() || dfd_speedup < min_lane_dfd_speedup {
+        eprintln!(
+            "scaling_check: FAILED — lane4 dFD speedup {dfd_speedup:.2}x < \
+             {min_lane_dfd_speedup:.2}x"
+        );
+        return ExitCode::FAILURE;
+    }
     ExitCode::SUCCESS
+}
+
+/// The 64 ΔFD points through `fd_derivatives_lanes_into` at lane width
+/// `K` on one executor. With `serial`, checks every output against it
+/// bitwise (`Err(point)` on the first mismatch) and returns 0; without,
+/// returns the median latency of the whole batch in ns.
+fn lane_dfd<const K: usize>(
+    model: &RobotModel,
+    points: &[SamplePoint],
+    serial: Option<&[FdDerivatives]>,
+) -> Result<f64, usize> {
+    let (nq, nv) = (model.nq(), model.nv());
+    let packed: Vec<[Vec<f64>; 3]> = points
+        .chunks(K)
+        .map(|group| {
+            let mut lanes = [vec![0.0; K * nq], vec![0.0; K * nv], vec![0.0; K * nv]];
+            for (l, (q, qd, tau)) in group.iter().enumerate() {
+                lanes[0][l * nq..(l + 1) * nq].copy_from_slice(q);
+                lanes[1][l * nv..(l + 1) * nv].copy_from_slice(qd);
+                lanes[2][l * nv..(l + 1) * nv].copy_from_slice(tau);
+            }
+            lanes
+        })
+        .collect();
+    let mut lws = LaneWorkspace::<K>::new(model);
+    let mut scratch = LaneFdScratch::<K>::new(model);
+    let mut outs = vec![FdDerivatives::zeros(nv); points.len()];
+    let mut run = |outs: &mut [FdDerivatives]| {
+        for ([q, qd, tau], group_outs) in packed.iter().zip(outs.chunks_mut(K)) {
+            fd_derivatives_lanes_into(model, &mut lws, &mut scratch, q, qd, tau, group_outs)
+                .unwrap();
+        }
+    };
+    let Some(serial) = serial else {
+        let mut group = Bench::new("lanes").quiet();
+        let e = group.bench(&format!("dFD_lane{K}"), || run(&mut outs));
+        return Ok(e.median_ns);
+    };
+    run(&mut outs);
+    let bits = |d: &FdDerivatives| {
+        let mats = [&d.dqdd_dq, &d.dqdd_dqd, &d.dqdd_dtau];
+        let entries = mats
+            .into_iter()
+            .flat_map(|m| (0..m.rows()).flat_map(|i| m.row(i)));
+        entries
+            .chain(&d.qdd)
+            .map(|x| x.to_bits())
+            .collect::<Vec<_>>()
+    };
+    match outs
+        .iter()
+        .zip(serial)
+        .position(|(b, s)| bits(b) != bits(s))
+    {
+        Some(k) => Err(k),
+        None => Ok(0.0),
+    }
 }
 
 /// Lane-packed initial states of the 64-sample rollout gate.

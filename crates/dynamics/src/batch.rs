@@ -14,8 +14,9 @@
 //!
 //! All entry points share one dispatch body,
 //! [`BatchEval::for_each_lane_groups`]: the per-item entry points
-//! (`for_each_with_scratch`, `for_each_into`, `fd_derivatives_batch`)
-//! are lane groups of width 1. Each executor owns a
+//! (`for_each_with_scratch`, `for_each_into`) are lane groups of width
+//! 1, and `fd_derivatives_batch` runs the lane ΔFD on groups of
+//! [`LANE_WIDTH`]. Each executor owns a
 //! [`DynamicsWorkspace`] **and a caller-provided generic scratch slot**
 //! (any `S: Send`), which is what lets consumers like iLQR route
 //! per-point work through fully preallocated state (e.g.
@@ -48,6 +49,7 @@
 //! ```
 
 use crate::fd::{fd_derivatives_into, FdDerivatives};
+use crate::lanes::{fd_derivatives_lanes_into, LaneFdScratch, LaneWorkspace, LANE_WIDTH};
 use crate::ops;
 use crate::pool::WorkerPool;
 use crate::workspace::DynamicsWorkspace;
@@ -102,6 +104,71 @@ pub struct BatchEval<'m> {
     point_flops: f64,
     /// Executors engaged by the most recent dispatch.
     last_workers: usize,
+    /// One lane-ΔFD slot per executor; empty until the first
+    /// [`BatchEval::fd_derivatives_batch`].
+    lane_fd: Vec<LaneFdSlot>,
+}
+
+/// An executor's lane-ΔFD state: the lane workspaces and the lane-major
+/// inputs of the group it is evaluating.
+struct LaneFdSlot {
+    lws: LaneWorkspace<LANE_WIDTH>,
+    scratch: LaneFdScratch<LANE_WIDTH>,
+    q: Vec<f64>,
+    qd: Vec<f64>,
+    tau: Vec<f64>,
+}
+
+impl LaneFdSlot {
+    fn new(model: &RobotModel) -> Self {
+        Self {
+            lws: LaneWorkspace::new(model),
+            scratch: LaneFdScratch::new(model),
+            q: vec![0.0; LANE_WIDTH * model.nq()],
+            qd: vec![0.0; LANE_WIDTH * model.nv()],
+            tau: vec![0.0; LANE_WIDTH * model.nv()],
+        }
+    }
+
+    /// ΔFD of one lane group (`group.len() <= LANE_WIDTH`, a short group
+    /// padded with copies of its first point). A group with a singular
+    /// lane is re-run point by point through the scalar kernel, so its
+    /// outputs and error are those of the serial loop.
+    fn eval(
+        &mut self,
+        model: &RobotModel,
+        ws: &mut DynamicsWorkspace,
+        group: &[SamplePoint],
+        outs: &mut [FdDerivatives],
+    ) -> Result<(), DynamicsError> {
+        let (nq, nv) = (model.nq(), model.nv());
+        for l in 0..LANE_WIDTH {
+            let (q, qd, tau) = group.get(l).unwrap_or(&group[0]);
+            self.q[l * nq..(l + 1) * nq].copy_from_slice(q);
+            self.qd[l * nv..(l + 1) * nv].copy_from_slice(qd);
+            self.tau[l * nv..(l + 1) * nv].copy_from_slice(tau);
+        }
+        let lanes = fd_derivatives_lanes_into(
+            model,
+            &mut self.lws,
+            &mut self.scratch,
+            &self.q,
+            &self.qd,
+            &self.tau,
+            outs,
+        );
+        if lanes.is_ok() {
+            return lanes;
+        }
+        let mut first = Ok(());
+        for ((q, qd, tau), out) in group.iter().zip(outs) {
+            let r = fd_derivatives_into(model, ws, q, qd, tau, None, out);
+            if first.is_ok() {
+                first = r;
+            }
+        }
+        first
+    }
 }
 
 impl std::fmt::Debug for BatchEval<'_> {
@@ -138,6 +205,7 @@ impl<'m> BatchEval<'m> {
             pool: (executors > 1).then(|| WorkerPool::spawn(executors - 1)),
             point_flops: ops::delta_fd_flops(model),
             last_workers: 0,
+            lane_fd: Vec::new(),
         }
     }
 
@@ -370,11 +438,16 @@ impl<'m> BatchEval<'m> {
     }
 
     /// Batched `ΔFD` over sampling points `(q, q̇, τ)`: fills `outs[k]`
-    /// with the derivatives at point `k`. Zero allocation in steady state
-    /// (reuse `outs` across calls).
+    /// with the derivatives at point `k`, bit-identical to
+    /// [`fd_derivatives_into`] point by point. The points run through the
+    /// lane kernel ([`fd_derivatives_lanes_into`]) in groups of
+    /// [`LANE_WIDTH`], the last group padded. The first call allocates one
+    /// lane workspace per executor; after that, zero allocation in steady
+    /// state (reuse `outs` across calls).
     ///
     /// # Errors
-    /// Returns the first singular-mass-matrix error in point order.
+    /// Returns the first singular-mass-matrix error in point order; every
+    /// other point's output is still written.
     ///
     /// # Panics
     /// Panics if `points` and `outs` lengths differ.
@@ -383,9 +456,23 @@ impl<'m> BatchEval<'m> {
         points: &[SamplePoint],
         outs: &mut [FdDerivatives],
     ) -> Result<(), DynamicsError> {
-        self.for_each_into(points, outs, |model, ws, _, (q, qd, tau), out| {
-            fd_derivatives_into(model, ws, q, qd, tau, None, out)
-        })
+        // The slots move out for the dispatch (a pointer move, no heap
+        // traffic) so `self` can be borrowed alongside them.
+        let mut slots = std::mem::take(&mut self.lane_fd);
+        if slots.is_empty() {
+            slots = (0..self.threads())
+                .map(|_| LaneFdSlot::new(self.model))
+                .collect();
+        }
+        let r = self.for_each_lane_groups(
+            LANE_WIDTH,
+            points,
+            outs,
+            &mut slots,
+            |model, ws, slot, _, group, group_outs| slot.eval(model, ws, group, group_outs),
+        );
+        self.lane_fd = slots;
+        r
     }
 }
 
@@ -556,7 +643,7 @@ mod tests {
         // dispatch must stay inline even with a big pool.
         let model = robots::serial_chain(2);
         let mut batch = BatchEval::with_threads(&model, 4);
-        let pts = points(&model, 3);
+        let pts = points(&model, 9);
         let mut outs = vec![FdDerivatives::zeros(model.nv()); pts.len()];
         batch.fd_derivatives_batch(&pts, &mut outs).unwrap();
         assert_eq!(batch.last_workers(), 1);
@@ -564,7 +651,7 @@ mod tests {
         // Scaling the per-point estimate up forces the parallel path.
         batch.set_point_flops(1e9);
         batch.fd_derivatives_batch(&pts, &mut outs).unwrap();
-        assert_eq!(batch.last_workers(), 3, "clamped by item count");
+        assert_eq!(batch.last_workers(), 3, "clamped by lane-group count");
     }
 
     #[test]
@@ -791,6 +878,59 @@ mod tests {
         }
         // Spawn-and-drop without ever dispatching.
         drop(BatchEval::with_threads(&model, 5));
+    }
+
+    /// A singular point inside a lane group: the batch returns the
+    /// serial loop's error and still writes every other point, bitwise.
+    #[test]
+    fn singular_point_in_a_lane_group_matches_serial_loop() {
+        use rbd_model::{JointType, ModelBuilder};
+        use rbd_spatial::{Mat3, SpatialInertia, Vec3, Xform};
+        // Yaw joint with a massless link, then a pitch joint whose tip
+        // mass sits on the yaw axis at zero pitch: M is singular there.
+        let mut b = ModelBuilder::new("pointing_arm");
+        let yaw = b.add_body(
+            "yaw",
+            None,
+            JointType::revolute_z(),
+            Xform::identity(),
+            SpatialInertia::zero(),
+        );
+        b.add_body(
+            "tip",
+            Some(yaw),
+            JointType::revolute_x(),
+            Xform::identity(),
+            SpatialInertia::from_mass_com_inertia(1.0, Vec3::new(0.0, 0.0, 0.5), Mat3::zero()),
+        );
+        let model = b.build();
+        let pts: Vec<SamplePoint> = (0..6)
+            .map(|i| {
+                let pitch = if i == 2 || i == 5 {
+                    0.0
+                } else {
+                    0.2 + 0.1 * i as f64
+                };
+                (vec![0.1, pitch], vec![0.3, -0.2], vec![0.5, 0.1])
+            })
+            .collect();
+        let mut ws = DynamicsWorkspace::new(&model);
+        let mut serial = vec![FdDerivatives::zeros(2); pts.len()];
+        let mut serial_err = None;
+        for (p, out) in pts.iter().zip(serial.iter_mut()) {
+            if let Err(e) = fd_derivatives_into(&model, &mut ws, &p.0, &p.1, &p.2, None, out) {
+                serial_err.get_or_insert(e);
+            }
+        }
+        let mut batch = BatchEval::with_threads(&model, 1);
+        let mut outs = vec![FdDerivatives::zeros(2); pts.len()];
+        let err = batch.fd_derivatives_batch(&pts, &mut outs).unwrap_err();
+        assert_eq!(Some(err), serial_err);
+        for k in [0, 1, 3, 4] {
+            assert_eq!(outs[k].dqdd_dq, serial[k].dqdd_dq, "point {k}");
+            assert_eq!(outs[k].dqdd_dqd, serial[k].dqdd_dqd, "point {k}");
+            assert_eq!(outs[k].qdd, serial[k].qdd, "point {k}");
+        }
     }
 
     #[test]

@@ -12,6 +12,13 @@
 //! All entry points have `*_into` variants that reuse caller-held
 //! outputs and workspace scratch, performing zero heap allocation in
 //! steady state.
+//!
+//! [`fd_derivatives_into`] is the per-point kernel and the one that
+//! takes external forces. Batches of points without external forces
+//! (`BatchEval::fd_derivatives_batch`) run the lane kernel
+//! [`crate::fd_derivatives_lanes_into`] instead, which repeats this
+//! pipeline's op sequence on four points at once and equals it bit for
+//! bit.
 
 use crate::derivatives::rnea_derivatives_into;
 use crate::mminv::mminv_gen_into;

@@ -17,18 +17,22 @@
 //! * [`forward_dynamics_aba_lanes_in_ws`] mirrors [`crate::aba_in_ws`]
 //!   (without external forces);
 //! * [`rk4_rollout_lanes_into`] mirrors a scalar RK4 step over
-//!   [`crate::aba_in_ws`], run per sample.
+//!   [`crate::aba_in_ws`], run per sample;
+//! * [`fd_derivatives_lanes_into`] mirrors [`crate::fd_derivatives_into`]
+//!   (without external forces): MMinvGen, the bias force, IDSVA and the
+//!   `−M⁻¹·∂τ` gather, each sweep lane by lane.
 //!
 //! Lane `l` of any output is therefore **bit-identical** to running
 //! the scalar kernel on lane `l`'s inputs, and no lane reads another
 //! lane's inputs. `tests/lane_equivalence.rs` pins this per model
-//! (floating base included) against [`crate::aba_in_ws`] and a
-//! test-local scalar RK4 reference, and `tests/lane_properties.rs` at
-//! seeded random states. The lane
-//! kernels are the only rollout path: batch consumers cut a sample
-//! batch into lane groups (`BatchEval::for_each_lane_groups`) and pad
-//! the last, short group with copies of one of its samples, and the
-//! result is still indistinguishable from the serial per-sample loop.
+//! (floating base included) against [`crate::aba_in_ws`], a test-local
+//! scalar RK4 reference and [`crate::fd_derivatives_into`], and
+//! `tests/lane_properties.rs` at seeded random states. The lane
+//! kernels are the only rollout path and the batched-ΔFD path: batch
+//! consumers cut a sample batch into lane groups
+//! (`BatchEval::for_each_lane_groups`) and pad the last, short group
+//! with copies of one of its samples, and the result is still
+//! indistinguishable from the serial per-sample loop.
 //!
 //! # Memory layout
 //!
@@ -380,36 +384,62 @@ fn invert_spd_small_lanes<const K: usize>(
     Ok(())
 }
 
+/// Inverts every lane's `ni × ni` joint-space block `d` into `out`,
+/// bit-identical to `invert_spd_small` per lane: the 1-DOF reciprocal
+/// (same pivot check, without the 6×6 extract/scatter round-trip) or
+/// the lane LDLᵀ.
+#[inline(always)]
+fn invert_block_lanes<const K: usize>(
+    d: &[[[f64; K]; 6]; 6],
+    ni: usize,
+    out: &mut [[[f64; K]; 6]; 6],
+) -> Result<(), DynamicsError> {
+    if ni > 1 {
+        return invert_spd_small_lanes(d, ni, out).map_err(DynamicsError::from);
+    }
+    for (l, &x) in d[0][0].iter().enumerate() {
+        if x.abs() < 1e-12 {
+            return Err(DynamicsError::SingularMassMatrix(
+                rbd_spatial::matn::FactorizationError::ZeroPivot { index: 0 },
+            ));
+        }
+        out[0][0][l] = 1.0 / x;
+    }
+    Ok(())
+}
+
 /// Defines the public entry point `$name` around the `#[inline(always)]`
-/// body `$body`. On x86-64 hosts with AVX2 (runtime-detected, once per
-/// call) the entry point runs an AVX2-compiled clone of the body, in
-/// which every inlined callee is compiled for AVX2 too; elsewhere it
-/// runs the baseline build. The per-lane op sequences are the same in
-/// both — IEEE f64 arithmetic does not depend on the vector width — so
-/// outputs stay bit-identical; only the codegen widens from 2-wide SSE2
-/// to 4-wide registers.
+/// body `$body`, plus `$avx2`, a clone of the body compiled for AVX2 (in
+/// which every inlined callee is compiled for AVX2 too). On x86-64 hosts
+/// with AVX2 (runtime-detected, once per call) the entry point runs the
+/// clone; elsewhere it runs the baseline build. The per-lane op
+/// sequences are the same in both — IEEE f64 arithmetic does not depend
+/// on the vector width — so outputs stay bit-identical; only the codegen
+/// widens from 2-wide SSE2 to 4-wide registers
+/// (`tests::avx2_clones_match_baseline_bodies` runs both).
 macro_rules! avx2_dispatch {
     (
         $(#[$attr:meta])*
         pub fn $name:ident<const $k:ident: usize>($($arg:ident: $ty:ty),* $(,)?)
-            $(-> $ret:ty)? => $body:ident
+            $(-> $ret:ty)? => $body:ident, $avx2:ident
     ) => {
+        /// AVX2-compiled clone of the body.
+        ///
+        /// # Safety
+        /// The caller must have verified AVX2 support at runtime.
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx2")]
+        #[allow(clippy::too_many_arguments)]
+        pub(crate) unsafe fn $avx2<const $k: usize>($($arg: $ty),*) $(-> $ret)? {
+            $body($($arg),*)
+        }
+
         $(#[$attr])*
         pub fn $name<const $k: usize>($($arg: $ty),*) $(-> $ret)? {
-            /// AVX2-compiled clone of the body.
-            ///
-            /// # Safety
-            /// The caller must have verified AVX2 support at runtime.
-            #[cfg(target_arch = "x86_64")]
-            #[target_feature(enable = "avx2")]
-            #[allow(clippy::too_many_arguments)]
-            unsafe fn avx2<const $k: usize>($($arg: $ty),*) $(-> $ret)? {
-                $body($($arg),*)
-            }
             #[cfg(target_arch = "x86_64")]
             if std::arch::is_x86_feature_detected!("avx2") {
                 // SAFETY: AVX2 presence was just verified at runtime.
-                return unsafe { avx2($($arg),*) };
+                return unsafe { $avx2($($arg),*) };
             }
             $body($($arg),*)
         }
@@ -435,7 +465,7 @@ pub fn forward_dynamics_aba_lanes_in_ws<const K: usize>(
     q: &[f64],
     qd: &[f64],
     tau: &[f64],
-) -> Result<(), DynamicsError> => fd_aba_lanes_impl
+) -> Result<(), DynamicsError> => fd_aba_lanes_impl, fd_aba_lanes_avx2
 }
 
 #[inline(always)]
@@ -484,23 +514,7 @@ fn fd_aba_lanes_impl<const K: usize>(
                 *db = lws.u[vo + b].dot_scalar_motion(&lws.s[vo + ar]);
             }
         }
-        if ni == 1 {
-            // 1-DOF fast path: the same |d| pivot check + reciprocal
-            // `invert_spd_small` performs for n = 1, without the 6×6
-            // extract/scatter round-trip per lane.
-            let d00 = d[0][0];
-            let di = &mut lws.d_inv[i];
-            for (l, &x) in d00.iter().enumerate() {
-                if x.abs() < 1e-12 {
-                    return Err(DynamicsError::SingularMassMatrix(
-                        rbd_spatial::matn::FactorizationError::ZeroPivot { index: 0 },
-                    ));
-                }
-                di[0][0][l] = 1.0 / x;
-            }
-        } else {
-            invert_spd_small_lanes(&d, ni, &mut lws.d_inv[i]).map_err(DynamicsError::from)?;
-        }
+        invert_block_lanes(&d, ni, &mut lws.d_inv[i])?;
         for k in 0..ni {
             lws.ub[vo + k] = lane_sub(
                 lws.tau_l[vo + k],
@@ -566,6 +580,9 @@ fn fd_aba_lanes_impl<const K: usize>(
     }
     Ok(())
 }
+
+mod dfd;
+pub use dfd::{fd_derivatives_lanes_into, LaneFdScratch};
 
 // ---------------------------------------------------------------------
 // RK4 rollout kernel (the sampling-MPC workload unit).
@@ -643,7 +660,7 @@ pub fn rk4_rollout_lanes_into<const K: usize>(
     dt: f64,
     q_traj: &mut [f64],
     qd_traj: &mut [f64],
-) -> Result<(), DynamicsError> => rk4_rollout_lanes_impl
+) -> Result<(), DynamicsError> => rk4_rollout_lanes_impl, rk4_rollout_lanes_avx2
 }
 
 #[inline(always)]
@@ -770,4 +787,122 @@ fn rk4_rollout_lanes_impl<const K: usize>(
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::FdDerivatives;
+    use rbd_model::{random_state, robots};
+
+    fn bits<'a>(x: impl IntoIterator<Item = &'a f64>) -> Vec<u64> {
+        x.into_iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn fd_bits(d: &FdDerivatives) -> Vec<u64> {
+        let mut out = bits(&d.qdd);
+        for m in [&d.dqdd_dq, &d.dqdd_dqd, &d.dqdd_dtau] {
+            for i in 0..m.rows() {
+                out.extend(bits(m.row(i)));
+            }
+        }
+        out
+    }
+
+    /// Stress test of the `avx2_dispatch!` `unsafe` blocks: every
+    /// dispatched body runs through its AVX2 clone (when the host has
+    /// AVX2) and through the baseline build, on seeded states of the six
+    /// lane-test models, and the two must agree bit for bit.
+    #[test]
+    fn avx2_clones_match_baseline_bodies() {
+        const K: usize = 4;
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        let models = [
+            robots::iiwa(),
+            robots::hyq(),
+            robots::quadruped_arm(),
+            robots::atlas(),
+            robots::serial_chain(3),
+            robots::random_tree(9, 7),
+        ];
+        for model in &models {
+            let (nq, nv) = (model.nq(), model.nv());
+            let horizon = 2;
+            let mut runs = [
+                (
+                    LaneWorkspace::<K>::new(model),
+                    LaneRolloutScratch::for_model(model, K),
+                ),
+                (
+                    LaneWorkspace::<K>::new(model),
+                    LaneRolloutScratch::for_model(model, K),
+                ),
+            ];
+            let mut fd_scratch = [
+                LaneFdScratch::<K>::new(model),
+                LaneFdScratch::<K>::new(model),
+            ];
+            for seed in 0..4 {
+                let mut q = vec![0.0; K * nq];
+                let mut qd = vec![0.0; K * nv];
+                for l in 0..K {
+                    let s = random_state(model, 50 * seed + l as u64);
+                    q[l * nq..(l + 1) * nq].copy_from_slice(&s.q);
+                    qd[l * nv..(l + 1) * nv].copy_from_slice(&s.qd);
+                }
+                let tau: Vec<f64> = (0..K * nv).map(|i| 0.3 - 0.01 * (i % 17) as f64).collect();
+                let us: Vec<f64> = (0..K * horizon * nv)
+                    .map(|i| 0.1 - 0.002 * i as f64)
+                    .collect();
+                let mut qdd = [vec![], vec![]];
+                let mut traj = [(vec![], vec![]), (vec![], vec![])];
+                let mut dfd = [
+                    vec![FdDerivatives::default(); K],
+                    vec![FdDerivatives::default(); K],
+                ];
+                for (r, (lws, rs)) in runs.iter_mut().enumerate() {
+                    let (qt, qdt) = &mut traj[r];
+                    qt.resize(K * (horizon + 1) * nq, 0.0);
+                    qdt.resize(K * (horizon + 1) * nv, 0.0);
+                    let sc = &mut fd_scratch[r];
+                    let outs = &mut dfd[r];
+                    if r == 0 || !avx2 {
+                        fd_aba_lanes_impl(model, lws, &q, &qd, &tau).unwrap();
+                        qdd[r] = bits(lws.qdd_lanes().iter().flatten());
+                        rk4_rollout_lanes_impl(
+                            model, lws, rs, &q, &qd, &us, horizon, 0.01, qt, qdt,
+                        )
+                        .unwrap();
+                        dfd::fd_lanes_impl(model, lws, sc, &q, &qd, &tau, outs).unwrap();
+                        continue;
+                    }
+                    #[cfg(target_arch = "x86_64")]
+                    // SAFETY: AVX2 support was detected above.
+                    unsafe {
+                        fd_aba_lanes_avx2(model, lws, &q, &qd, &tau).unwrap();
+                        qdd[r] = bits(lws.qdd_lanes().iter().flatten());
+                        rk4_rollout_lanes_avx2(
+                            model, lws, rs, &q, &qd, &us, horizon, 0.01, qt, qdt,
+                        )
+                        .unwrap();
+                        dfd::fd_lanes_avx2(model, lws, sc, &q, &qd, &tau, outs).unwrap();
+                    }
+                }
+                let what = format!("{} seed {seed} (AVX2 {avx2})", model.name());
+                assert_eq!(qdd[0], qdd[1], "{what}: ABA");
+                assert_eq!(bits(&traj[0].0), bits(&traj[1].0), "{what}: rollout q");
+                assert_eq!(bits(&traj[0].1), bits(&traj[1].1), "{what}: rollout q̇");
+                for l in 0..K {
+                    assert_eq!(
+                        fd_bits(&dfd[0][l]),
+                        fd_bits(&dfd[1][l]),
+                        "{what}: ΔFD lane {l}"
+                    );
+                }
+            }
+        }
+    }
 }

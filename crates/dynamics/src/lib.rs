@@ -114,8 +114,8 @@ pub use fd::{
 pub use finite_diff::{fd_derivatives_numeric, rnea_derivatives_numeric};
 pub use idsva::rnea_derivatives_idsva_into;
 pub use lanes::{
-    forward_dynamics_aba_lanes_in_ws, rk4_rollout_lanes_into, LaneRolloutScratch, LaneWorkspace,
-    LANE_WIDTH,
+    fd_derivatives_lanes_into, forward_dynamics_aba_lanes_in_ws, rk4_rollout_lanes_into,
+    LaneFdScratch, LaneRolloutScratch, LaneWorkspace, LANE_WIDTH,
 };
 pub use mminv::{mminv_gen, mminv_gen_into, MMinvOutput};
 pub use momentum::{center_of_mass, spatial_momentum, total_mass};

@@ -1,18 +1,22 @@
-//! Pins the K-lane lockstep sweeps (ABA and the RK4 rollout over it)
-//! **bit-identical** to their scalar counterparts on every test model (floating base included), at lane
-//! widths 1, 2 and 4, across randomized states: lane `l` of any lane
-//! kernel output must equal the scalar kernel run on lane `l`'s inputs
-//! with `==`, not a tolerance. The lane rollout's scalar counterpart is
-//! the test-local RK4 over `aba_in_ws` in `support/rk4.rs`.
+//! Pins the K-lane lockstep sweeps (ABA, the RK4 rollout over it and
+//! ΔFD) **bit-identical** to their scalar counterparts on every test
+//! model (floating base included), at lane widths 1, 2 and 4, across
+//! randomized states: lane `l` of any lane kernel output must equal the
+//! scalar kernel run on lane `l`'s inputs with `==`, not a tolerance.
+//! The lane rollout's scalar counterpart is the test-local RK4 over
+//! `aba_in_ws` in `support/rk4.rs`; the lane ΔFD's is
+//! `fd_derivatives_into`.
 
 #[path = "support/rk4.rs"]
 mod rk4;
 
 use rbd_dynamics::{
-    aba_in_ws, forward_dynamics_aba_lanes_in_ws, lanes::LaneWorkspace, rk4_rollout_lanes_into,
-    DynamicsWorkspace, LaneRolloutScratch,
+    aba_in_ws, fd_derivatives_into, fd_derivatives_lanes_into, forward_dynamics_aba_lanes_in_ws,
+    lanes::LaneWorkspace, rk4_rollout_lanes_into, DynamicsError, DynamicsWorkspace, FdDerivatives,
+    LaneFdScratch, LaneRolloutScratch,
 };
-use rbd_model::{random_state, robots, RobotModel};
+use rbd_model::{random_state, robots, JointType, ModelBuilder, RobotModel};
+use rbd_spatial::{MatN, SpatialInertia, Vec3, Xform};
 
 fn test_models() -> Vec<RobotModel> {
     vec![
@@ -128,6 +132,143 @@ fn check_rollout<const K: usize>(model: &RobotModel) {
             model.name()
         );
     }
+}
+
+fn mat_bits(m: &MatN) -> Vec<u64> {
+    (0..m.rows())
+        .flat_map(|i| (0..m.cols()).map(move |j| m[(i, j)].to_bits()))
+        .collect()
+}
+
+fn assert_fd_bits(a: &FdDerivatives, b: &FdDerivatives, what: &str) {
+    assert_eq!(mat_bits(&a.dqdd_dq), mat_bits(&b.dqdd_dq), "{what}: ∂q̈/∂q");
+    assert_eq!(
+        mat_bits(&a.dqdd_dqd),
+        mat_bits(&b.dqdd_dqd),
+        "{what}: ∂q̈/∂q̇"
+    );
+    assert_eq!(
+        mat_bits(&a.dqdd_dtau),
+        mat_bits(&b.dqdd_dtau),
+        "{what}: M⁻¹"
+    );
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&a.qdd), bits(&b.qdd), "{what}: q̈");
+}
+
+/// Lane ΔFD against `fd_derivatives_into` per lane, over two rounds on
+/// one workspace (the second must not see the first's state), the
+/// second with fewer outputs than lanes (a padded group).
+fn check_dfd<const K: usize>(model: &RobotModel) {
+    let (nq, nv) = (model.nq(), model.nv());
+    let mut lws = LaneWorkspace::<K>::new(model);
+    let mut scratch = LaneFdScratch::<K>::new(model);
+    let mut ws = DynamicsWorkspace::new(model);
+    let mut reference = FdDerivatives::zeros(nv);
+    for (round, n_out) in [(0, K), (1, K.div_ceil(2))] {
+        let (q, qd) = lane_states(model, K, 300 + 10 * round);
+        let tau = lane_controls(model, K);
+        let mut outs = vec![FdDerivatives::default(); n_out];
+        fd_derivatives_lanes_into(model, &mut lws, &mut scratch, &q, &qd, &tau, &mut outs).unwrap();
+        for (l, out) in outs.iter().enumerate() {
+            let lane = |x: &[f64], n: usize| x[l * n..(l + 1) * n].to_vec();
+            fd_derivatives_into(
+                model,
+                &mut ws,
+                &lane(&q, nq),
+                &lane(&qd, nv),
+                &lane(&tau, nv),
+                None,
+                &mut reference,
+            )
+            .unwrap();
+            let what = format!("{} ΔFD lane {l}/{K} round {round}", model.name());
+            assert_fd_bits(out, &reference, &what);
+        }
+    }
+}
+
+/// Two revolute joints at one origin (z, then x) carrying a point mass
+/// on the second joint's z axis, with a massless first link: the first
+/// joint's articulated inertia is `m L² sin² q₂`, singular at `q₂ = 0`.
+fn pointing_arm() -> RobotModel {
+    let mut b = ModelBuilder::new("pointing_arm");
+    let link0 = b.add_body(
+        "yaw",
+        None,
+        JointType::revolute_z(),
+        Xform::identity(),
+        SpatialInertia::zero(),
+    );
+    b.add_body(
+        "tip",
+        Some(link0),
+        JointType::revolute_x(),
+        Xform::identity(),
+        SpatialInertia::from_mass_com_inertia(
+            1.0,
+            Vec3::new(0.0, 0.0, 0.5),
+            rbd_spatial::Mat3::zero(),
+        ),
+    );
+    b.build()
+}
+
+#[test]
+fn lane_dfd_bit_identical_to_scalar_all_models() {
+    for model in test_models() {
+        check_dfd::<1>(&model);
+        check_dfd::<2>(&model);
+        check_dfd::<4>(&model);
+    }
+}
+
+#[test]
+fn lane_dfd_reports_a_singular_lane() {
+    let model = pointing_arm();
+    let mut ws = DynamicsWorkspace::new(&model);
+    let healthy = [0.3, 0.7];
+    let singular = [0.3, 0.0];
+    let scalar_err = fd_derivatives_into(
+        &model,
+        &mut ws,
+        &singular,
+        &[0.0; 2],
+        &[0.0; 2],
+        None,
+        &mut FdDerivatives::zeros(2),
+    )
+    .unwrap_err();
+    assert!(matches!(scalar_err, DynamicsError::SingularMassMatrix(_)));
+    let mut lws = LaneWorkspace::<4>::new(&model);
+    let mut scratch = LaneFdScratch::<4>::new(&model);
+    let mut outs = vec![FdDerivatives::zeros(2); 4];
+    for bad in 0..4 {
+        let q: Vec<f64> = (0..4)
+            .flat_map(|l| if l == bad { singular } else { healthy })
+            .collect();
+        let r = fd_derivatives_lanes_into(
+            &model,
+            &mut lws,
+            &mut scratch,
+            &q,
+            &[0.0; 8],
+            &[0.0; 8],
+            &mut outs,
+        );
+        assert_eq!(r.unwrap_err(), scalar_err, "singular lane {bad}");
+    }
+    let q: Vec<f64> = (0..4).flat_map(|_| healthy).collect();
+    fd_derivatives_lanes_into(
+        &model,
+        &mut lws,
+        &mut scratch,
+        &q,
+        &[0.0; 8],
+        &[0.0; 8],
+        &mut outs,
+    )
+    .expect("healthy lanes after a failed call");
 }
 
 #[test]

@@ -177,8 +177,8 @@ fn steady_state_kernels_do_not_allocate() {
 fn lane_kernels_do_not_allocate_in_steady_state() {
     let _serial = serialize();
     use rbd_dynamics::{
-        aba_in_ws, forward_dynamics_aba_lanes_in_ws, lanes::LaneWorkspace, rk4_rollout_lanes_into,
-        LaneRolloutScratch,
+        aba_in_ws, fd_derivatives_lanes_into, forward_dynamics_aba_lanes_in_ws,
+        lanes::LaneWorkspace, rk4_rollout_lanes_into, LaneFdScratch, LaneRolloutScratch,
     };
     const K: usize = 4;
     for model in [robots::iiwa(), robots::atlas()] {
@@ -201,9 +201,21 @@ fn lane_kernels_do_not_allocate_in_steady_state() {
         let mut q_traj = vec![0.0; K * (horizon + 1) * nq];
         let mut qd_traj = vec![0.0; K * (horizon + 1) * nv];
         let mut qdd_out = vec![0.0; nv];
+        let mut fd_scratch = LaneFdScratch::<K>::new(&model);
+        let mut fd_outs = vec![FdDerivatives::zeros(nv); K];
 
         // Warm-up: sizes the rollout scratch and the kinematics memo.
         forward_dynamics_aba_lanes_in_ws(&model, &mut lws, &q, &qd, &tau).unwrap();
+        fd_derivatives_lanes_into(
+            &model,
+            &mut lws,
+            &mut fd_scratch,
+            &q,
+            &qd,
+            &tau,
+            &mut fd_outs,
+        )
+        .unwrap();
         rk4_rollout_lanes_into(
             &model,
             &mut lws,
@@ -231,7 +243,22 @@ fn lane_kernels_do_not_allocate_in_steady_state() {
 
         // Steady state: the whole lane sweep family plus the scalar ABA
         // reference must be allocation-free.
-        let checks: [(&str, u64); 3] = [
+        let checks: [(&str, u64); 4] = [
+            (
+                "fd_derivatives_lanes_into",
+                alloc_count(|| {
+                    fd_derivatives_lanes_into(
+                        &model,
+                        &mut lws,
+                        &mut fd_scratch,
+                        &q,
+                        &qd,
+                        &tau,
+                        &mut fd_outs,
+                    )
+                    .unwrap()
+                }),
+            ),
             (
                 "forward_dynamics_aba_lanes_in_ws",
                 alloc_count(|| {
@@ -298,7 +325,8 @@ fn single_worker_batch_does_not_allocate_in_steady_state() {
     let mut outs = vec![FdDerivatives::zeros(nv); points.len()];
     let mut batch = BatchEval::with_threads(&model, 1);
 
-    // Warm-up sizes everything.
+    // Warm-up sizes everything (the lane workspaces included). Six
+    // points are a full lane group and a padded one.
     batch.fd_derivatives_batch(&points, &mut outs).unwrap();
 
     let count = alloc_count(|| batch.fd_derivatives_batch(&points, &mut outs).unwrap());

@@ -28,7 +28,7 @@
 //! assert_eq!(lanes.extract(2), a[2]);
 //! ```
 
-use crate::{ForceVec, Mat3, MotionVec, SpatialInertia, Vec3, Xform};
+use crate::{ForceVec, InertiaRate, Mat3, MotionVec, SpatialInertia, Vec3, Xform};
 
 /// Default lane width: four f64 samples per sweep (one AVX2 register,
 /// two SSE2 registers — and four independent dependency chains for the
@@ -348,6 +348,26 @@ macro_rules! impl_lane_spatial_common {
                 for k in 0..6 {
                     self.d[k] = ladd(self.d[k], r.d[k]);
                 }
+            }
+
+            /// Lane-wise difference (mirror of the scalar `Sub`).
+            #[inline(always)]
+            pub fn sub(&self, r: &Self) -> Self {
+                let mut d = self.d;
+                for k in 0..6 {
+                    d[k] = lsub(d[k], r.d[k]);
+                }
+                Self { d }
+            }
+
+            /// Lane-wise negation (mirror of the scalar `Neg`).
+            #[inline(always)]
+            pub fn neg(&self) -> Self {
+                let mut d = self.d;
+                for x in d.iter_mut() {
+                    *x = lneg(*x);
+                }
+                Self { d }
             }
 
             /// Lane-wise scale by per-lane factors (mirror of the scalar
@@ -690,6 +710,219 @@ impl<const K: usize> LaneXform<K> {
         let ang = self.rot.tr_mul_vec(&f.ang()).add(&self.trans.cross(&lin));
         LaneForceVec::new(ang, lin)
     }
+
+    /// Lane mirror of [`Xform::compose`]: `E = E_self · E_rhs`,
+    /// `r = r_rhs + E_rhsᵀ r_self`.
+    #[inline(always)]
+    pub fn compose(&self, rhs: &Self) -> Self {
+        Self {
+            rot: LaneMat3 {
+                m: lmul3(&self.rot.m, &rhs.rot.m),
+            },
+            trans: rhs.trans.add(&rhs.rot.tr_mul_vec(&self.trans)),
+        }
+    }
+}
+
+/// Lane mirror of [`Mat3::skew`]: `[0, −z, y; z, 0, −x; −y, x, 0]`.
+#[inline(always)]
+fn lskew<const K: usize>(v: &LaneVec3<K>) -> [[f64; K]; 9] {
+    let [x, y, z] = v.a;
+    let zero = [0.0; K];
+    [zero, lneg(z), y, z, zero, lneg(x), lneg(y), x, zero]
+}
+
+/// Element-wise difference of two lane 3×3 blocks (mirror of `Mat3::sub`).
+#[inline(always)]
+fn lsub9<const K: usize>(a: &[[f64; K]; 9], b: &[[f64; K]; 9]) -> [[f64; K]; 9] {
+    let mut out = *a;
+    for (o, x) in out.iter_mut().zip(b) {
+        *o = lsub(*o, *x);
+    }
+    out
+}
+
+// ---------------------------------------------------------------------
+// Lane spatial inertias and inertia rates (world-frame IDSVA quantities)
+// ---------------------------------------------------------------------
+
+/// `K` spatial inertias in compact form, lane-major: the world-frame
+/// link and composite inertias of the lane IDSVA sweep. The mass is
+/// shared by all lanes — it does not depend on the configuration, and
+/// composites add the same masses in every lane.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LaneSpatialInertia<const K: usize> {
+    mass: f64,
+    h: LaneVec3<K>,
+    i_bar: [[f64; K]; 9],
+}
+
+impl<const K: usize> LaneSpatialInertia<K> {
+    /// All-zero lanes.
+    #[inline(always)]
+    pub const fn zero() -> Self {
+        Self {
+            mass: 0.0,
+            h: LaneVec3::zero(),
+            i_bar: [[0.0; K]; 9],
+        }
+    }
+
+    /// Unpacks lane `l`.
+    pub fn extract(&self, l: usize) -> SpatialInertia {
+        let mut i_bar = [0.0; 9];
+        for (o, x) in i_bar.iter_mut().zip(&self.i_bar) {
+            *o = x[l];
+        }
+        SpatialInertia {
+            mass: self.mass,
+            h: self.h.extract(l),
+            i_bar: Mat3::from_flat(i_bar),
+        }
+    }
+
+    /// Lane mirror of [`SpatialInertia::mul_motion`]:
+    /// `f = [Ī ω + h × v ; m v − h × ω]`.
+    #[inline(always)]
+    pub fn mul_motion(&self, v: &LaneMotionVec<K>) -> LaneForceVec<K> {
+        let ang = LaneMat3 { m: self.i_bar }
+            .mul_vec(&v.ang())
+            .add(&self.h.cross(&v.lin()));
+        let lin = v.lin().scale(self.mass).sub(&self.h.cross(&v.ang()));
+        LaneForceVec::new(ang, lin)
+    }
+
+    /// Lane mirror of [`SpatialInertia::rate`]: the compact inertia rate
+    /// `v ×* I − I v×` from the velocity `v` and momentum `h = I v`.
+    #[inline(always)]
+    pub fn rate(&self, v: &LaneMotionVec<K>, h: &LaneForceVec<K>) -> LaneInertiaRate<K> {
+        let [w1, w2, w3, vl1, vl2, vl3] = v.d;
+        let m = &self.i_bar;
+        let (m11, m12, m13) = (m[0], m[1], m[2]);
+        let (m22, m23, m33) = (m[4], m[5], m[8]);
+        let c11 = smul(2.0, lsub(lmul(w2, m13), lmul(w3, m12)));
+        let c22 = smul(2.0, lsub(lmul(w3, m12), lmul(w1, m23)));
+        let c33 = smul(2.0, lsub(lmul(w1, m23), lmul(w2, m13)));
+        let c12 = lsub(ladd(lmul(w3, lsub(m11, m22)), lmul(w2, m23)), lmul(w1, m13));
+        let c13 = ladd(lsub(lmul(w2, lsub(m33, m11)), lmul(w3, m23)), lmul(w1, m12));
+        let c23 = lsub(ladd(lmul(w1, lsub(m22, m33)), lmul(w3, m13)), lmul(w2, m12));
+        let [h0, h1, h2] = self.h.a;
+        let vh = ladd(ladd(lmul(vl1, h0), lmul(vl2, h1)), lmul(vl3, h2));
+        let two_vh = smul(2.0, vh);
+        let d12 = ladd(lmul(h0, vl2), lmul(vl1, h1));
+        let d13 = ladd(lmul(h0, vl3), lmul(vl1, h2));
+        let d23 = ladd(lmul(h1, vl3), lmul(vl2, h2));
+        let k12 = lsub(c12, d12);
+        let k13 = lsub(c13, d13);
+        let k23 = lsub(c23, d23);
+        let k = [
+            lsub(c11, lsub(lmul(smul(2.0, h0), vl1), two_vh)),
+            k12,
+            k13,
+            k12,
+            lsub(c22, lsub(lmul(smul(2.0, h1), vl2), two_vh)),
+            k23,
+            k13,
+            k23,
+            lsub(c33, lsub(lmul(smul(2.0, h2), vl3), two_vh)),
+        ];
+        LaneInertiaRate { k, g: h.lin() }
+    }
+
+    /// Lane-wise `self += r` (mirror of the scalar `AddAssign`).
+    #[inline(always)]
+    pub fn add_assign(&mut self, r: &Self) {
+        self.mass += r.mass;
+        self.h = self.h.add(&r.h);
+        for (o, x) in self.i_bar.iter_mut().zip(&r.i_bar) {
+            *o = ladd(*o, *x);
+        }
+    }
+}
+
+impl SpatialInertia {
+    /// Lane mirror of [`SpatialInertia::transform_to_parent`]: this
+    /// (shared) inertia expressed through `K` lane transforms, with the
+    /// scalar expression tree per lane.
+    #[inline(always)]
+    pub fn transform_to_parent_lanes<const K: usize>(
+        &self,
+        x: &LaneXform<K>,
+    ) -> LaneSpatialInertia<K> {
+        let et_h = x.rot.tr_mul_vec(&LaneVec3::broadcast(self.h));
+        let h_a = et_h.add(&x.trans.scale(self.mass));
+        let mut i_bar = [[0.0; K]; 9];
+        for (o, &s) in i_bar.iter_mut().zip(self.i_bar.as_array()) {
+            *o = lsplat(s);
+        }
+        let i_rot = lmul3(&lmul3_tn(&x.rot.m, &i_bar), &x.rot.m);
+        let rx = lskew(&x.trans);
+        let i_bar = lsub9(
+            &lsub9(&i_rot, &lmul3(&rx, &lskew(&et_h))),
+            &lmul3(&lskew(&h_a), &rx),
+        );
+        LaneSpatialInertia {
+            mass: self.mass,
+            h: h_a,
+            i_bar,
+        }
+    }
+}
+
+/// `K` compact inertia rates ([`InertiaRate`]), lane-major.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LaneInertiaRate<const K: usize> {
+    k: [[f64; K]; 9],
+    g: LaneVec3<K>,
+}
+
+impl<const K: usize> LaneInertiaRate<K> {
+    /// All-zero lanes.
+    #[inline(always)]
+    pub const fn zero() -> Self {
+        Self {
+            k: [[0.0; K]; 9],
+            g: LaneVec3::zero(),
+        }
+    }
+
+    /// Unpacks lane `l`.
+    pub fn extract(&self, l: usize) -> InertiaRate {
+        let mut k = [0.0; 9];
+        for (o, x) in k.iter_mut().zip(&self.k) {
+            *o = x[l];
+        }
+        InertiaRate {
+            k: Mat3::from_flat(k),
+            g: self.g.extract(l),
+        }
+    }
+
+    /// Lane mirror of [`InertiaRate::mul_motion`]:
+    /// `[K ω + g × v ; −(g × ω)]`.
+    #[inline(always)]
+    pub fn mul_motion(&self, m: &LaneMotionVec<K>) -> LaneForceVec<K> {
+        let w = m.ang();
+        let ang = LaneMat3 { m: self.k }
+            .mul_vec(&w)
+            .add(&self.g.cross(&m.lin()));
+        let gw = self.g.cross(&w);
+        LaneForceVec::new(
+            ang,
+            LaneVec3 {
+                a: [lneg(gw.a[0]), lneg(gw.a[1]), lneg(gw.a[2])],
+            },
+        )
+    }
+
+    /// Lane-wise `self += r` (mirror of the scalar `AddAssign`).
+    #[inline(always)]
+    pub fn add_assign(&mut self, r: &Self) {
+        for (o, x) in self.k.iter_mut().zip(&r.k) {
+            *o = ladd(*o, *x);
+        }
+        self.g = self.g.add(&r.g);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -745,6 +978,14 @@ impl<const K: usize> LaneMat6<K> {
             m[k] = lsplat(a[k]);
         }
         Self { m }
+    }
+
+    /// Lane-wise `self += r` (mirror of `Mat6`'s `AddAssign`).
+    #[inline(always)]
+    pub fn add_assign(&mut self, r: &Self) {
+        for (o, x) in self.m.iter_mut().zip(&r.m) {
+            *o = ladd(*o, *x);
+        }
     }
 
     /// Unpacks lane `l`.
@@ -1114,6 +1355,47 @@ mod tests {
                 scalar_dest.as_array(),
                 "lane {l}"
             );
+        }
+    }
+
+    #[test]
+    fn idsva_kernels_match_scalar_bitwise() {
+        let xs = sample_xforms();
+        let ms = sample_motions();
+        let fs = sample_forces();
+        let mut rot = sample_xforms();
+        rot.rotate_left(1);
+        let lx: LaneXform<K> = LaneXform::gather(&xs);
+        let lr: LaneXform<K> = LaneXform::gather(&rot);
+        let lm: LaneMotionVec<K> = LaneMotionVec::gather(&ms);
+        let lf: LaneForceVec<K> = LaneForceVec::gather(&fs);
+        let link = SpatialInertia::from_mass_com_inertia(
+            3.0,
+            Vec3::new(0.1, -0.2, 0.3),
+            Mat3::diagonal(Vec3::new(0.02, 0.03, 0.04)),
+        );
+
+        let composed = lx.compose(&lr);
+        let iw = link.transform_to_parent_lanes(&lx);
+        let h = iw.mul_motion(&lm);
+        let rate = iw.rate(&lm, &h);
+        let mut sum = iw;
+        sum.add_assign(&link.transform_to_parent_lanes(&lr));
+        let mut rate_sum = rate;
+        rate_sum.add_assign(&rate);
+        for l in 0..K {
+            assert_eq!(composed.extract(l), xs[l].compose(&rot[l]), "lane {l}");
+            let iw_l = link.transform_to_parent(&xs[l]);
+            assert_eq!(iw.extract(l), iw_l, "lane {l}");
+            let h_l = iw_l.mul_motion(&ms[l]);
+            assert_eq!(h.extract(l), h_l, "lane {l}");
+            let rate_l = iw_l.rate(&ms[l], &h_l);
+            assert_eq!(rate.extract(l), rate_l, "lane {l}");
+            assert_eq!(rate.mul_motion(&lm).extract(l), rate_l.mul_motion(&ms[l]));
+            assert_eq!(sum.extract(l), iw_l + link.transform_to_parent(&rot[l]));
+            assert_eq!(rate_sum.extract(l), rate_l + rate_l);
+            assert_eq!(lm.sub(&lm.neg()).extract(l), ms[l] - (-ms[l]));
+            assert_eq!(lf.sub(&lf.neg()).extract(l), fs[l] - (-fs[l]));
         }
     }
 

@@ -43,7 +43,8 @@ pub mod xform;
 
 pub use inertia::{InertiaRate, SpatialInertia};
 pub use lane::{
-    LaneForceVec, LaneMat3, LaneMat6, LaneMotionVec, LaneVec3, LaneXform, DEFAULT_LANE_WIDTH,
+    LaneForceVec, LaneInertiaRate, LaneMat3, LaneMat6, LaneMotionVec, LaneSpatialInertia, LaneVec3,
+    LaneXform, DEFAULT_LANE_WIDTH,
 };
 pub use mat3::Mat3;
 pub use mat6::Mat6;

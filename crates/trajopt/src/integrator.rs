@@ -195,10 +195,31 @@ impl Rk4SensScratch {
     }
 }
 
+/// The incoming state sensitivities of one RK4 stage. The first two
+/// stages have structural identities whose chain-rule products are
+/// exact copies or scalings, so they skip those products.
+#[derive(Clone, Copy)]
+enum StageInput<'a> {
+    /// Stage 1: `s_q = (I, 0, 0)`, `s_q̇ = (0, I, 0)`.
+    First,
+    /// Stage 2: `s_q = (I, c·I, 0)` with `c = h/2`, `s_q̇` general.
+    Second { c: f64, sqd: &'a Sens },
+    /// Stages 3 and 4: both general.
+    General { sq: &'a Sens, sqd: &'a Sens },
+}
+
 /// One ΔFD chain-rule stage: evaluates ΔFD at `(q_i, qd_i)` into
 /// `scratch-owned` storage, adding its wall time to `dfd_s`, and forms
 /// the stage acceleration sensitivity
 /// `ka = J_q·sq + J_qd·sqd (+ M⁻¹ on the u block)`.
+///
+/// With the identity and zero blocks of [`StageInput::First`] and
+/// [`StageInput::Second`] that product reduces, bit for bit (finite
+/// Jacobians), to what the general product computes: `mul_mat_into`
+/// accumulates from `+0.0` and the products with the zero entries add
+/// signed zeros, so `J·I` is `0.0 + J`, `J·(c·I)` is `0.0 + J·c` and
+/// `J·0` is `+0.0`. That drops 9 of the step's 24 `nv × nv` products
+/// (`tests::structured_stages_match_the_general_chain_rule_bitwise`).
 #[allow(clippy::too_many_arguments)]
 fn stage_sens(
     model: &RobotModel,
@@ -209,8 +230,7 @@ fn stage_sens(
     tau: &[f64],
     q_i: &[f64],
     qd_i: &[f64],
-    sq: &Sens,
-    sqd: &Sens,
+    input: StageInput<'_>,
     ka_out: &mut [f64],
     ka: &mut Sens,
 ) {
@@ -221,21 +241,47 @@ fn stage_sens(
     ka_out.copy_from_slice(&d.qdd);
     // k_v = qd_i → sensitivity is sqd (referenced by the caller).
     // k_a = FD(q_i, qd_i, u) → dk_a/dz = Jq·sq + Jqd·sqd (+ Minv du).
-    let mut chain2 = |a: &MatN, b: &MatN, out: &mut MatN| {
-        d.dqdd_dq.mul_mat_into(a, out);
-        d.dqdd_dqd.mul_mat_into(b, tmp);
-        for i in 0..nv {
-            for j in 0..nv {
-                out[(i, j)] += tmp[(i, j)];
+    let (jq, jqd, minv) = (&d.dqdd_dq, &d.dqdd_dqd, &d.dqdd_dtau);
+    match input {
+        StageInput::First => {
+            for i in 0..nv {
+                for j in 0..nv {
+                    ka.dq[(i, j)] = 0.0 + jq[(i, j)];
+                    ka.dqd[(i, j)] = 0.0 + jqd[(i, j)];
+                    ka.du[(i, j)] = 0.0 + minv[(i, j)];
+                }
             }
         }
-    };
-    chain2(&sq.dq, &sqd.dq, &mut ka.dq);
-    chain2(&sq.dqd, &sqd.dqd, &mut ka.dqd);
-    chain2(&sq.du, &sqd.du, &mut ka.du);
-    for i in 0..nv {
-        for j in 0..nv {
-            ka.du[(i, j)] += d.dqdd_dtau[(i, j)];
+        StageInput::Second { c, sqd } => {
+            jqd.mul_mat_into(&sqd.dq, tmp);
+            jqd.mul_mat_into(&sqd.dqd, &mut ka.dqd);
+            jqd.mul_mat_into(&sqd.du, &mut ka.du);
+            for i in 0..nv {
+                for j in 0..nv {
+                    ka.dq[(i, j)] = (0.0 + jq[(i, j)]) + tmp[(i, j)];
+                    ka.dqd[(i, j)] += 0.0 + jq[(i, j)] * c;
+                    ka.du[(i, j)] = (0.0 + ka.du[(i, j)]) + minv[(i, j)];
+                }
+            }
+        }
+        StageInput::General { sq, sqd } => {
+            let mut chain2 = |a: &MatN, b: &MatN, out: &mut MatN| {
+                jq.mul_mat_into(a, out);
+                jqd.mul_mat_into(b, tmp);
+                for i in 0..nv {
+                    for j in 0..nv {
+                        out[(i, j)] += tmp[(i, j)];
+                    }
+                }
+            };
+            chain2(&sq.dq, &sqd.dq, &mut ka.dq);
+            chain2(&sq.dqd, &sqd.dqd, &mut ka.dqd);
+            chain2(&sq.du, &sqd.du, &mut ka.du);
+            for i in 0..nv {
+                for j in 0..nv {
+                    ka.du[(i, j)] += minv[(i, j)];
+                }
+            }
         }
     }
 }
@@ -264,6 +310,25 @@ pub fn rk4_step_with_sensitivity_into(
     q_new: &mut Vec<f64>,
     qd_new: &mut Vec<f64>,
     jac: &mut StepJacobians,
+) {
+    rk4_sens_core(model, ws, scratch, q, qd, tau, h, q_new, qd_new, jac, true);
+}
+
+/// [`rk4_step_with_sensitivity_into`]; `structured = false` runs the
+/// general chain rule at every stage (the tests' oracle).
+#[allow(clippy::too_many_arguments)]
+fn rk4_sens_core(
+    model: &RobotModel,
+    ws: &mut DynamicsWorkspace,
+    scratch: &mut Rk4SensScratch,
+    q: &[f64],
+    qd: &[f64],
+    tau: &[f64],
+    h: f64,
+    q_new: &mut Vec<f64>,
+    qd_new: &mut Vec<f64>,
+    jac: &mut StepJacobians,
+    structured: bool,
 ) {
     let nv = model.nv();
     scratch.ensure_dims(model);
@@ -296,18 +361,35 @@ pub fn rk4_step_with_sensitivity_into(
 
     // Stage 1 at (q, q̇); stage-velocity sensitivities are the incoming
     // q̇-sensitivities themselves (s_k1v = s_qd0, s_k2v = s_qd2, …).
-    stage_sens(
-        model, ws, dfd_s, d, tmp, tau, q, qd, s_q0, s_qd0, k1a, s_k1a,
-    );
+    let first = if structured {
+        StageInput::First
+    } else {
+        StageInput::General {
+            sq: s_q0,
+            sqd: s_qd0,
+        }
+    };
+    stage_sens(model, ws, dfd_s, d, tmp, tau, q, qd, first, k1a, s_k1a);
     // Stage 2: q2 = q ⊕ (h/2 k1v), qd2 = qd + h/2 k1a.
     integrate_config_into(model, q, qd, h / 2.0, q_stage);
     for i in 0..nv {
         qd2[i] = qd[i] + h / 2.0 * k1a[i];
     }
-    s_q2.axpy_from(s_q0, h / 2.0, s_qd0);
     s_qd2.axpy_from(s_qd0, h / 2.0, s_k1a);
+    let second = if structured {
+        StageInput::Second {
+            c: h / 2.0,
+            sqd: s_qd2,
+        }
+    } else {
+        s_q2.axpy_from(s_q0, h / 2.0, s_qd0);
+        StageInput::General {
+            sq: s_q2,
+            sqd: s_qd2,
+        }
+    };
     stage_sens(
-        model, ws, dfd_s, d, tmp, tau, q_stage, qd2, s_q2, s_qd2, k2a, s_k2a,
+        model, ws, dfd_s, d, tmp, tau, q_stage, qd2, second, k2a, s_k2a,
     );
     // Stage 3.
     integrate_config_into(model, q, qd2, h / 2.0, q_stage);
@@ -316,8 +398,12 @@ pub fn rk4_step_with_sensitivity_into(
     }
     s_q3.axpy_from(s_q0, h / 2.0, s_qd2);
     s_qd3.axpy_from(s_qd0, h / 2.0, s_k2a);
+    let third = StageInput::General {
+        sq: s_q3,
+        sqd: s_qd3,
+    };
     stage_sens(
-        model, ws, dfd_s, d, tmp, tau, q_stage, qd3, s_q3, s_qd3, k3a, s_k3a,
+        model, ws, dfd_s, d, tmp, tau, q_stage, qd3, third, k3a, s_k3a,
     );
     // Stage 4.
     integrate_config_into(model, q, qd3, h, q_stage);
@@ -326,8 +412,12 @@ pub fn rk4_step_with_sensitivity_into(
     }
     s_q4.axpy_from(s_q0, h, s_qd3);
     s_qd4.axpy_from(s_qd0, h, s_k3a);
+    let fourth = StageInput::General {
+        sq: s_q4,
+        sqd: s_qd4,
+    };
     stage_sens(
-        model, ws, dfd_s, d, tmp, tau, q_stage, qd4, s_q4, s_qd4, k4a, s_k4a,
+        model, ws, dfd_s, d, tmp, tau, q_stage, qd4, fourth, k4a, s_k4a,
     );
 
     // Combine.
@@ -435,6 +525,70 @@ mod tests {
                     bits(&qd_step[nv..]),
                     "{} q̇, seed {seed}",
                     model.name()
+                );
+            }
+        }
+    }
+
+    /// The structured first two stages reproduce the general chain rule
+    /// bit for bit on the lane-test models (floating base included).
+    #[test]
+    fn structured_stages_match_the_general_chain_rule_bitwise() {
+        let models = [
+            robots::iiwa(),
+            robots::hyq(),
+            robots::quadruped_arm(),
+            robots::atlas(),
+            robots::serial_chain(3),
+            robots::random_tree(9, 7),
+        ];
+        let bits = |m: &MatN| {
+            (0..m.rows())
+                .flat_map(|i| (0..m.cols()).map(move |j| m[(i, j)].to_bits()))
+                .collect::<Vec<_>>()
+        };
+        for model in &models {
+            let nv = model.nv();
+            let mut ws = DynamicsWorkspace::new(model);
+            let mut scratch = Rk4SensScratch::for_model(model);
+            let (mut q1, mut qd1, mut q2, mut qd2) = (vec![], vec![], vec![], vec![]);
+            let (mut fast, mut oracle) = (StepJacobians::zeros(nv), StepJacobians::zeros(nv));
+            for seed in 0..3 {
+                let s = random_state(model, 40 + seed);
+                let tau: Vec<f64> = (0..nv).map(|k| 0.3 - 0.05 * k as f64).collect();
+                let args = (&s.q[..], &s.qd[..], &tau[..], 0.01);
+                rk4_step_with_sensitivity_into(
+                    model,
+                    &mut ws,
+                    &mut scratch,
+                    args.0,
+                    args.1,
+                    args.2,
+                    args.3,
+                    &mut q1,
+                    &mut qd1,
+                    &mut fast,
+                );
+                rk4_sens_core(
+                    model,
+                    &mut ws,
+                    &mut scratch,
+                    args.0,
+                    args.1,
+                    args.2,
+                    args.3,
+                    &mut q2,
+                    &mut qd2,
+                    &mut oracle,
+                    false,
+                );
+                let what = format!("{} seed {seed}", model.name());
+                assert_eq!(bits(&fast.a), bits(&oracle.a), "{what}: A");
+                assert_eq!(bits(&fast.b), bits(&oracle.b), "{what}: B");
+                assert_eq!(
+                    (q1.clone(), qd1.clone()),
+                    (q2.clone(), qd2.clone()),
+                    "{what}"
                 );
             }
         }
