@@ -110,7 +110,8 @@ pub struct BatchEval<'m> {
 }
 
 /// An executor's lane-ΔFD state: the lane workspaces and the lane-major
-/// inputs of the group it is evaluating.
+/// inputs of the group it is evaluating. The topology index sets come
+/// from the executor's `DynamicsWorkspace`.
 struct LaneFdSlot {
     lws: LaneWorkspace<LANE_WIDTH>,
     scratch: LaneFdScratch<LANE_WIDTH>,
@@ -150,6 +151,7 @@ impl LaneFdSlot {
         }
         let lanes = fd_derivatives_lanes_into(
             model,
+            ws,
             &mut self.lws,
             &mut self.scratch,
             &self.q,

@@ -792,7 +792,7 @@ fn rk4_rollout_lanes_impl<const K: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FdDerivatives;
+    use crate::{DynamicsWorkspace, FdDerivatives};
     use rbd_model::{random_state, robots};
 
     fn bits<'a>(x: impl IntoIterator<Item = &'a f64>) -> Vec<u64> {
@@ -841,6 +841,7 @@ mod tests {
                     LaneRolloutScratch::for_model(model, K),
                 ),
             ];
+            let ws = DynamicsWorkspace::new(model);
             let mut fd_scratch = [
                 LaneFdScratch::<K>::new(model),
                 LaneFdScratch::<K>::new(model),
@@ -876,7 +877,7 @@ mod tests {
                             model, lws, rs, &q, &qd, &us, horizon, 0.01, qt, qdt,
                         )
                         .unwrap();
-                        dfd::fd_lanes_impl(model, lws, sc, &q, &qd, &tau, outs).unwrap();
+                        dfd::fd_lanes_impl(model, &ws, lws, sc, &q, &qd, &tau, outs).unwrap();
                         continue;
                     }
                     #[cfg(target_arch = "x86_64")]
@@ -888,7 +889,7 @@ mod tests {
                             model, lws, rs, &q, &qd, &us, horizon, 0.01, qt, qdt,
                         )
                         .unwrap();
-                        dfd::fd_lanes_avx2(model, lws, sc, &q, &qd, &tau, outs).unwrap();
+                        dfd::fd_lanes_avx2(model, &ws, lws, sc, &q, &qd, &tau, outs).unwrap();
                     }
                 }
                 let what = format!("{} seed {seed} (AVX2 {avx2})", model.name());

@@ -26,19 +26,6 @@ use rbd_spatial::{
 /// allocate once per (model, executor) and reuse.
 #[derive(Debug, Clone)]
 pub struct LaneFdScratch<const K: usize> {
-    /// Ancestor+self DOF sets per body (as [`DynamicsWorkspace::chain`]).
-    chain_offsets: Vec<usize>,
-    chain_dofs: Vec<usize>,
-    /// Strict-descendant DOF sets per body ([`DynamicsWorkspace::desc`]).
-    desc_offsets: Vec<usize>,
-    desc_dofs: Vec<usize>,
-    /// Related DOF sets per body ([`DynamicsWorkspace::rel`]).
-    rel_offsets: Vec<usize>,
-    rel_dofs: Vec<usize>,
-    /// First `P` column any child reads, per body.
-    first_child_v: Vec<usize>,
-    /// Owning body of each DOF.
-    dof_body: Vec<usize>,
     /// World→body transforms per body.
     xworld: Vec<LaneXform<K>>,
     /// MMinvGen force accumulators, `nb × nv` flat.
@@ -80,27 +67,7 @@ impl<const K: usize> LaneFdScratch<K> {
     /// Allocates the scratch for `model`.
     pub fn new(model: &RobotModel) -> Self {
         let (nb, nv) = (model.num_bodies(), model.nv());
-        // The topology index sets are the scalar workspace's.
-        let DynamicsWorkspace {
-            chain_offsets,
-            chain_dofs,
-            desc_offsets,
-            desc_dofs,
-            rel_offsets,
-            rel_dofs,
-            first_child_v,
-            dof_body,
-            ..
-        } = DynamicsWorkspace::new(model);
         Self {
-            chain_offsets,
-            chain_dofs,
-            desc_offsets,
-            desc_dofs,
-            rel_offsets,
-            rel_dofs,
-            first_child_v,
-            dof_body,
             xworld: vec![LaneXform::identity(); nb],
             f_minv: vec![LaneForceVec::zero(); nb * nv],
             p_cols: vec![LaneMotionVec::zero(); nb * nv],
@@ -132,8 +99,10 @@ avx2_dispatch! {
 /// lands in `outs[l]` for `l < outs.len() <= K`, bit-identical to the
 /// scalar kernel on lane `l`'s inputs. Lanes past `outs.len()` are
 /// evaluated and dropped, so a short batch pads its last group with
-/// copies of a real point. Zero steady-state allocation; AVX2 hosts run
-/// an AVX2-compiled clone with bit-identical outputs.
+/// copies of a real point. `ws` (a workspace of the same model) lends
+/// only its topology index sets (`chain`, `desc`, `rel`), read-only.
+/// Zero steady-state allocation; AVX2 hosts run an AVX2-compiled clone
+/// with bit-identical outputs.
 ///
 /// # Errors
 /// Returns [`DynamicsError::SingularMassMatrix`] when any lane's mass
@@ -141,8 +110,10 @@ avx2_dispatch! {
 ///
 /// # Panics
 /// Panics on dimension mismatches or when `outs.len() > K`.
+#[allow(clippy::too_many_arguments)] // topology + two lane scratches + three inputs + outputs
 pub fn fd_derivatives_lanes_into<const K: usize>(
     model: &RobotModel,
+    ws: &DynamicsWorkspace,
     lws: &mut LaneWorkspace<K>,
     scratch: &mut LaneFdScratch<K>,
     q: &[f64],
@@ -153,8 +124,10 @@ pub fn fd_derivatives_lanes_into<const K: usize>(
 }
 
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 pub(super) fn fd_lanes_impl<const K: usize>(
     model: &RobotModel,
+    ws: &DynamicsWorkspace,
     lws: &mut LaneWorkspace<K>,
     sc: &mut LaneFdScratch<K>,
     q: &[f64],
@@ -185,7 +158,7 @@ pub(super) fn fd_lanes_impl<const K: usize>(
         tau_l,
         ..
     } = lws;
-    let LaneFdScratch {
+    let DynamicsWorkspace {
         chain_offsets,
         chain_dofs,
         desc_offsets,
@@ -194,6 +167,9 @@ pub(super) fn fd_lanes_impl<const K: usize>(
         rel_dofs,
         first_child_v,
         dof_body,
+        ..
+    } = ws;
+    let LaneFdScratch {
         xworld,
         f_minv,
         p_cols,

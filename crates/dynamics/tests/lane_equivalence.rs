@@ -169,7 +169,8 @@ fn check_dfd<const K: usize>(model: &RobotModel) {
         let (q, qd) = lane_states(model, K, 300 + 10 * round);
         let tau = lane_controls(model, K);
         let mut outs = vec![FdDerivatives::default(); n_out];
-        fd_derivatives_lanes_into(model, &mut lws, &mut scratch, &q, &qd, &tau, &mut outs).unwrap();
+        fd_derivatives_lanes_into(model, &ws, &mut lws, &mut scratch, &q, &qd, &tau, &mut outs)
+            .unwrap();
         for (l, out) in outs.iter().enumerate() {
             let lane = |x: &[f64], n: usize| x[l * n..(l + 1) * n].to_vec();
             fd_derivatives_into(
@@ -249,6 +250,7 @@ fn lane_dfd_reports_a_singular_lane() {
             .collect();
         let r = fd_derivatives_lanes_into(
             &model,
+            &ws,
             &mut lws,
             &mut scratch,
             &q,
@@ -261,6 +263,7 @@ fn lane_dfd_reports_a_singular_lane() {
     let q: Vec<f64> = (0..4).flat_map(|_| healthy).collect();
     fd_derivatives_lanes_into(
         &model,
+        &ws,
         &mut lws,
         &mut scratch,
         &q,

@@ -208,6 +208,7 @@ fn lane_kernels_do_not_allocate_in_steady_state() {
         forward_dynamics_aba_lanes_in_ws(&model, &mut lws, &q, &qd, &tau).unwrap();
         fd_derivatives_lanes_into(
             &model,
+            &ws,
             &mut lws,
             &mut fd_scratch,
             &q,
@@ -249,6 +250,7 @@ fn lane_kernels_do_not_allocate_in_steady_state() {
                 alloc_count(|| {
                     fd_derivatives_lanes_into(
                         &model,
+                        &ws,
                         &mut lws,
                         &mut fd_scratch,
                         &q,

@@ -134,7 +134,7 @@ pub struct Rk4SensScratch {
     tmp: MatN,
     s_q0: Sens,
     s_qd0: Sens,
-    s_q: [Sens; 3],
+    s_q: [Sens; 2],
     s_qd: [Sens; 3],
     s_ka: [Sens; 4],
     s_bar: Sens,
@@ -311,25 +311,6 @@ pub fn rk4_step_with_sensitivity_into(
     qd_new: &mut Vec<f64>,
     jac: &mut StepJacobians,
 ) {
-    rk4_sens_core(model, ws, scratch, q, qd, tau, h, q_new, qd_new, jac, true);
-}
-
-/// [`rk4_step_with_sensitivity_into`]; `structured = false` runs the
-/// general chain rule at every stage (the tests' oracle).
-#[allow(clippy::too_many_arguments)]
-fn rk4_sens_core(
-    model: &RobotModel,
-    ws: &mut DynamicsWorkspace,
-    scratch: &mut Rk4SensScratch,
-    q: &[f64],
-    qd: &[f64],
-    tau: &[f64],
-    h: f64,
-    q_new: &mut Vec<f64>,
-    qd_new: &mut Vec<f64>,
-    jac: &mut StepJacobians,
-    structured: bool,
-) {
     let nv = model.nv();
     scratch.ensure_dims(model);
     q_new.resize(model.nq(), 0.0);
@@ -353,7 +334,7 @@ fn rk4_sens_core(
         ka,
         vbar,
     } = scratch;
-    let [s_q2, s_q3, s_q4] = s_q;
+    let [s_q3, s_q4] = s_q;
     let [s_qd2, s_qd3, s_qd4] = s_qd;
     let [s_k1a, s_k2a, s_k3a, s_k4a] = s_ka;
     let [qd2, qd3, qd4] = qd_stage;
@@ -361,32 +342,28 @@ fn rk4_sens_core(
 
     // Stage 1 at (q, q̇); stage-velocity sensitivities are the incoming
     // q̇-sensitivities themselves (s_k1v = s_qd0, s_k2v = s_qd2, …).
-    let first = if structured {
-        StageInput::First
-    } else {
-        StageInput::General {
-            sq: s_q0,
-            sqd: s_qd0,
-        }
-    };
-    stage_sens(model, ws, dfd_s, d, tmp, tau, q, qd, first, k1a, s_k1a);
+    stage_sens(
+        model,
+        ws,
+        dfd_s,
+        d,
+        tmp,
+        tau,
+        q,
+        qd,
+        StageInput::First,
+        k1a,
+        s_k1a,
+    );
     // Stage 2: q2 = q ⊕ (h/2 k1v), qd2 = qd + h/2 k1a.
     integrate_config_into(model, q, qd, h / 2.0, q_stage);
     for i in 0..nv {
         qd2[i] = qd[i] + h / 2.0 * k1a[i];
     }
     s_qd2.axpy_from(s_qd0, h / 2.0, s_k1a);
-    let second = if structured {
-        StageInput::Second {
-            c: h / 2.0,
-            sqd: s_qd2,
-        }
-    } else {
-        s_q2.axpy_from(s_q0, h / 2.0, s_qd0);
-        StageInput::General {
-            sq: s_q2,
-            sqd: s_qd2,
-        }
+    let second = StageInput::Second {
+        c: h / 2.0,
+        sqd: s_qd2,
     };
     stage_sens(
         model, ws, dfd_s, d, tmp, tau, q_stage, qd2, second, k2a, s_k2a,
@@ -531,7 +508,9 @@ mod tests {
     }
 
     /// The structured first two stages reproduce the general chain rule
-    /// bit for bit on the lane-test models (floating base included).
+    /// (`StageInput::General` fed the stages' identity and zero blocks
+    /// spelled out) bit for bit on the lane-test models, floating base
+    /// included.
     #[test]
     fn structured_stages_match_the_general_chain_rule_bitwise() {
         let models = [
@@ -542,54 +521,64 @@ mod tests {
             robots::serial_chain(3),
             robots::random_tree(9, 7),
         ];
-        let bits = |m: &MatN| {
-            (0..m.rows())
-                .flat_map(|i| (0..m.cols()).map(move |j| m[(i, j)].to_bits()))
+        let bits = |s: &Sens| {
+            [&s.dq, &s.dqd, &s.du]
+                .into_iter()
+                .flat_map(|m| {
+                    (0..m.rows()).flat_map(move |i| (0..m.cols()).map(move |j| m[(i, j)].to_bits()))
+                })
                 .collect::<Vec<_>>()
         };
+        let h = 0.01;
         for model in &models {
             let nv = model.nv();
             let mut ws = DynamicsWorkspace::new(model);
-            let mut scratch = Rk4SensScratch::for_model(model);
-            let (mut q1, mut qd1, mut q2, mut qd2) = (vec![], vec![], vec![], vec![]);
-            let (mut fast, mut oracle) = (StepJacobians::zeros(nv), StepJacobians::zeros(nv));
+            let Rk4SensScratch {
+                mut dfd_s,
+                mut d,
+                mut tmp,
+                s_q0,
+                s_qd0,
+                ..
+            } = Rk4SensScratch::for_model(model);
+            let sens = || {
+                let mut s = Sens::default();
+                s.resize(nv);
+                s
+            };
+            let (mut fast, mut oracle, mut sq2, mut sqd2) = (sens(), sens(), sens(), sens());
+            let mut ka = vec![0.0; nv];
             for seed in 0..3 {
                 let s = random_state(model, 40 + seed);
                 let tau: Vec<f64> = (0..nv).map(|k| 0.3 - 0.05 * k as f64).collect();
-                let args = (&s.q[..], &s.qd[..], &tau[..], 0.01);
-                rk4_step_with_sensitivity_into(
-                    model,
-                    &mut ws,
-                    &mut scratch,
-                    args.0,
-                    args.1,
-                    args.2,
-                    args.3,
-                    &mut q1,
-                    &mut qd1,
-                    &mut fast,
-                );
-                rk4_sens_core(
-                    model,
-                    &mut ws,
-                    &mut scratch,
-                    args.0,
-                    args.1,
-                    args.2,
-                    args.3,
-                    &mut q2,
-                    &mut qd2,
-                    &mut oracle,
-                    false,
-                );
+                let mut stage = |input: StageInput, out: &mut Sens| {
+                    stage_sens(
+                        model, &mut ws, &mut dfd_s, &mut d, &mut tmp, &tau, &s.q, &s.qd, input,
+                        &mut ka, out,
+                    )
+                };
                 let what = format!("{} seed {seed}", model.name());
-                assert_eq!(bits(&fast.a), bits(&oracle.a), "{what}: A");
-                assert_eq!(bits(&fast.b), bits(&oracle.b), "{what}: B");
-                assert_eq!(
-                    (q1.clone(), qd1.clone()),
-                    (q2.clone(), qd2.clone()),
-                    "{what}"
-                );
+                stage(StageInput::First, &mut fast);
+                let general = StageInput::General {
+                    sq: &s_q0,
+                    sqd: &s_qd0,
+                };
+                stage(general, &mut oracle);
+                assert_eq!(bits(&fast), bits(&oracle), "{what}: stage 1");
+                // Stage 2's incoming sensitivities, formed as the step forms them.
+                sqd2.axpy_from(&s_qd0, h / 2.0, &fast);
+                sq2.axpy_from(&s_q0, h / 2.0, &s_qd0);
+                let second = StageInput::Second {
+                    c: h / 2.0,
+                    sqd: &sqd2,
+                };
+                stage(second, &mut fast);
+                let general = StageInput::General {
+                    sq: &sq2,
+                    sqd: &sqd2,
+                };
+                stage(general, &mut oracle);
+                assert_eq!(bits(&fast), bits(&oracle), "{what}: stage 2");
             }
         }
     }
