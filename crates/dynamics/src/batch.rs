@@ -13,9 +13,9 @@
 //! allocation-free in steady state.
 //!
 //! All entry points share one dispatch body,
-//! [`BatchEval::for_each_lane_groups`]: the per-item entry points
-//! (`for_each_with_scratch`, `for_each_into`) are lane groups of width
-//! 1, and `fd_derivatives_batch` runs the lane ΔFD on groups of
+//! [`BatchEval::for_each_lane_groups`]: the per-item entry point
+//! `for_each_with_scratch` runs lane groups of width 1, and
+//! `fd_derivatives_batch` runs the lane ΔFD on groups of
 //! [`LANE_WIDTH`]. Each executor owns a
 //! [`DynamicsWorkspace`] **and a caller-provided generic scratch slot**
 //! (any `S: Send`), which is what lets consumers like iLQR route
@@ -417,28 +417,6 @@ impl<'m> BatchEval<'m> {
         }
     }
 
-    /// [`BatchEval::for_each_with_scratch`] without a user scratch slot
-    /// (the per-executor [`DynamicsWorkspace`] is still provided).
-    ///
-    /// # Errors
-    /// Propagates the `Err` with the smallest item index.
-    ///
-    /// # Panics
-    /// Panics if `items` and `outs` lengths differ.
-    pub fn for_each_into<I, T, E, F>(&mut self, items: &[I], outs: &mut [T], f: F) -> Result<(), E>
-    where
-        I: Sync,
-        T: Send,
-        E: Send,
-        F: Fn(&RobotModel, &mut DynamicsWorkspace, usize, &I, &mut T) -> Result<(), E> + Sync,
-    {
-        // A `Vec` of zero-sized units never touches the heap.
-        let mut unit: Vec<()> = vec![(); self.threads()];
-        self.for_each_with_scratch(items, outs, &mut unit, |model, ws, (), k, it, out| {
-            f(model, ws, k, it, out)
-        })
-    }
-
     /// Batched `ΔFD` over sampling points `(q, q̇, τ)`: fills `outs[k]`
     /// with the derivatives at point `k`, bit-identical to
     /// [`fd_derivatives_into`] point by point. The points run through the
@@ -487,16 +465,18 @@ mod tests {
     use rbd_model::{random_state, robots};
     use std::convert::Infallible;
 
-    /// Per-item dispatch of `f(index, item)` through `for_each_into`,
-    /// results in item order.
+    /// Per-item dispatch of `f(index, item)` through
+    /// `for_each_with_scratch` (unit scratch slots), results in item
+    /// order.
     fn indexed<T: Clone + Default + Send>(
         batch: &mut BatchEval,
         items: &[usize],
         f: impl Fn(usize, usize) -> T + Sync,
     ) -> Vec<T> {
         let mut outs = vec![T::default(); items.len()];
+        let mut unit = vec![(); batch.threads()];
         let r: Result<(), Infallible> =
-            batch.for_each_into(items, &mut outs, |_, _, k, &it, out| {
+            batch.for_each_with_scratch(items, &mut outs, &mut unit, |_, _, (), k, &it, out| {
                 *out = f(k, it);
                 Ok(())
             });
@@ -546,11 +526,16 @@ mod tests {
         let pts = points(&model, 7);
         let mut batch = BatchEval::with_threads(&model, 3);
         let mut outs = vec![RneaDerivatives::zeros(model.nv()); pts.len()];
-        let r: Result<(), Infallible> =
-            batch.for_each_into(&pts, &mut outs, |model, ws, _, (q, qd, qdd), out| {
+        let mut unit = vec![(); batch.threads()];
+        let r: Result<(), Infallible> = batch.for_each_with_scratch(
+            &pts,
+            &mut outs,
+            &mut unit,
+            |model, ws, (), _, (q, qd, qdd), out| {
                 rnea_derivatives_into(model, ws, q, qd, qdd, None, out);
                 Ok(())
-            });
+            },
+        );
         r.unwrap();
 
         let mut ws = DynamicsWorkspace::new(&model);
@@ -690,14 +675,20 @@ mod tests {
             let mut batch = BatchEval::with_threads(&model, threads).with_point_flops(1e9);
             let items: Vec<usize> = (0..16).collect();
             let mut outs = vec![0usize; 16];
-            let r = batch.for_each_into(&items, &mut outs, |_, _, _k, &it, out| {
-                *out = it;
-                if it >= 5 {
-                    Err(it)
-                } else {
-                    Ok(())
-                }
-            });
+            let mut unit = vec![(); batch.threads()];
+            let r = batch.for_each_with_scratch(
+                &items,
+                &mut outs,
+                &mut unit,
+                |_, _, (), _, &it, out| {
+                    *out = it;
+                    if it >= 5 {
+                        Err(it)
+                    } else {
+                        Ok(())
+                    }
+                },
+            );
             assert_eq!(r, Err(5), "{threads} threads");
             // All items were still evaluated.
             assert_eq!(outs, (0..16).collect::<Vec<_>>());

@@ -363,23 +363,21 @@ impl MatN {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Transposed product `out = s · (selfᵀ · b)` without materializing
+    /// Transposed product `out = selfᵀ · b` without materializing
     /// `selfᵀ`: the k-outer loop reads `self` and `b` row-major and
-    /// issues one scaled-row accumulation per non-zero of `self`, so a
-    /// branch-sparse left operand (e.g. `∂τᵀ`, Fig 5) skips its zero
-    /// blocks exactly like [`Self::mul_mat_into`] after a transpose —
+    /// issues one scaled-row accumulation per non-zero of `self`, so it
+    /// skips the zeros [`Self::mul_mat_into`] skips after a transpose,
     /// with bit-identical results (same multiply pairs, same k-ascending
-    /// summation order; the sign `s` distributes exactly over IEEE
-    /// products).
+    /// summation order).
     ///
     /// # Panics
     /// Panics on shape mismatch (`out` must be `self.cols × b.cols`).
-    pub fn tr_mul_mat_scaled_into(&self, b: &MatN, s: f64, out: &mut MatN) {
-        assert_eq!(self.rows, b.rows, "MatN::tr_mul_mat_scaled_into shape");
+    pub fn tr_mul_mat_into(&self, b: &MatN, out: &mut MatN) {
+        assert_eq!(self.rows, b.rows, "MatN::tr_mul_mat_into shape");
         assert_eq!(
             (out.rows, out.cols),
             (self.cols, b.cols),
-            "MatN::tr_mul_mat_scaled_into output shape"
+            "MatN::tr_mul_mat_into output shape"
         );
         out.data.fill(0.0);
         for k in 0..self.rows {
@@ -389,12 +387,28 @@ impl MatN {
                 if a == 0.0 {
                     continue;
                 }
-                let c = s * a;
                 let out_row = &mut out.data[j * b.cols..(j + 1) * b.cols];
                 for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += c * bv;
+                    *o += a * bv;
                 }
             }
+        }
+    }
+
+    /// Transposed matrix-vector product `out = selfᵀ · v` without
+    /// materializing `selfᵀ`. Each output is the same `Iterator::sum` over
+    /// the same products, in the same order, as [`Self::mul_slice_into`]
+    /// after a transpose, so the two agree bit for bit on any toolchain.
+    ///
+    /// # Panics
+    /// Panics on shape mismatch.
+    pub fn tr_mul_vec_into(&self, v: &VecN, out: &mut VecN) {
+        assert_eq!(self.rows, v.len(), "MatN::tr_mul_vec_into shape mismatch");
+        assert_eq!(self.cols, out.len(), "MatN::tr_mul_vec_into output length");
+        for j in 0..self.cols {
+            out[j] = (0..self.rows)
+                .map(|k| self.data[k * self.cols + j] * v[k])
+                .sum();
         }
     }
 

@@ -334,26 +334,84 @@ fn sub_outer_weighted_matches_reference_loop() {
     }
 }
 
+/// The transposed products equal `transpose_into` followed by the plain
+/// product bit for bit, on shapes up to Atlas's `72 × 36` (`nx × nv`).
+/// The left operand has about a third zeros (the zero-skip path), a zero
+/// row, a column of negative zeros (whose sum is a signed zero, so the
+/// starting value of the sum shows) and a column that cancels exactly.
 #[test]
-fn tr_mul_mat_scaled_matches_transpose_then_multiply() {
-    use rbd_spatial::MatN;
+fn transposed_products_match_transpose_then_multiply() {
+    use rbd_spatial::{MatN, VecN};
+    let bits = |m: &MatN| -> Vec<u64> {
+        (0..m.rows())
+            .flat_map(|i| m.row(i).iter().map(|x| x.to_bits()))
+            .collect()
+    };
+    let vbits = |v: &VecN| -> Vec<u64> { v.as_slice().iter().map(|x| x.to_bits()).collect() };
     let mut rng = Rng::new(10);
-    for n in [1usize, 3, 7, 12] {
-        // A sparse-ish left operand exercising the zero-skip path.
-        let av: Vec<f64> = (0..n * n)
-            .map(|k| if k % 3 == 0 { 0.0 } else { rng.f() })
-            .collect();
-        let bv: Vec<f64> = (0..n * n).map(|_| rng.f()).collect();
-        let a = MatN::from_fn(n, n, |i, j| av[i * n + j]);
-        let b = MatN::from_fn(n, n, |i, j| bv[i * n + j]);
-        let mut out = MatN::zeros(n, n);
-        a.tr_mul_mat_scaled_into(&b, -1.0, &mut out);
-        let mut expect = a.transpose().mul_mat(&b);
-        expect.scale(-1.0);
-        for i in 0..n {
-            for j in 0..n {
-                assert_eq!(out[(i, j)], expect[(i, j)], "({i},{j}) n={n}");
+    // (rows, cols) of the left operand, columns of the right one.
+    let mut shapes = vec![
+        (1, 1, 1),
+        (2, 3, 5),
+        (14, 14, 14),
+        (14, 7, 14),
+        (36, 36, 18),
+        (72, 72, 36),
+        (72, 36, 72),
+    ];
+    for _ in 0..8 {
+        let mut draw = |n: u64| 1 + (rng.next_u64() % n) as usize;
+        shapes.push((draw(72), draw(36), draw(36)));
+    }
+    for (m, n, p) in shapes {
+        let what = format!("{m}x{n} by {m}x{p}");
+        let mut a = MatN::zeros(m, n);
+        let mut b = MatN::zeros(m, p);
+        let mut v = VecN::zeros(m);
+        for k in 0..m {
+            for x in a.row_mut(k) {
+                *x = if rng.next_u64() % 3 == 0 {
+                    0.0
+                } else {
+                    rng.f()
+                };
             }
+            for x in b.row_mut(k) {
+                *x = rng.f();
+            }
+            // Pairs of equal entries, so the cancelling column sums to 0.
+            v[k] = if k % 2 == 1 { v[k - 1] } else { rng.f() };
+        }
+        let zero_row = m / 2;
+        if n >= 3 {
+            for k in 0..m {
+                a[(k, 0)] = -0.0;
+                // ±0.75 on whole pairs of rows; the zero row's pair and
+                // an unpaired last row hold 0.
+                let paired = k / 2 != zero_row / 2 && (k ^ 1) < m;
+                a[(k, n - 1)] = match (paired, k % 2) {
+                    (false, _) => 0.0,
+                    (true, 0) => 0.75,
+                    (true, _) => -0.75,
+                };
+            }
+        }
+        a.row_mut(zero_row).fill(0.0);
+        let mut at = MatN::zeros(n, m);
+        a.transpose_into(&mut at);
+
+        let (mut out, mut expect) = (MatN::zeros(n, p), MatN::zeros(n, p));
+        a.tr_mul_mat_into(&b, &mut out);
+        at.mul_mat_into(&b, &mut expect);
+        assert_eq!(bits(&out), bits(&expect), "{what}: tr_mul_mat_into");
+
+        let (mut out, mut expect) = (VecN::zeros(n), VecN::zeros(n));
+        a.tr_mul_vec_into(&v, &mut out);
+        at.mul_vec_into(&v, &mut expect);
+        assert_eq!(vbits(&out), vbits(&expect), "{what}: tr_mul_vec_into");
+        if n >= 3 {
+            assert_eq!(out[0], 0.0, "{what}: negative-zero column");
+            assert_eq!(out[n - 1], 0.0, "{what}: cancelling column");
         }
     }
 }

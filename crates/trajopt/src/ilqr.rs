@@ -101,10 +101,6 @@ pub struct IlqrOptions {
     pub w_terminal: f64,
     /// Maximum outer iterations.
     pub max_iters: usize,
-    /// Levenberg regularization added to `Q_uu`: the floor of its schedule.
-    pub reg: f64,
-    /// Relative cost-decrease convergence threshold.
-    pub tol: f64,
 }
 
 impl Default for IlqrOptions {
@@ -117,8 +113,6 @@ impl Default for IlqrOptions {
             w_u: 1e-3,
             w_terminal: 60.0,
             max_iters: 30,
-            reg: 1e-6,
-            tol: 1e-7,
         }
     }
 }
@@ -132,8 +126,9 @@ pub struct IlqrResult {
     pub us: Vec<Vec<f64>>,
     /// State trajectory `(q, q̇)` under the optimized controls.
     pub trajectory: Vec<(Vec<f64>, Vec<f64>)>,
-    /// Whether the last step gained less than `tol` (relative), or no step
-    /// gained where the model predicted under `tol`; never at a non-finite cost.
+    /// Whether the last step gained less than 1e-7 of the cost, or no step
+    /// gained where the model predicted less than that; never at a
+    /// non-finite cost.
     pub converged: bool,
     /// Wall time spent in the LQ approximation (dynamics+derivatives,
     /// the Fig 2c "parallelizable" share).
@@ -160,8 +155,6 @@ struct IlqrScratch<'m> {
     batch: BatchEval<'m>,
     vx: VecN,
     vxx: MatN,
-    at: MatN,
-    bt: MatN,
     vxx_a: MatN,
     vxx_b: MatN,
     qx: VecN,
@@ -169,11 +162,9 @@ struct IlqrScratch<'m> {
     qxx: MatN,
     quu: MatN,
     qux: MatN,
-    qux_t: MatN,
     quu_inv: MatN,
     l_s: MatN,
     d_s: VecN,
-    kbt: MatN,
     tmp_nv: VecN,
     tmp_nx: VecN,
     tmp_nv_nx: MatN,
@@ -213,8 +204,6 @@ impl<'m> IlqrScratch<'m> {
             batch,
             vx: VecN::zeros(nx),
             vxx: MatN::zeros(nx, nx),
-            at: MatN::zeros(nx, nx),
-            bt: MatN::zeros(nv, nx),
             vxx_a: MatN::zeros(nx, nx),
             vxx_b: MatN::zeros(nx, nv),
             qx: VecN::zeros(nx),
@@ -222,11 +211,9 @@ impl<'m> IlqrScratch<'m> {
             qxx: MatN::zeros(nx, nx),
             quu: MatN::zeros(nv, nv),
             qux: MatN::zeros(nv, nx),
-            qux_t: MatN::zeros(nx, nv),
             quu_inv: MatN::zeros(nv, nv),
             l_s: MatN::zeros(nv, nv),
             d_s: VecN::zeros(nv),
-            kbt: MatN::zeros(nx, nv),
             tmp_nv: VecN::zeros(nv),
             tmp_nx: VecN::zeros(nx),
             tmp_nv_nx: MatN::zeros(nv, nx),
@@ -313,14 +300,17 @@ impl ForwardPass {
     }
 }
 
-/// Levenberg–Marquardt schedule of `reg` (Tassa et al., IROS 2012): each
-/// failed backward pass or line search multiplies it by `REG_UP` (to at
-/// least `REG_FLOOR`) up to `REG_MAX`; each accepted step divides it by
-/// `REG_DOWN`, down to [`IlqrOptions::reg`].
+/// Levenberg–Marquardt schedule of the regularization `reg` added to
+/// `Q_uu` (Tassa et al., IROS 2012): a solve starts at `REG_FLOOR`; each
+/// failed backward pass or line search multiplies it by `REG_UP` up to
+/// `REG_MAX`; each accepted step divides it by `REG_DOWN`, down to
+/// `REG_FLOOR`.
 const REG_UP: f64 = 10.0;
 const REG_DOWN: f64 = 2.0;
 const REG_FLOOR: f64 = 1e-6;
 const REG_MAX: f64 = 1e10;
+/// Relative cost-decrease convergence threshold.
+const TOL: f64 = 1e-7;
 
 /// The optimizer.
 #[derive(Debug)]
@@ -381,8 +371,6 @@ impl<'m> Ilqr<'m> {
             batch,
             vx,
             vxx,
-            at,
-            bt,
             vxx_a,
             vxx_b,
             qx,
@@ -390,11 +378,9 @@ impl<'m> Ilqr<'m> {
             qxx,
             quu,
             qux,
-            qux_t,
             quu_inv,
             l_s,
             d_s,
-            kbt,
             tmp_nv,
             tmp_nx,
             tmp_nv_nx,
@@ -418,7 +404,7 @@ impl<'m> Ilqr<'m> {
         let mut cost = stage_cost(&o, goal, nv, &fwd.traj, &fwd.us);
         let mut history = Vec::with_capacity(o.max_iters + 1);
         history.push(cost);
-        let (mut converged, mut reg, mut linearize) = (false, o.reg, true);
+        let (mut converged, mut reg, mut linearize) = (false, REG_FLOOR, true);
 
         // An iteration that fails raises `reg` and reuses its LQ pass.
         for _ in 0..o.max_iters {
@@ -463,29 +449,28 @@ impl<'m> Ilqr<'m> {
                 let u = &fwd.us[k];
                 let a = &jacs[k].a;
                 let b = &jacs[k].b;
-                a.transpose_into(at);
-                b.transpose_into(bt);
 
                 // Q-function terms; the running-cost gradient/Hessian are
                 // (block-)diagonal, so they fold in as updates instead of
-                // materialized lx/lxx.
-                at.mul_vec_into(vx, qx);
-                bt.mul_vec_into(vx, qu);
+                // materialized lx/lxx. Every `Xᵀ·Y` is a transposed-left
+                // product, so no transpose is formed.
+                a.tr_mul_vec_into(vx, qx);
+                b.tr_mul_vec_into(vx, qu);
                 for i in 0..nv {
                     qx[i] += o.w_q * (q[i] - goal[i]);
                     qx[nv + i] += o.w_v * qd[i];
                     qu[i] += o.w_u * u[i];
                 }
                 vxx.mul_mat_into(a, vxx_a);
-                at.mul_mat_into(vxx_a, qxx);
+                a.tr_mul_mat_into(vxx_a, qxx);
                 vxx.mul_mat_into(b, vxx_b);
-                bt.mul_mat_into(vxx_b, quu);
+                b.tr_mul_mat_into(vxx_b, quu);
                 for i in 0..nv {
                     qxx[(i, i)] += o.w_q;
                     qxx[(nv + i, nv + i)] += o.w_v;
                     quu[(i, i)] += o.w_u + reg;
                 }
-                bt.mul_mat_into(vxx_a, qux);
+                b.tr_mul_mat_into(vxx_a, qux);
 
                 if quu.inverse_spd_into(quu_inv, l_s, d_s).is_err() {
                     backward_ok = false;
@@ -501,22 +486,20 @@ impl<'m> Ilqr<'m> {
 
                 // Value update (into vx/vxx, which the Q terms no longer
                 // read at this point).
-                kb.transpose_into(kbt);
-                qux.transpose_into(qux_t);
-                kbt.mul_vec_into(qu, tmp_nx);
+                kb.tr_mul_vec_into(qu, tmp_nx);
                 vx.copy_from(qx);
                 *vx += &*tmp_nx;
                 quu.mul_vec_into(&k_ff[k], tmp_nv);
-                kbt.mul_vec_into(tmp_nv, tmp_nx);
+                kb.tr_mul_vec_into(tmp_nv, tmp_nx);
                 *vx += &*tmp_nx;
-                qux_t.mul_vec_into(&k_ff[k], tmp_nx);
+                qux.tr_mul_vec_into(&k_ff[k], tmp_nx);
                 *vx += &*tmp_nx;
 
-                quu.mul_mat_into(&k_fb[k], tmp_nv_nx);
-                kbt.mul_mat_into(tmp_nv_nx, tmp_nx_nx);
+                quu.mul_mat_into(kb, tmp_nv_nx);
+                kb.tr_mul_mat_into(tmp_nv_nx, tmp_nx_nx);
                 vxx.copy_from(qxx);
                 *vxx += &*tmp_nx_nx;
-                qux_t.mul_mat_into(&k_fb[k], cross);
+                qux.tr_mul_mat_into(kb, cross);
                 for i in 0..nx {
                     for j in 0..nx {
                         vxx[(i, j)] += cross[(i, j)] + cross[(j, i)];
@@ -538,20 +521,20 @@ impl<'m> Ilqr<'m> {
                     cost = new_cost;
                     history.push(cost);
                     accepted = true;
-                    converged = rel < o.tol;
+                    converged = rel < TOL;
                     break;
                 }
             }
             rollout_t += t.elapsed().as_secs_f64();
             linearize = accepted;
             if accepted {
-                reg = (reg / REG_DOWN).max(o.reg);
-            } else if backward_ok && predicted.abs() < o.tol * cost {
+                reg = (reg / REG_DOWN).max(REG_FLOOR);
+            } else if backward_ok && predicted.abs() < TOL * cost {
                 // No step improves and the model predicts nothing more to
                 // gain: convergence, though only at a finite cost.
                 converged = cost.is_finite();
             } else if reg < REG_MAX {
-                reg = (reg * REG_UP).max(REG_FLOOR);
+                reg *= REG_UP;
                 continue;
             }
             if converged || !accepted {
@@ -600,8 +583,8 @@ fn stage_cost(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rbd_dynamics::DynamicsWorkspace;
-    use rbd_model::robots;
+    use crate::integrator::rk4_step;
+    use rbd_model::{robots, SplitMix64};
 
     #[test]
     fn cost_decreases_monotonically() {
@@ -768,5 +751,207 @@ mod tests {
     fn rejects_quaternion_models() {
         let model = robots::hyq();
         let _ = Ilqr::new(&model, vec![0.0; 18], IlqrOptions::default());
+    }
+
+    /// ∞-norm distance from `q` to `goal`, NaN if any entry is NaN.
+    fn goal_error(q: &[f64], goal: &[f64]) -> f64 {
+        q.iter()
+            .zip(goal)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0, |m, e| if e.is_nan() || e > m { e } else { m })
+    }
+
+    #[test]
+    fn closed_loop_reaches_goal() {
+        // Receding horizon: re-solve every tick, apply the first control.
+        let model = robots::serial_chain(2);
+        let goal = vec![0.4, -0.3];
+        let options = IlqrOptions {
+            horizon: 20,
+            max_iters: 6,
+            dt: 0.02,
+            w_terminal: 120.0,
+            ..IlqrOptions::default()
+        };
+        let mut ilqr = Ilqr::new(&model, goal.clone(), options);
+        let mut ws = DynamicsWorkspace::new(&model);
+        let (mut q, mut qd) = (vec![0.0; 2], vec![0.0; 2]);
+        for _ in 0..25 {
+            let r = ilqr.solve(&q, &qd);
+            (q, qd) = rk4_step(&model, &mut ws, &q, &qd, &r.us[0], options.dt);
+        }
+        let err = goal_error(&q, &goal);
+        assert!(
+            err < 0.2,
+            "closed loop did not approach the goal: err {err}"
+        );
+    }
+
+    #[test]
+    fn closed_loop_beats_open_loop_under_disturbance() {
+        // Apply the first tick's plan open-loop vs re-planning: with a
+        // velocity disturbance injected mid-run, MPC ends closer.
+        let model = robots::serial_chain(2);
+        let goal = vec![0.5, 0.2];
+        let opts = IlqrOptions {
+            horizon: 20,
+            max_iters: 6,
+            dt: 0.02,
+            w_terminal: 120.0,
+            ..IlqrOptions::default()
+        };
+
+        // Open loop: one solve, roll out its controls with a disturbance.
+        let mut solver = Ilqr::new(&model, goal.clone(), opts);
+        let sol = solver.solve(&[0.0, 0.0], &[0.0, 0.0]);
+        let mut ws = DynamicsWorkspace::new(&model);
+        let (mut q, mut qd) = (vec![0.0, 0.0], vec![0.0, 0.0]);
+        for (k, u) in sol.us.iter().enumerate().take(20) {
+            if k == 8 {
+                qd[0] += 1.5; // kick
+            }
+            let (qn, qdn) = rk4_step(&model, &mut ws, &q, &qd, u, opts.dt);
+            q = qn;
+            qd = qdn;
+        }
+        let open_err = goal_error(&q, &goal);
+
+        // Closed loop with the same kick.
+        let mut qc = vec![0.0, 0.0];
+        let mut qdc = vec![0.0, 0.0];
+        for k in 0..20 {
+            if k == 8 {
+                qdc[0] += 1.5;
+            }
+            let sol = solver.solve(&qc, &qdc);
+            let u = sol.us[0].clone();
+            let (qn, qdn) = rk4_step(&model, &mut ws, &qc, &qdc, &u, opts.dt);
+            qc = qn;
+            qdc = qdn;
+        }
+        let closed_err = goal_error(&qc, &goal);
+
+        assert!(
+            closed_err < open_err + 1e-9,
+            "closed {closed_err} vs open {open_err}"
+        );
+    }
+
+    #[test]
+    fn trajectory_is_the_plant_rollout_of_the_controls() {
+        // The planner's rollout and the plant integrate the same bits:
+        // each returned state is `rk4_step` of the previous one under
+        // the returned control, from the requested start. Three solves
+        // per solver, so stale or misswapped buffers would show.
+        // `max_iters: 0` returns the initial controls alone: gravity
+        // compensation `g(q0)` on the first solve, then the last plan
+        // shifted by one step with its last control repeated. The first
+        // start is off the upright pose, where `g` vanishes.
+        let iiwa = robots::iiwa();
+        let q0 = iiwa.neutral_config();
+        let goal = q0
+            .iter()
+            .enumerate()
+            .map(|(i, q)| q + 0.5 - 0.15 * i as f64);
+        let fig2c = IlqrOptions {
+            horizon: 20,
+            dt: 0.02,
+            max_iters: 8,
+            ..IlqrOptions::default()
+        };
+        let chain = robots::serial_chain(2);
+        let chain_opts = IlqrOptions {
+            horizon: 20,
+            max_iters: 6,
+            w_terminal: 120.0,
+            ..IlqrOptions::default()
+        };
+        let cases = [
+            (&iiwa, goal.collect::<Vec<_>>(), fig2c, q0),
+            (&chain, vec![0.6, -0.4], chain_opts, vec![0.1, 0.0]),
+        ];
+        let bits = |(q, qd): &(Vec<f64>, Vec<f64>)| -> Vec<u64> {
+            q.iter().chain(qd).map(|x| x.to_bits()).collect()
+        };
+        let us_bits =
+            |us: &[Vec<f64>]| -> Vec<u64> { us.concat().iter().map(|x| x.to_bits()).collect() };
+        for (model, goal, options, q0) in cases {
+            let mut ws = DynamicsWorkspace::new(model);
+            let qd0 = vec![0.0; model.nv()];
+            for max_iters in [0, options.max_iters] {
+                let options = IlqrOptions {
+                    max_iters,
+                    ..options
+                };
+                let mut ilqr = Ilqr::new(model, goal.clone(), options);
+                let mut last: Option<Vec<Vec<f64>>> = None;
+                for shift in [0.05, 0.0, -0.1] {
+                    let q_start: Vec<f64> = q0.iter().map(|q| q + shift).collect();
+                    let r = ilqr.solve(&q_start, &qd0);
+                    if max_iters == 0 {
+                        let initial = match last {
+                            None => {
+                                bias_force_in_ws(model, &mut ws, &q_start, &qd0, None);
+                                vec![ws.tau.clone(); options.horizon]
+                            }
+                            Some(us) => [&us[1..], &us[us.len() - 1..]].concat(),
+                        };
+                        assert!(initial.concat().iter().any(|&u| u != 0.0));
+                        assert_eq!(us_bits(&r.us), us_bits(&initial), "{}", model.name());
+                    }
+                    last = Some(r.us.clone());
+                    assert_eq!(
+                        r.cost_history.len() > 1,
+                        max_iters > 0,
+                        "accepted iterations"
+                    );
+                    assert_eq!(r.trajectory.len(), options.horizon + 1);
+                    assert_eq!(r.trajectory[0], (q_start, qd0.clone()));
+                    for (k, u) in r.us.iter().enumerate() {
+                        let (q, qd) = &r.trajectory[k];
+                        let next = rk4_step(model, &mut ws, q, qd, u, options.dt);
+                        assert_eq!(
+                            bits(&next),
+                            bits(&r.trajectory[k + 1]),
+                            "{} step {k} differs from rk4_step",
+                            model.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn horizon_40_closed_loop_stays_finite() {
+        // The `IlqrOptions` default horizon on a seeded iiwa episode.
+        // From zero initial controls, ticks 1 and 2 ended at a NaN cost
+        // after no accepted iteration: the free-fall rollout diverged.
+        let model = robots::iiwa();
+        let mut rng = SplitMix64::new(1000);
+        let mut draw = |range: f64| -> Vec<f64> {
+            let neutral = model.neutral_config();
+            neutral
+                .iter()
+                .map(|q| q + range * rng.next_symmetric())
+                .collect()
+        };
+        let (goal, mut q) = (draw(0.8), draw(0.3));
+        let mut qd = vec![0.0; model.nv()];
+        let options = IlqrOptions {
+            horizon: 40,
+            dt: 0.02,
+            max_iters: 8,
+            ..IlqrOptions::default()
+        };
+        let mut ilqr = Ilqr::new(&model, goal, options);
+        let mut ws = DynamicsWorkspace::new(&model);
+        for tick in 0..3 {
+            let r = ilqr.solve(&q, &qd);
+            let h = &r.cost_history;
+            assert!(h.iter().all(|c| c.is_finite()), "tick {tick}: {h:?}");
+            assert!(h.len() >= 2, "tick {tick}: no accepted iteration");
+            (q, qd) = rk4_step(&model, &mut ws, &q, &qd, &r.us[0], options.dt);
+        }
     }
 }

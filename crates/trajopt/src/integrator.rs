@@ -73,58 +73,24 @@ pub fn rk4_step(
     (q_new, qd_new)
 }
 
-/// Tangent-space derivative bookkeeping of one RK4 stage quantity.
-#[derive(Debug, Clone, Default)]
-struct Sens {
-    /// w.r.t. δq (nv × nv)
-    dq: MatN,
-    /// w.r.t. δq̇ (nv × nv)
-    dqd: MatN,
-    /// w.r.t. δu (nv × nv)
-    du: MatN,
-}
-
-impl Sens {
-    fn resize(&mut self, nv: usize) {
-        self.dq.resize(nv, nv);
-        self.dqd.resize(nv, nv);
-        self.du.resize(nv, nv);
-    }
-
-    /// `self = base + s · other`, component-wise over all three blocks.
-    fn axpy_from(&mut self, base: &Sens, s: f64, other: &Sens) {
-        let f = |out: &mut MatN, a: &MatN, b: &MatN| {
-            for i in 0..a.rows() {
-                for j in 0..a.cols() {
-                    out[(i, j)] = a[(i, j)] + s * b[(i, j)];
-                }
-            }
-        };
-        f(&mut self.dq, &base.dq, &other.dq);
-        f(&mut self.dqd, &base.dqd, &other.dqd);
-        f(&mut self.du, &base.du, &other.du);
-    }
-
-    /// `self += s · other`, component-wise over all three blocks.
-    fn add_scaled(&mut self, s: f64, other: &Sens) {
-        let f = |out: &mut MatN, b: &MatN| {
-            for i in 0..b.rows() {
-                for j in 0..b.cols() {
-                    out[(i, j)] += s * b[(i, j)];
-                }
-            }
-        };
-        f(&mut self.dq, &other.dq);
-        f(&mut self.dqd, &other.dqd);
-        f(&mut self.du, &other.du);
+/// `out = base + s · x`, entry by entry.
+fn axpy_into(out: &mut MatN, base: &MatN, s: f64, x: &MatN) {
+    for i in 0..out.rows() {
+        for ((o, b), x) in out.row_mut(i).iter_mut().zip(base.row(i)).zip(x.row(i)) {
+            *o = b + s * x;
+        }
     }
 }
 
 /// Reusable scratch for [`rk4_step_with_sensitivity_into`]: every
-/// per-stage `Sens` matrix triple, the shared ΔFD output, the chain-rule
-/// staging matrix and the intermediate stage-state vectors. Holding one
-/// of these per evaluation thread makes the whole LQ approximation
-/// allocation-free in steady state.
+/// per-stage sensitivity, the shared ΔFD output, the chain-rule staging
+/// matrix and the intermediate stage-state vectors. Holding one of these
+/// per evaluation thread makes the whole LQ approximation allocation-free
+/// in steady state.
+///
+/// A stage sensitivity is one `nv × 3nv` matrix laid out
+/// `[∂/∂δq | ∂/∂δq̇ | ∂/∂δu]`, so each chain-rule product is a single
+/// `mul_mat_into` over all three blocks.
 #[derive(Debug, Clone, Default)]
 pub struct Rk4SensScratch {
     /// Seconds spent inside `fd_derivatives_into`, accumulated over
@@ -132,13 +98,11 @@ pub struct Rk4SensScratch {
     pub(crate) dfd_s: f64,
     d: FdDerivatives,
     tmp: MatN,
-    s_q0: Sens,
-    s_qd0: Sens,
-    s_q: [Sens; 2],
-    s_qd: [Sens; 3],
-    s_ka: [Sens; 4],
-    s_bar: Sens,
-    s_out: Sens,
+    s_q0: MatN,
+    s_qd0: MatN,
+    s_q: [MatN; 2],
+    s_qd: [MatN; 3],
+    s_ka: [MatN; 4],
     q_stage: Vec<f64>,
     qd_stage: [Vec<f64>; 3],
     ka: [Vec<f64>; 4],
@@ -154,41 +118,28 @@ impl Rk4SensScratch {
     }
 
     /// Sizes every buffer for `model`; allocation-free when already
-    /// sized. The constant identity/zero sensitivities of the initial
-    /// state are (re)installed here.
-    pub fn ensure_dims(&mut self, model: &RobotModel) {
+    /// sized. The constant sensitivities of the initial state,
+    /// `s_q0 = [I | 0 | 0]` and `s_q̇0 = [0 | I | 0]`, are (re)installed
+    /// here.
+    fn ensure_dims(&mut self, model: &RobotModel) {
         let nv = model.nv();
-        let nq = model.nq();
         self.d.ensure_dims(nv);
-        self.tmp.resize(nv, nv);
-        for s in [
-            &mut self.s_q0,
-            &mut self.s_qd0,
-            &mut self.s_bar,
-            &mut self.s_out,
-        ]
-        .into_iter()
-        .chain(self.s_q.iter_mut())
-        .chain(self.s_qd.iter_mut())
-        .chain(self.s_ka.iter_mut())
+        for s in [&mut self.tmp, &mut self.s_q0, &mut self.s_qd0]
+            .into_iter()
+            .chain(&mut self.s_q)
+            .chain(&mut self.s_qd)
+            .chain(&mut self.s_ka)
         {
-            s.resize(nv);
+            s.resize(nv, 3 * nv);
         }
-        self.s_q0.dq.fill(0.0);
-        self.s_q0.dqd.fill(0.0);
-        self.s_q0.du.fill(0.0);
-        self.s_qd0.dq.fill(0.0);
-        self.s_qd0.dqd.fill(0.0);
-        self.s_qd0.du.fill(0.0);
+        self.s_q0.fill(0.0);
+        self.s_qd0.fill(0.0);
         for i in 0..nv {
-            self.s_q0.dq[(i, i)] = 1.0;
-            self.s_qd0.dqd[(i, i)] = 1.0;
+            self.s_q0[(i, i)] = 1.0;
+            self.s_qd0[(i, nv + i)] = 1.0;
         }
-        self.q_stage.resize(nq, 0.0);
-        for v in self.qd_stage.iter_mut() {
-            v.resize(nv, 0.0);
-        }
-        for v in self.ka.iter_mut() {
+        self.q_stage.resize(model.nq(), 0.0);
+        for v in self.qd_stage.iter_mut().chain(&mut self.ka) {
             v.resize(nv, 0.0);
         }
         self.vbar.resize(nv, 0.0);
@@ -200,25 +151,25 @@ impl Rk4SensScratch {
 /// exact copies or scalings, so they skip those products.
 #[derive(Clone, Copy)]
 enum StageInput<'a> {
-    /// Stage 1: `s_q = (I, 0, 0)`, `s_q̇ = (0, I, 0)`.
+    /// Stage 1: `s_q = [I | 0 | 0]`, `s_q̇ = [0 | I | 0]`.
     First,
-    /// Stage 2: `s_q = (I, c·I, 0)` with `c = h/2`, `s_q̇` general.
-    Second { c: f64, sqd: &'a Sens },
+    /// Stage 2: `s_q = [I | c·I | 0]` with `c = h/2`, `s_q̇` general.
+    Second { c: f64, sqd: &'a MatN },
     /// Stages 3 and 4: both general.
-    General { sq: &'a Sens, sqd: &'a Sens },
+    General { sq: &'a MatN, sqd: &'a MatN },
 }
 
-/// One ΔFD chain-rule stage: evaluates ΔFD at `(q_i, qd_i)` into
-/// `scratch-owned` storage, adding its wall time to `dfd_s`, and forms
-/// the stage acceleration sensitivity
-/// `ka = J_q·sq + J_qd·sqd (+ M⁻¹ on the u block)`.
+/// One ΔFD chain-rule stage: evaluates ΔFD at `(q_i, qd_i)` into `d`,
+/// adding its wall time to `dfd_s`, and forms the stage acceleration
+/// sensitivity `ka = J_q·sq + J_q̇·sqd + [0 | 0 | M⁻¹]`, one `nv × 3nv`
+/// product per Jacobian.
 ///
 /// With the identity and zero blocks of [`StageInput::First`] and
 /// [`StageInput::Second`] that product reduces, bit for bit (finite
 /// Jacobians), to what the general product computes: `mul_mat_into`
 /// accumulates from `+0.0` and the products with the zero entries add
 /// signed zeros, so `J·I` is `0.0 + J`, `J·(c·I)` is `0.0 + J·c` and
-/// `J·0` is `+0.0`. That drops 9 of the step's 24 `nv × nv` products
+/// `J·0` is `+0.0`. That leaves 5 of the step's 8 `nv × 3nv` products
 /// (`tests::structured_stages_match_the_general_chain_rule_bitwise`).
 #[allow(clippy::too_many_arguments)]
 fn stage_sens(
@@ -232,7 +183,7 @@ fn stage_sens(
     qd_i: &[f64],
     input: StageInput<'_>,
     ka_out: &mut [f64],
-    ka: &mut Sens,
+    ka: &mut MatN,
 ) {
     let t = Instant::now();
     fd_derivatives_into(model, ws, q_i, qd_i, tau, None, d).expect("ΔFD");
@@ -240,48 +191,50 @@ fn stage_sens(
     let nv = d.qdd.len();
     ka_out.copy_from_slice(&d.qdd);
     // k_v = qd_i → sensitivity is sqd (referenced by the caller).
-    // k_a = FD(q_i, qd_i, u) → dk_a/dz = Jq·sq + Jqd·sqd (+ Minv du).
     let (jq, jqd, minv) = (&d.dqdd_dq, &d.dqdd_dqd, &d.dqdd_dtau);
     match input {
         StageInput::First => {
             for i in 0..nv {
-                for j in 0..nv {
-                    ka.dq[(i, j)] = 0.0 + jq[(i, j)];
-                    ka.dqd[(i, j)] = 0.0 + jqd[(i, j)];
-                    ka.du[(i, j)] = 0.0 + minv[(i, j)];
+                let blocks = jq.row(i).iter().chain(jqd.row(i)).chain(minv.row(i));
+                for (o, &j) in ka.row_mut(i).iter_mut().zip(blocks) {
+                    *o = 0.0 + j;
                 }
             }
         }
         StageInput::Second { c, sqd } => {
-            jqd.mul_mat_into(&sqd.dq, tmp);
-            jqd.mul_mat_into(&sqd.dqd, &mut ka.dqd);
-            jqd.mul_mat_into(&sqd.du, &mut ka.du);
+            jqd.mul_mat_into(sqd, ka);
             for i in 0..nv {
+                let (dq, rest) = ka.row_mut(i).split_at_mut(nv);
+                let (dqd, du) = rest.split_at_mut(nv);
                 for j in 0..nv {
-                    ka.dq[(i, j)] = (0.0 + jq[(i, j)]) + tmp[(i, j)];
-                    ka.dqd[(i, j)] += 0.0 + jq[(i, j)] * c;
-                    ka.du[(i, j)] = (0.0 + ka.du[(i, j)]) + minv[(i, j)];
+                    dq[j] += 0.0 + jq[(i, j)];
+                    dqd[j] += 0.0 + jq[(i, j)] * c;
+                    du[j] = (0.0 + du[j]) + minv[(i, j)];
                 }
             }
         }
         StageInput::General { sq, sqd } => {
-            let mut chain2 = |a: &MatN, b: &MatN, out: &mut MatN| {
-                jq.mul_mat_into(a, out);
-                jqd.mul_mat_into(b, tmp);
-                for i in 0..nv {
-                    for j in 0..nv {
-                        out[(i, j)] += tmp[(i, j)];
-                    }
-                }
-            };
-            chain2(&sq.dq, &sqd.dq, &mut ka.dq);
-            chain2(&sq.dqd, &sqd.dqd, &mut ka.dqd);
-            chain2(&sq.du, &sqd.du, &mut ka.du);
+            jq.mul_mat_into(sq, ka);
+            jqd.mul_mat_into(sqd, tmp);
+            *ka += &*tmp;
             for i in 0..nv {
-                for j in 0..nv {
-                    ka.du[(i, j)] += minv[(i, j)];
+                for (o, m) in ka.row_mut(i)[2 * nv..].iter_mut().zip(minv.row(i)) {
+                    *o += m;
                 }
             }
+        }
+    }
+}
+
+/// Writes rows `row0..row0 + nv` of the step Jacobians `[A | B]`:
+/// `base + h/6 · (k1 + 2·k2 + 2·k3 + k4)`, summed left to right.
+fn write_rk4_rows(jac: &mut StepJacobians, row0: usize, base: &MatN, h6: f64, k: [&MatN; 4]) {
+    let StepJacobians { a, b } = jac;
+    for i in 0..base.rows() {
+        let out = a.row_mut(row0 + i).iter_mut().chain(b.row_mut(row0 + i));
+        for (j, o) in out.enumerate() {
+            let sum = k[0][(i, j)] + 2.0 * k[1][(i, j)] + 2.0 * k[2][(i, j)] + k[3][(i, j)];
+            *o = base[(i, j)] + h6 * sum;
         }
     }
 }
@@ -289,8 +242,8 @@ fn stage_sens(
 /// One RK4 step together with its discrete Jacobians, computed from four
 /// serial ΔFD evaluations (the Fig 13 sub-task chain), into
 /// caller-reused scratch and outputs: zero steady-state heap allocation
-/// (all per-stage `Sens` matrices live in `scratch`, the outputs are
-/// resized only on first use).
+/// (every stage sensitivity lives in `scratch`, the outputs are resized
+/// only on first use).
 ///
 /// Derivatives are taken in tangent coordinates; for quaternion joints
 /// the transport of the configuration tangent across the step is
@@ -327,8 +280,6 @@ pub fn rk4_step_with_sensitivity_into(
         s_q,
         s_qd,
         s_ka,
-        s_bar,
-        s_out,
         q_stage,
         qd_stage,
         ka,
@@ -360,7 +311,7 @@ pub fn rk4_step_with_sensitivity_into(
     for i in 0..nv {
         qd2[i] = qd[i] + h / 2.0 * k1a[i];
     }
-    s_qd2.axpy_from(s_qd0, h / 2.0, s_k1a);
+    axpy_into(s_qd2, s_qd0, h / 2.0, s_k1a);
     let second = StageInput::Second {
         c: h / 2.0,
         sqd: s_qd2,
@@ -373,8 +324,8 @@ pub fn rk4_step_with_sensitivity_into(
     for i in 0..nv {
         qd3[i] = qd[i] + h / 2.0 * k2a[i];
     }
-    s_q3.axpy_from(s_q0, h / 2.0, s_qd2);
-    s_qd3.axpy_from(s_qd0, h / 2.0, s_k2a);
+    axpy_into(s_q3, s_q0, h / 2.0, s_qd2);
+    axpy_into(s_qd3, s_qd0, h / 2.0, s_k2a);
     let third = StageInput::General {
         sq: s_q3,
         sqd: s_qd3,
@@ -387,8 +338,8 @@ pub fn rk4_step_with_sensitivity_into(
     for i in 0..nv {
         qd4[i] = qd[i] + h * k3a[i];
     }
-    s_q4.axpy_from(s_q0, h, s_qd3);
-    s_qd4.axpy_from(s_qd0, h, s_k3a);
+    axpy_into(s_q4, s_q0, h, s_qd3);
+    axpy_into(s_qd4, s_qd0, h, s_k3a);
     let fourth = StageInput::General {
         sq: s_q4,
         sqd: s_qd4,
@@ -405,31 +356,10 @@ pub fn rk4_step_with_sensitivity_into(
     for i in 0..nv {
         qd_new[i] = qd[i] + h / 6.0 * (k1a[i] + 2.0 * k2a[i] + 2.0 * k3a[i] + k4a[i]);
     }
-
-    // s_vbar = s_k1v + 2 s_k2v + 2 s_k3v + s_k4v, then the q output row.
-    s_bar.axpy_from(s_qd0, 2.0, s_qd2);
-    s_bar.add_scaled(2.0, s_qd3);
-    s_bar.add_scaled(1.0, s_qd4);
-    s_out.axpy_from(s_q0, h / 6.0, s_bar);
-    for i in 0..nv {
-        for j in 0..nv {
-            jac.a[(i, j)] = s_out.dq[(i, j)];
-            jac.a[(i, nv + j)] = s_out.dqd[(i, j)];
-            jac.b[(i, j)] = s_out.du[(i, j)];
-        }
-    }
-    // s_abar = s_k1a + 2 s_k2a + 2 s_k3a + s_k4a, then the q̇ output row.
-    s_bar.axpy_from(s_k1a, 2.0, s_k2a);
-    s_bar.add_scaled(2.0, s_k3a);
-    s_bar.add_scaled(1.0, s_k4a);
-    s_out.axpy_from(s_qd0, h / 6.0, s_bar);
-    for i in 0..nv {
-        for j in 0..nv {
-            jac.a[(nv + i, j)] = s_out.dq[(i, j)];
-            jac.a[(nv + i, nv + j)] = s_out.dqd[(i, j)];
-            jac.b[(nv + i, j)] = s_out.du[(i, j)];
-        }
-    }
+    // The q rows from the stage velocities, the q̇ rows from the stage
+    // accelerations.
+    write_rk4_rows(jac, 0, s_q0, h / 6.0, [s_qd0, s_qd2, s_qd3, s_qd4]);
+    write_rk4_rows(jac, nv, s_qd0, h / 6.0, [s_k1a, s_k2a, s_k3a, s_k4a]);
 }
 
 #[cfg(test)]
@@ -521,12 +451,9 @@ mod tests {
             robots::serial_chain(3),
             robots::random_tree(9, 7),
         ];
-        let bits = |s: &Sens| {
-            [&s.dq, &s.dqd, &s.du]
-                .into_iter()
-                .flat_map(|m| {
-                    (0..m.rows()).flat_map(move |i| (0..m.cols()).map(move |j| m[(i, j)].to_bits()))
-                })
+        let bits = |m: &MatN| {
+            (0..m.rows())
+                .flat_map(|i| m.row(i).iter().map(|x| x.to_bits()))
                 .collect::<Vec<_>>()
         };
         let h = 0.01;
@@ -541,17 +468,13 @@ mod tests {
                 s_qd0,
                 ..
             } = Rk4SensScratch::for_model(model);
-            let sens = || {
-                let mut s = Sens::default();
-                s.resize(nv);
-                s
-            };
+            let sens = || MatN::zeros(nv, 3 * nv);
             let (mut fast, mut oracle, mut sq2, mut sqd2) = (sens(), sens(), sens(), sens());
             let mut ka = vec![0.0; nv];
             for seed in 0..3 {
                 let s = random_state(model, 40 + seed);
                 let tau: Vec<f64> = (0..nv).map(|k| 0.3 - 0.05 * k as f64).collect();
-                let mut stage = |input: StageInput, out: &mut Sens| {
+                let mut stage = |input: StageInput, out: &mut MatN| {
                     stage_sens(
                         model, &mut ws, &mut dfd_s, &mut d, &mut tmp, &tau, &s.q, &s.qd, input,
                         &mut ka, out,
@@ -566,8 +489,8 @@ mod tests {
                 stage(general, &mut oracle);
                 assert_eq!(bits(&fast), bits(&oracle), "{what}: stage 1");
                 // Stage 2's incoming sensitivities, formed as the step forms them.
-                sqd2.axpy_from(&s_qd0, h / 2.0, &fast);
-                sq2.axpy_from(&s_q0, h / 2.0, &s_qd0);
+                axpy_into(&mut sqd2, &s_qd0, h / 2.0, &fast);
+                axpy_into(&mut sq2, &s_q0, h / 2.0, &s_qd0);
                 let second = StageInput::Second {
                     c: h / 2.0,
                     sqd: &sqd2,

@@ -14,12 +14,10 @@
 
 pub mod ilqr;
 pub mod integrator;
-pub mod mpc;
 pub mod mppi;
 pub mod scheduler;
 
 pub use ilqr::{lq_jacobians_batched, Ilqr, IlqrOptions, IlqrResult, LqScratch};
 pub use integrator::{rk4_step, rk4_step_with_sensitivity_into, Rk4SensScratch, StepJacobians};
-pub use mpc::{run_mpc, MpcRun};
 pub use mppi::{Mppi, MppiOptions, MppiScratch, MppiStep};
 pub use scheduler::{accel_makespan_cycles, cpu_makespan, ScheduleInputs};
