@@ -1,6 +1,6 @@
 //! Articulated Body Algorithm (forward dynamics), the software baseline
 //! the paper deliberately does *not* instantiate in hardware (§III-A). It
-//! steps every rollout (both controllers' lane kernel and the plant's
+//! steps every rollout (the controllers' lane kernel, the plant's scalar
 //! `rk4_step`) and is the reference for the `FD = M⁻¹·(τ - C)` path.
 //!
 //! There is one sweep, [`aba_in_ws`]; [`aba`] allocates the output and

@@ -55,7 +55,7 @@ pub fn total_energy(model: &RobotModel, ws: &mut DynamicsWorkspace, q: &[f64], q
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aba::aba;
+    use crate::aba::aba_in_ws;
     use crate::crba::crba;
     use rbd_model::{integrate_config, random_state, robots};
     use rbd_spatial::VecN;
@@ -89,29 +89,16 @@ mod tests {
         let tau = vec![0.0; model.nv()];
         let e0 = total_energy(&model, &mut ws, &q, &qd);
         let dt = 1e-3;
+        let mut stages = crate::Rk4Stages::for_model(&model, 1);
+        let (mut q_next, mut qd_next) = (q.clone(), qd.clone());
         for _ in 0..200 {
-            // RK4 on the manifold.
-            let f = |q: &Vec<f64>, qd: &Vec<f64>, ws: &mut DynamicsWorkspace| {
-                aba(&model, ws, q, qd, &tau, None).unwrap()
-            };
-            let k1a = f(&q, &qd, &mut ws);
-            let q2 = integrate_config(&model, &q, &qd, dt / 2.0);
-            let qd2: Vec<f64> = qd.iter().zip(&k1a).map(|(v, a)| v + a * dt / 2.0).collect();
-            let k2a = f(&q2, &qd2, &mut ws);
-            let q3 = integrate_config(&model, &q, &qd2, dt / 2.0);
-            let qd3: Vec<f64> = qd.iter().zip(&k2a).map(|(v, a)| v + a * dt / 2.0).collect();
-            let k3a = f(&q3, &qd3, &mut ws);
-            let q4 = integrate_config(&model, &q, &qd3, dt);
-            let qd4: Vec<f64> = qd.iter().zip(&k3a).map(|(v, a)| v + a * dt).collect();
-            let k4a = f(&q4, &qd4, &mut ws);
-
-            let vmid: Vec<f64> = (0..model.nv())
-                .map(|k| (qd[k] + 2.0 * qd2[k] + 2.0 * qd3[k] + qd4[k]) / 6.0)
-                .collect();
-            q = integrate_config(&model, &q, &vmid, dt);
-            for k in 0..model.nv() {
-                qd[k] += dt * (k1a[k] + 2.0 * k2a[k] + 2.0 * k3a[k] + k4a[k]) / 6.0;
+            for stage in 0..4 {
+                let (q_s, qd_s, k) = stages.point(&model, stage, &q, &qd, dt);
+                aba_in_ws(&model, &mut ws, q_s, qd_s, &tau, None, k).unwrap();
             }
+            stages.finish(&model, &q, &qd, dt, &mut q_next, &mut qd_next);
+            std::mem::swap(&mut q, &mut q_next);
+            std::mem::swap(&mut qd, &mut qd_next);
         }
         let e1 = total_energy(&model, &mut ws, &q, &qd);
         assert!(

@@ -17,7 +17,9 @@
 //! * [`forward_dynamics_aba_lanes_in_ws`] mirrors [`crate::aba_in_ws`]
 //!   (without external forces);
 //! * [`rk4_rollout_lanes_into`] mirrors a scalar RK4 step over
-//!   [`crate::aba_in_ws`], run per sample;
+//!   [`crate::aba_in_ws`], run per sample — both are [`Rk4Stages`]
+//!   steps, whose arithmetic is element by element and so the same at
+//!   any lane count;
 //! * [`fd_derivatives_lanes_into`] mirrors [`crate::fd_derivatives_into`]
 //!   (without external forces): MMinvGen, the bias force, IDSVA and the
 //!   `−M⁻¹·∂τ` gather, each sweep lane by lane.
@@ -28,7 +30,7 @@
 //! (floating base included) against [`crate::aba_in_ws`], a test-local
 //! scalar RK4 reference and [`crate::fd_derivatives_into`], and
 //! `tests/lane_properties.rs` at seeded random states. The lane
-//! kernels are the only rollout path and the batched-ΔFD path: batch
+//! kernels are MPPI's rollout path and the batched-ΔFD path: batch
 //! consumers cut a sample batch into lane groups
 //! (`BatchEval::for_each_lane_groups`) and pad the last, short group
 //! with copies of one of its samples, and the result is still
@@ -209,7 +211,7 @@ impl<const K: usize> LaneWorkspace<K> {
     ///
     /// # Panics
     /// Panics on length mismatch.
-    fn scatter_qdd(&self, out: &mut [f64]) {
+    pub fn scatter_qdd(&self, out: &mut [f64]) {
         let nv = self.qdd_l.len();
         assert_eq!(out.len(), K * nv, "scatter_qdd length");
         for (d, lanes) in self.qdd_l.iter().enumerate() {
@@ -585,19 +587,153 @@ mod dfd;
 pub use dfd::{fd_derivatives_lanes_into, LaneFdScratch};
 
 // ---------------------------------------------------------------------
-// RK4 rollout kernel (the sampling-MPC workload unit).
+// The RK4 tableau and the rollout kernel (the sampling-MPC workload unit).
 // ---------------------------------------------------------------------
 
-/// Reusable lane-major stage buffers for [`rk4_rollout_lanes_into`]
-/// (`K·nq` / `K·nv` flat blocks, lane `l` contiguous at `l·dim`).
+/// Classical RK4 on the configuration manifold over any number of lanes
+/// (`q.len() / nq`, lane-major): the stage points and the combine, with
+/// the stage dynamics left to the caller. It is the workspace's one RK4
+/// body: [`rk4_rollout_lanes_into`], the plant step, iLQR's forward pass
+/// and the RK4 sensitivity each run the four-stage loop of the example
+/// with their own stage dynamics.
+///
+/// `point(…, s, …)` returns stage `s + 1`: with `q̇ᵢ`, `kᵢ` the velocity
+/// and acceleration of stage `i`, stage 1 is `(q, q̇)` and stage `i + 1`
+/// `(q ⊕ c·q̇ᵢ, q̇ + c·kᵢ)` with `c = h/2, h/2, h`. The step ends at
+/// `q ⊕ h·(q̇₁ + 2q̇₂ + 2q̇₃ + q̇₄)/6` and `q̇ + h/6·(k₁ + 2k₂ + 2k₃ + k₄)`.
+/// Every expression is evaluated element by element (configurations lane
+/// by lane), so lane `l` of the next state depends only on lane `l`'s
+/// inputs and its bits do not depend on the lane count.
+///
+/// # Example
+/// ```
+/// use rbd_dynamics::{aba_in_ws, DynamicsWorkspace, Rk4Stages};
+/// use rbd_model::{random_state, robots};
+/// let model = robots::iiwa();
+/// let mut ws = DynamicsWorkspace::new(&model);
+/// let mut stages = Rk4Stages::for_model(&model, 1);
+/// let s = random_state(&model, 1);
+/// let tau = vec![0.0; model.nv()];
+/// for stage in 0..4 {
+///     let (q, qd, k) = stages.point(&model, stage, &s.q, &s.qd, 0.01);
+///     aba_in_ws(&model, &mut ws, q, qd, &tau, None, k).unwrap();
+/// }
+/// let (mut q_next, mut qd_next) = (vec![0.0; model.nq()], vec![0.0; model.nv()]);
+/// stages.finish(&model, &s.q, &s.qd, 0.01, &mut q_next, &mut qd_next);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct Rk4Stages {
+    /// The current stage's configuration (stages 2–4).
+    q_s: Vec<f64>,
+    /// Stage velocities `q̇₂, q̇₃, q̇₄`.
+    qd_s: [Vec<f64>; 3],
+    /// Stage accelerations `k₁ … k₄`, written by the caller.
+    k: [Vec<f64>; 4],
+    /// The step's mean velocity `(q̇₁ + 2q̇₂ + 2q̇₃ + q̇₄)/6`.
+    vbar: Vec<f64>,
+}
+
+impl Rk4Stages {
+    /// Stage buffers sized for `lanes` lanes of `model`.
+    pub fn for_model(model: &RobotModel, lanes: usize) -> Self {
+        let mut s = Self::default();
+        s.ensure_dims(model, lanes);
+        s
+    }
+
+    /// Sizes every buffer for `lanes` lanes; allocation-free when
+    /// already sized.
+    pub fn ensure_dims(&mut self, model: &RobotModel, lanes: usize) {
+        self.q_s.resize(lanes * model.nq(), 0.0);
+        self.vbar.resize(lanes * model.nv(), 0.0);
+        for v in self.qd_s.iter_mut().chain(&mut self.k) {
+            v.resize(lanes * model.nv(), 0.0);
+        }
+    }
+
+    /// Stage `s + 1` (`s` in `0..4`) of the step from `(q, q̇)` with
+    /// step `h`: the stage configuration, the stage velocity and the slot
+    /// of the stage acceleration `k_{s+1}`, which the caller fills before
+    /// asking for the next stage (which reads it).
+    ///
+    /// # Panics
+    /// Panics if `s ≥ 4` or `q`/`q̇` do not match the sized lane count.
+    #[inline(always)]
+    pub fn point<'a>(
+        &'a mut self,
+        model: &RobotModel,
+        s: usize,
+        q: &'a [f64],
+        qd: &'a [f64],
+        h: f64,
+    ) -> (&'a [f64], &'a [f64], &'a mut [f64]) {
+        assert_eq!(q.len(), self.q_s.len(), "stage q dimension");
+        assert_eq!(qd.len(), self.vbar.len(), "stage q̇ dimension");
+        let Self { q_s, qd_s, k, .. } = self;
+        if s == 0 {
+            return (q, qd, &mut k[0]);
+        }
+        let c = if s == 3 { h } else { h / 2.0 };
+        let (nq, nv) = (model.nq(), model.nv());
+        let (done, rest) = qd_s.split_at_mut(s - 1);
+        let v_prev = done.last().map_or(qd, Vec::as_slice);
+        for (qs, (qc, vc)) in q_s.chunks_mut(nq).zip(q.chunks(nq).zip(v_prev.chunks(nv))) {
+            integrate_config_into(model, qc, vc, c, qs);
+        }
+        let qd_now = &mut rest[0];
+        for (o, (&v, &a)) in qd_now.iter_mut().zip(qd.iter().zip(&k[s - 1])) {
+            *o = v + c * a;
+        }
+        (q_s, qd_now, &mut k[s])
+    }
+
+    /// Combines the four filled stages into the next state `(q_next,
+    /// q̇_next)` of the step from `(q, q̇)` with step `h` (the arguments
+    /// of every [`Self::point`] call of the step).
+    ///
+    /// # Panics
+    /// Panics on dimension mismatches.
+    #[inline(always)]
+    pub fn finish(
+        &mut self,
+        model: &RobotModel,
+        q: &[f64],
+        qd: &[f64],
+        h: f64,
+        q_next: &mut [f64],
+        qd_next: &mut [f64],
+    ) {
+        assert_eq!(q_next.len(), q.len(), "next q dimension");
+        assert_eq!(qd_next.len(), qd.len(), "next q̇ dimension");
+        let (nq, nv) = (model.nq(), model.nv());
+        let Self {
+            qd_s: [qd2, qd3, qd4],
+            k: [k1a, k2a, k3a, k4a],
+            vbar,
+            ..
+        } = self;
+        for i in 0..qd.len() {
+            vbar[i] = (qd[i] + 2.0 * qd2[i] + 2.0 * qd3[i] + qd4[i]) / 6.0;
+        }
+        for (qn, (qc, vb)) in q_next.chunks_mut(nq).zip(q.chunks(nq).zip(vbar.chunks(nv))) {
+            integrate_config_into(model, qc, vb, h, qn);
+        }
+        for i in 0..qd_next.len() {
+            qd_next[i] = qd[i] + h / 6.0 * (k1a[i] + 2.0 * k2a[i] + 2.0 * k3a[i] + k4a[i]);
+        }
+    }
+}
+
+/// Reusable lane-major buffers for [`rk4_rollout_lanes_into`]: the RK4
+/// stages and the current and next states (`K·nq` / `K·nv` flat blocks,
+/// lane `l` contiguous at `l·dim`).
 #[derive(Debug, Clone, Default)]
 pub struct LaneRolloutScratch {
-    q_stage: Vec<f64>,
-    qd_stage: [Vec<f64>; 3],
-    ka: [Vec<f64>; 4],
-    vbar: Vec<f64>,
+    stages: Rk4Stages,
     q_cur: Vec<f64>,
     qd_cur: Vec<f64>,
+    q_next: Vec<f64>,
+    qd_next: Vec<f64>,
     tau_cur: Vec<f64>,
 }
 
@@ -611,17 +747,13 @@ impl LaneRolloutScratch {
 
     /// Sizes every buffer; allocation-free when already sized.
     pub fn ensure_dims(&mut self, model: &RobotModel, k: usize) {
-        self.q_stage.resize(k * model.nq(), 0.0);
-        for v in self.qd_stage.iter_mut() {
+        self.stages.ensure_dims(model, k);
+        for v in [&mut self.q_cur, &mut self.q_next] {
+            v.resize(k * model.nq(), 0.0);
+        }
+        for v in [&mut self.qd_cur, &mut self.qd_next, &mut self.tau_cur] {
             v.resize(k * model.nv(), 0.0);
         }
-        for v in self.ka.iter_mut() {
-            v.resize(k * model.nv(), 0.0);
-        }
-        self.vbar.resize(k * model.nv(), 0.0);
-        self.q_cur.resize(k * model.nq(), 0.0);
-        self.qd_cur.resize(k * model.nv(), 0.0);
-        self.tau_cur.resize(k * model.nv(), 0.0);
     }
 }
 
@@ -633,15 +765,14 @@ avx2_dispatch! {
 /// (flat `K·(horizon+1)·nq` / `K·(horizon+1)·nv`) so each lane's
 /// trajectory is contiguous for downstream cost evaluation.
 ///
-/// Per lane, each step is classical RK4 on the configuration manifold:
-/// four ABA stages through the lockstep lane sweep, the stage
-/// configurations through `integrate_config_into`. Lane `l`'s
-/// trajectory is bit-identical to the same RK4 run per sample over the
-/// scalar [`crate::aba_in_ws`], and it depends only on lane `l`'s
-/// inputs — which is what lets a batch pad its last, short group with
-/// copies of a real sample. Zero steady-state allocation; AVX2 hosts
-/// run an AVX2-compiled clone of the whole rollout (the lane ABA
-/// sweeps inlined), so the feature check runs once per rollout.
+/// Each step is one [`Rk4Stages`] step whose four stages run the
+/// lockstep lane ABA sweep. Lane `l`'s trajectory is bit-identical to
+/// the same RK4 run per sample over the scalar [`crate::aba_in_ws`],
+/// and it depends only on lane `l`'s inputs — which is what lets a
+/// batch pad its last, short group with copies of a real sample. Zero
+/// steady-state allocation; AVX2 hosts run an AVX2-compiled clone of
+/// the whole rollout (the stages and the lane ABA sweeps inlined), so
+/// the feature check runs once per rollout.
 ///
 /// # Errors
 /// Propagates a singular joint-space block from any lane/stage.
@@ -677,9 +808,7 @@ fn rk4_rollout_lanes_impl<const K: usize>(
     q_traj: &mut [f64],
     qd_traj: &mut [f64],
 ) -> Result<(), DynamicsError> {
-    let nq = model.nq();
-    let nv = model.nv();
-    let h = dt;
+    let (nq, nv) = (model.nq(), model.nv());
     assert_eq!(q0.len(), K * nq, "q0 dimension");
     assert_eq!(qd0.len(), K * nv, "qd0 dimension");
     assert_eq!(us.len(), K * horizon * nv, "controls dimension");
@@ -695,96 +824,39 @@ fn rk4_rollout_lanes_impl<const K: usize>(
     );
     scratch.ensure_dims(model, K);
     let LaneRolloutScratch {
-        q_stage,
-        qd_stage,
-        ka,
-        vbar,
+        stages,
         q_cur,
         qd_cur,
+        q_next,
+        qd_next,
         tau_cur,
     } = scratch;
-    let [qd2, qd3, qd4] = qd_stage;
-    let [k1a, k2a, k3a, k4a] = ka;
 
     q_cur.copy_from_slice(q0);
     qd_cur.copy_from_slice(qd0);
-    for l in 0..K {
-        q_traj[l * (horizon + 1) * nq..][..nq].copy_from_slice(&q0[l * nq..(l + 1) * nq]);
-        qd_traj[l * (horizon + 1) * nv..][..nv].copy_from_slice(&qd0[l * nv..(l + 1) * nv]);
-    }
-
-    for step in 0..horizon {
+    for step in 0..=horizon {
+        // Record the current state.
+        for l in 0..K {
+            q_traj[(l * (horizon + 1) + step) * nq..][..nq]
+                .copy_from_slice(&q_cur[l * nq..(l + 1) * nq]);
+            qd_traj[(l * (horizon + 1) + step) * nv..][..nv]
+                .copy_from_slice(&qd_cur[l * nv..(l + 1) * nv]);
+        }
+        if step == horizon {
+            break;
+        }
         for l in 0..K {
             tau_cur[l * nv..(l + 1) * nv]
                 .copy_from_slice(&us[l * horizon * nv + step * nv..][..nv]);
         }
-
-        // Stage 1 at (q, q̇).
-        fd_aba_lanes_impl(model, lws, q_cur, qd_cur, tau_cur)?;
-        lws.scatter_qdd(k1a);
-        // Stage 2: q2 = q ⊕ (h/2 q̇), qd2 = qd + h/2 k1a.
-        for (qs, (qc, qdc)) in q_stage
-            .chunks_mut(nq)
-            .zip(q_cur.chunks(nq).zip(qd_cur.chunks(nv)))
-        {
-            integrate_config_into(model, qc, qdc, h / 2.0, qs);
+        for s in 0..4 {
+            let (q_s, qd_s, k_s) = stages.point(model, s, q_cur, qd_cur, dt);
+            fd_aba_lanes_impl(model, lws, q_s, qd_s, tau_cur)?;
+            lws.scatter_qdd(k_s);
         }
-        for i in 0..K * nv {
-            qd2[i] = qd_cur[i] + h / 2.0 * k1a[i];
-        }
-        fd_aba_lanes_impl(model, lws, q_stage, qd2, tau_cur)?;
-        lws.scatter_qdd(k2a);
-        // Stage 3.
-        for (qs, (qc, qdc)) in q_stage
-            .chunks_mut(nq)
-            .zip(q_cur.chunks(nq).zip(qd2.chunks(nv)))
-        {
-            integrate_config_into(model, qc, qdc, h / 2.0, qs);
-        }
-        for i in 0..K * nv {
-            qd3[i] = qd_cur[i] + h / 2.0 * k2a[i];
-        }
-        fd_aba_lanes_impl(model, lws, q_stage, qd3, tau_cur)?;
-        lws.scatter_qdd(k3a);
-        // Stage 4.
-        for (qs, (qc, qdc)) in q_stage
-            .chunks_mut(nq)
-            .zip(q_cur.chunks(nq).zip(qd3.chunks(nv)))
-        {
-            integrate_config_into(model, qc, qdc, h, qs);
-        }
-        for i in 0..K * nv {
-            qd4[i] = qd_cur[i] + h * k3a[i];
-        }
-        fd_aba_lanes_impl(model, lws, q_stage, qd4, tau_cur)?;
-        lws.scatter_qdd(k4a);
-
-        // Combine into the next state (same expressions as the scalar
-        // step, elementwise per lane).
-        for i in 0..K * nv {
-            vbar[i] = (qd_cur[i] + 2.0 * qd2[i] + 2.0 * qd3[i] + qd4[i]) / 6.0;
-        }
-        for l in 0..K {
-            let q_next = &mut q_traj[l * (horizon + 1) * nq + (step + 1) * nq..][..nq];
-            integrate_config_into(
-                model,
-                &q_cur[l * nq..(l + 1) * nq],
-                &vbar[l * nv..(l + 1) * nv],
-                h,
-                q_next,
-            );
-        }
-        for i in 0..K * nv {
-            qd4[i] = qd_cur[i] + h / 6.0 * (k1a[i] + 2.0 * k2a[i] + 2.0 * k3a[i] + k4a[i]);
-        }
-        // Advance and record.
-        for l in 0..K {
-            let q_next = &q_traj[l * (horizon + 1) * nq + (step + 1) * nq..][..nq];
-            q_cur[l * nq..(l + 1) * nq].copy_from_slice(q_next);
-            qd_traj[l * (horizon + 1) * nv + (step + 1) * nv..][..nv]
-                .copy_from_slice(&qd4[l * nv..(l + 1) * nv]);
-            qd_cur[l * nv..(l + 1) * nv].copy_from_slice(&qd4[l * nv..(l + 1) * nv]);
-        }
+        stages.finish(model, q_cur, qd_cur, dt, q_next, qd_next);
+        std::mem::swap(q_cur, q_next);
+        std::mem::swap(qd_cur, qd_next);
     }
     Ok(())
 }

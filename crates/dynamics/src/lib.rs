@@ -61,12 +61,13 @@
 //!
 //! # Lane batching
 //!
-//! Rollouts run `K` samples in lockstep through the [`lanes`] kernels,
-//! the only rollout path (MPPI at `K = 4`, iLQR at `K = 1`): a batch whose
-//! size is not a multiple of [`LANE_WIDTH`] pads its last group with
-//! copies of a real sample. Lane kernels exist for ABA and RK4, and each
-//! lane is bit-identical to the scalar [`aba_in_ws`] on that lane's
-//! inputs. [`aba_in_ws`] and [`rnea_in_ws`] stay scalar because they
+//! MPPI rolls out `K = 4` samples in lockstep ([`rk4_rollout_lanes_into`]);
+//! a batch whose size is not a multiple of [`LANE_WIDTH`] pads its last
+//! group with copies of a real sample. Lane kernels exist for ABA, RK4 and
+//! ΔFD, each lane bit-identical to the scalar kernel on its inputs. Every
+//! RK4 step — the lane rollout, the plant's `rk4_step`, iLQR's forward
+//! pass (width-1 lane ABA) and the RK4 sensitivity — is an [`Rk4Stages`]
+//! step. [`aba_in_ws`] and [`rnea_in_ws`] stay scalar because they
 //! take external forces; [`rnea_in_ws`] is on the ΔFD hot path (through
 //! [`bias_force_in_ws`]).
 //!
@@ -115,7 +116,7 @@ pub use finite_diff::{fd_derivatives_numeric, rnea_derivatives_numeric};
 pub use idsva::rnea_derivatives_idsva_into;
 pub use lanes::{
     fd_derivatives_lanes_into, forward_dynamics_aba_lanes_in_ws, rk4_rollout_lanes_into,
-    LaneFdScratch, LaneRolloutScratch, LaneWorkspace, LANE_WIDTH,
+    LaneFdScratch, LaneRolloutScratch, LaneWorkspace, Rk4Stages, LANE_WIDTH,
 };
 pub use mminv::{mminv_gen, mminv_gen_into, MMinvOutput};
 pub use momentum::{center_of_mass, spatial_momentum, total_mass};

@@ -6,8 +6,8 @@
 
 use crate::integrator::{rk4_step_with_sensitivity_into, Rk4SensScratch, StepJacobians};
 use rbd_dynamics::{
-    bias_force_in_ws, rk4_rollout_lanes_into, BatchEval, DynamicsWorkspace, LaneRolloutScratch,
-    LaneWorkspace,
+    bias_force_in_ws, forward_dynamics_aba_lanes_in_ws, BatchEval, DynamicsWorkspace,
+    LaneWorkspace, Rk4Stages,
 };
 use rbd_model::RobotModel;
 use rbd_spatial::{MatN, VecN};
@@ -193,10 +193,8 @@ impl<'m> IlqrScratch<'m> {
                 new_traj: vec![(vec![0.0; model.nq()], vec![0.0; nv]); horizon + 1],
                 new_us: vec![vec![0.0; nv]; horizon],
                 lws: LaneWorkspace::new(model),
-                lane_rs: LaneRolloutScratch::for_model(model, 1),
+                stages: Rk4Stages::for_model(model, 1),
                 dx: vec![0.0; nx],
-                q_step: vec![0.0; 2 * model.nq()],
-                qd_step: vec![0.0; 2 * nv],
                 warm: false,
                 ws: DynamicsWorkspace::new(model),
                 rest: vec![0.0; nv],
@@ -230,7 +228,7 @@ impl<'m> IlqrScratch<'m> {
 }
 
 /// The closed-loop forward pass: the nominal rollout, a candidate, the
-/// state of the width-1 lane RK4/ABA kernel that steps the candidate, and
+/// RK4 stages and width-1 lane ABA workspace that step the candidate, and
 /// the scratch of the gravity-compensated cold start.
 #[derive(Debug)]
 struct ForwardPass {
@@ -239,11 +237,8 @@ struct ForwardPass {
     new_traj: Vec<(Vec<f64>, Vec<f64>)>,
     new_us: Vec<Vec<f64>>,
     lws: LaneWorkspace<1>,
-    lane_rs: LaneRolloutScratch,
+    stages: Rk4Stages,
     dx: Vec<f64>,
-    /// One kernel step: `(q_k, q_{k+1})` and `(q̇_k, q̇_{k+1})`.
-    q_step: Vec<f64>,
-    qd_step: Vec<f64>,
     /// Whether `us` holds the last solve's plan, which ended at a finite cost.
     warm: bool,
     ws: DynamicsWorkspace,
@@ -272,14 +267,14 @@ impl ForwardPass {
     /// Rolls the candidate out from `traj[0]` under the controls `us[k] +
     /// α·k_ff[k] + K_fb[k]·(x_k − traj[k])`, or `us[k]` without `gains`.
     fn run(&mut self, model: &RobotModel, dt: f64, gains: Option<(f64, &[VecN], &[MatN])>) {
-        let (nq, nv) = (model.nq(), model.nv());
+        let nv = model.nv();
         let (traj, us, new_traj) = (&self.traj, &self.us, &mut self.new_traj);
-        let (lws, rs, dx) = (&mut self.lws, &mut self.lane_rs, &mut self.dx);
-        let (q_step, qd_step) = (&mut self.q_step, &mut self.qd_step);
+        let (lws, stages, dx) = (&mut self.lws, &mut self.stages, &mut self.dx);
         new_traj[0].0.copy_from_slice(&traj[0].0);
         new_traj[0].1.copy_from_slice(&traj[0].1);
         for (k, u) in self.new_us.iter_mut().enumerate() {
-            let (q, qd) = &new_traj[k];
+            let (done, next) = new_traj.split_at_mut(k + 1);
+            let (q, qd) = &done[k];
             if let Some((alpha, k_ff, k_fb)) = gains {
                 for i in 0..nv {
                     dx[i] = q[i] - traj[k].0[i];
@@ -292,10 +287,13 @@ impl ForwardPass {
             } else {
                 u.copy_from_slice(&us[k]);
             }
-            rk4_rollout_lanes_into::<1>(model, lws, rs, q, qd, u, 1, dt, q_step, qd_step)
-                .expect("ABA");
-            new_traj[k + 1].0.copy_from_slice(&q_step[nq..]);
-            new_traj[k + 1].1.copy_from_slice(&qd_step[nv..]);
+            for s in 0..4 {
+                let (q_s, qd_s, k_s) = stages.point(model, s, q, qd, dt);
+                forward_dynamics_aba_lanes_in_ws::<1>(model, lws, q_s, qd_s, u).expect("ABA");
+                lws.scatter_qdd(k_s);
+            }
+            let (q_next, qd_next) = &mut next[0];
+            stages.finish(model, q, qd, dt, q_next, qd_next);
         }
     }
 }

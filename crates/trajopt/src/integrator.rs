@@ -5,8 +5,8 @@
 //! *serial* ΔFD calls, while steps at different sampling points are
 //! independent.
 
-use rbd_dynamics::{fd_derivatives_into, DynamicsWorkspace, FdDerivatives};
-use rbd_model::{integrate_config, integrate_config_into, RobotModel};
+use rbd_dynamics::{aba_in_ws, fd_derivatives_into, DynamicsWorkspace, FdDerivatives, Rk4Stages};
+use rbd_model::RobotModel;
 use rbd_spatial::MatN;
 use std::time::Instant;
 
@@ -31,8 +31,11 @@ impl StepJacobians {
     }
 }
 
-/// One classical RK4 step on the configuration manifold over ABA: the
-/// allocating scalar mirror, bit for bit, of [`rbd_dynamics::rk4_rollout_lanes_into`].
+/// One classical RK4 step on the configuration manifold over the scalar
+/// ABA ([`rbd_dynamics::aba_in_ws`]): one [`Rk4Stages`] step, so it
+/// integrates the same bits as a lane of
+/// [`rbd_dynamics::rk4_rollout_lanes_into`]. Allocates its stage
+/// buffers and outputs.
 ///
 /// # Panics
 /// Panics if ABA fails.
@@ -44,32 +47,13 @@ pub fn rk4_step(
     tau: &[f64],
     h: f64,
 ) -> (Vec<f64>, Vec<f64>) {
-    let fd = |ws: &mut DynamicsWorkspace, q: &[f64], qd: &[f64]| {
-        rbd_dynamics::aba(model, ws, q, qd, tau, None).expect("ABA")
-    };
-    let nv = model.nv();
-    let k1v = qd.to_vec();
-    let k1a = fd(ws, q, qd);
-
-    let q2 = integrate_config(model, q, &k1v, h / 2.0);
-    let qd2: Vec<f64> = (0..nv).map(|i| qd[i] + h / 2.0 * k1a[i]).collect();
-    let k2a = fd(ws, &q2, &qd2);
-
-    let q3 = integrate_config(model, q, &qd2, h / 2.0);
-    let qd3: Vec<f64> = (0..nv).map(|i| qd[i] + h / 2.0 * k2a[i]).collect();
-    let k3a = fd(ws, &q3, &qd3);
-
-    let q4 = integrate_config(model, q, &qd3, h);
-    let qd4: Vec<f64> = (0..nv).map(|i| qd[i] + h * k3a[i]).collect();
-    let k4a = fd(ws, &q4, &qd4);
-
-    let vbar: Vec<f64> = (0..nv)
-        .map(|i| (k1v[i] + 2.0 * qd2[i] + 2.0 * qd3[i] + qd4[i]) / 6.0)
-        .collect();
-    let q_new = integrate_config(model, q, &vbar, h);
-    let qd_new: Vec<f64> = (0..nv)
-        .map(|i| qd[i] + h / 6.0 * (k1a[i] + 2.0 * k2a[i] + 2.0 * k3a[i] + k4a[i]))
-        .collect();
+    let mut stages = Rk4Stages::for_model(model, 1);
+    for s in 0..4 {
+        let (q_s, qd_s, k_s) = stages.point(model, s, q, qd, h);
+        aba_in_ws(model, ws, q_s, qd_s, tau, None, k_s).expect("ABA");
+    }
+    let (mut q_new, mut qd_new) = (vec![0.0; model.nq()], vec![0.0; model.nv()]);
+    stages.finish(model, q, qd, h, &mut q_new, &mut qd_new);
     (q_new, qd_new)
 }
 
@@ -82,11 +66,10 @@ fn axpy_into(out: &mut MatN, base: &MatN, s: f64, x: &MatN) {
     }
 }
 
-/// Reusable scratch for [`rk4_step_with_sensitivity_into`]: every
-/// per-stage sensitivity, the shared ΔFD output, the chain-rule staging
-/// matrix and the intermediate stage-state vectors. Holding one of these
-/// per evaluation thread makes the whole LQ approximation allocation-free
-/// in steady state.
+/// Reusable scratch for [`rk4_step_with_sensitivity_into`]: the RK4
+/// stages, every per-stage sensitivity, the shared ΔFD output and the
+/// chain-rule staging matrix. Holding one of these per evaluation thread
+/// makes the whole LQ approximation allocation-free in steady state.
 ///
 /// A stage sensitivity is one `nv × 3nv` matrix laid out
 /// `[∂/∂δq | ∂/∂δq̇ | ∂/∂δu]`, so each chain-rule product is a single
@@ -96,6 +79,7 @@ pub struct Rk4SensScratch {
     /// Seconds spent inside `fd_derivatives_into`, accumulated over
     /// calls; whoever reads it zeroes it.
     pub(crate) dfd_s: f64,
+    stages: Rk4Stages,
     d: FdDerivatives,
     tmp: MatN,
     s_q0: MatN,
@@ -103,10 +87,6 @@ pub struct Rk4SensScratch {
     s_q: [MatN; 2],
     s_qd: [MatN; 3],
     s_ka: [MatN; 4],
-    q_stage: Vec<f64>,
-    qd_stage: [Vec<f64>; 3],
-    ka: [Vec<f64>; 4],
-    vbar: Vec<f64>,
 }
 
 impl Rk4SensScratch {
@@ -123,6 +103,7 @@ impl Rk4SensScratch {
     /// here.
     fn ensure_dims(&mut self, model: &RobotModel) {
         let nv = model.nv();
+        self.stages.ensure_dims(model, 1);
         self.d.ensure_dims(nv);
         for s in [&mut self.tmp, &mut self.s_q0, &mut self.s_qd0]
             .into_iter()
@@ -138,11 +119,6 @@ impl Rk4SensScratch {
             self.s_q0[(i, i)] = 1.0;
             self.s_qd0[(i, nv + i)] = 1.0;
         }
-        self.q_stage.resize(model.nq(), 0.0);
-        for v in self.qd_stage.iter_mut().chain(&mut self.ka) {
-            v.resize(nv, 0.0);
-        }
-        self.vbar.resize(nv, 0.0);
     }
 }
 
@@ -273,6 +249,7 @@ pub fn rk4_step_with_sensitivity_into(
 
     let Rk4SensScratch {
         dfd_s,
+        stages,
         d,
         tmp,
         s_q0,
@@ -280,93 +257,55 @@ pub fn rk4_step_with_sensitivity_into(
         s_q,
         s_qd,
         s_ka,
-        q_stage,
-        qd_stage,
-        ka,
-        vbar,
     } = scratch;
-    let [s_q3, s_q4] = s_q;
-    let [s_qd2, s_qd3, s_qd4] = s_qd;
-    let [s_k1a, s_k2a, s_k3a, s_k4a] = s_ka;
-    let [qd2, qd3, qd4] = qd_stage;
-    let [k1a, k2a, k3a, k4a] = ka;
 
-    // Stage 1 at (q, q̇); stage-velocity sensitivities are the incoming
-    // q̇-sensitivities themselves (s_k1v = s_qd0, s_k2v = s_qd2, …).
-    stage_sens(
-        model,
-        ws,
-        dfd_s,
-        d,
-        tmp,
-        tau,
-        q,
-        qd,
-        StageInput::First,
-        k1a,
-        s_k1a,
-    );
-    // Stage 2: q2 = q ⊕ (h/2 k1v), qd2 = qd + h/2 k1a.
-    integrate_config_into(model, q, qd, h / 2.0, q_stage);
-    for i in 0..nv {
-        qd2[i] = qd[i] + h / 2.0 * k1a[i];
+    // Stage s + 1 at its RK4 point; its velocity sensitivity is the
+    // incoming q̇-sensitivity itself (s_k1v = s_qd0, s_k2v = s_qd2, …).
+    for s in 0..4 {
+        let (q_s, qd_s, k_s) = stages.point(model, s, q, qd, h);
+        let c = if s == 3 { h } else { h / 2.0 };
+        let input = match s {
+            0 => StageInput::First,
+            1 => {
+                axpy_into(&mut s_qd[0], s_qd0, c, &s_ka[0]);
+                StageInput::Second { c, sqd: &s_qd[0] }
+            }
+            _ => {
+                axpy_into(&mut s_q[s - 2], s_q0, c, &s_qd[s - 2]);
+                axpy_into(&mut s_qd[s - 1], s_qd0, c, &s_ka[s - 1]);
+                StageInput::General {
+                    sq: &s_q[s - 2],
+                    sqd: &s_qd[s - 1],
+                }
+            }
+        };
+        let s_ks = &mut s_ka[s];
+        stage_sens(model, ws, dfd_s, d, tmp, tau, q_s, qd_s, input, k_s, s_ks);
     }
-    axpy_into(s_qd2, s_qd0, h / 2.0, s_k1a);
-    let second = StageInput::Second {
-        c: h / 2.0,
-        sqd: s_qd2,
-    };
-    stage_sens(
-        model, ws, dfd_s, d, tmp, tau, q_stage, qd2, second, k2a, s_k2a,
-    );
-    // Stage 3.
-    integrate_config_into(model, q, qd2, h / 2.0, q_stage);
-    for i in 0..nv {
-        qd3[i] = qd[i] + h / 2.0 * k2a[i];
-    }
-    axpy_into(s_q3, s_q0, h / 2.0, s_qd2);
-    axpy_into(s_qd3, s_qd0, h / 2.0, s_k2a);
-    let third = StageInput::General {
-        sq: s_q3,
-        sqd: s_qd3,
-    };
-    stage_sens(
-        model, ws, dfd_s, d, tmp, tau, q_stage, qd3, third, k3a, s_k3a,
-    );
-    // Stage 4.
-    integrate_config_into(model, q, qd3, h, q_stage);
-    for i in 0..nv {
-        qd4[i] = qd[i] + h * k3a[i];
-    }
-    axpy_into(s_q4, s_q0, h, s_qd3);
-    axpy_into(s_qd4, s_qd0, h, s_k3a);
-    let fourth = StageInput::General {
-        sq: s_q4,
-        sqd: s_qd4,
-    };
-    stage_sens(
-        model, ws, dfd_s, d, tmp, tau, q_stage, qd4, fourth, k4a, s_k4a,
-    );
-
-    // Combine.
-    for i in 0..nv {
-        vbar[i] = (qd[i] + 2.0 * qd2[i] + 2.0 * qd3[i] + qd4[i]) / 6.0;
-    }
-    integrate_config_into(model, q, vbar, h, q_new);
-    for i in 0..nv {
-        qd_new[i] = qd[i] + h / 6.0 * (k1a[i] + 2.0 * k2a[i] + 2.0 * k3a[i] + k4a[i]);
-    }
+    stages.finish(model, q, qd, h, q_new, qd_new);
     // The q rows from the stage velocities, the q̇ rows from the stage
     // accelerations.
-    write_rk4_rows(jac, 0, s_q0, h / 6.0, [s_qd0, s_qd2, s_qd3, s_qd4]);
-    write_rk4_rows(jac, nv, s_qd0, h / 6.0, [s_k1a, s_k2a, s_k3a, s_k4a]);
+    write_rk4_rows(jac, 0, s_q0, h / 6.0, [s_qd0, &s_qd[0], &s_qd[1], &s_qd[2]]);
+    write_rk4_rows(jac, nv, s_qd0, h / 6.0, s_ka.each_ref());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rbd_dynamics::total_energy;
-    use rbd_model::{random_state, robots};
+    use rbd_dynamics::{forward_dynamics_into, total_energy};
+    use rbd_model::{integrate_config, random_state, robots};
+
+    /// The six lane-test models, floating base included.
+    fn lane_test_models() -> [RobotModel; 6] {
+        [
+            robots::iiwa(),
+            robots::hyq(),
+            robots::quadruped_arm(),
+            robots::atlas(),
+            robots::serial_chain(3),
+            robots::random_tree(9, 7),
+        ]
+    }
 
     #[test]
     fn rk4_energy_drift_is_fourth_order() {
@@ -443,14 +382,7 @@ mod tests {
     /// included.
     #[test]
     fn structured_stages_match_the_general_chain_rule_bitwise() {
-        let models = [
-            robots::iiwa(),
-            robots::hyq(),
-            robots::quadruped_arm(),
-            robots::atlas(),
-            robots::serial_chain(3),
-            robots::random_tree(9, 7),
-        ];
+        let models = lane_test_models();
         let bits = |m: &MatN| {
             (0..m.rows())
                 .flat_map(|i| m.row(i).iter().map(|x| x.to_bits()))
@@ -502,6 +434,61 @@ mod tests {
                 };
                 stage(general, &mut oracle);
                 assert_eq!(bits(&fast), bits(&oracle), "{what}: stage 2");
+            }
+        }
+    }
+
+    /// The sensitivity's next state `(q_new, q̇_new)` is a plain RK4 step
+    /// over `forward_dynamics_into`, bit for bit: ΔFD's `q̈` is
+    /// `M⁻¹(τ − C)`, computed by the same ops.
+    #[test]
+    fn sensitivity_next_state_is_the_rk4_step_over_forward_dynamics_bitwise() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let h = 0.01;
+        for model in &lane_test_models() {
+            let nv = model.nv();
+            let mut ws = DynamicsWorkspace::new(model);
+            let mut scratch = Rk4SensScratch::for_model(model);
+            let mut jac = StepJacobians::zeros(nv);
+            let (mut q_new, mut qd_new) = (Vec::new(), Vec::new());
+            for seed in 0..3 {
+                let s = random_state(model, 70 + seed);
+                let tau: Vec<f64> = (0..nv).map(|k| 0.2 - 0.03 * k as f64).collect();
+                rk4_step_with_sensitivity_into(
+                    model,
+                    &mut ws,
+                    &mut scratch,
+                    &s.q,
+                    &s.qd,
+                    &tau,
+                    h,
+                    &mut q_new,
+                    &mut qd_new,
+                    &mut jac,
+                );
+                let mut fd = |q: &[f64], qd: &[f64]| {
+                    let mut qdd = vec![0.0; nv];
+                    forward_dynamics_into(model, &mut ws, q, qd, &tau, None, &mut qdd).unwrap();
+                    qdd
+                };
+                let (q, qd) = (&s.q, &s.qd);
+                let k1 = fd(q, qd);
+                let qd2: Vec<f64> = (0..nv).map(|i| qd[i] + h / 2.0 * k1[i]).collect();
+                let k2 = fd(&integrate_config(model, q, qd, h / 2.0), &qd2);
+                let qd3: Vec<f64> = (0..nv).map(|i| qd[i] + h / 2.0 * k2[i]).collect();
+                let k3 = fd(&integrate_config(model, q, &qd2, h / 2.0), &qd3);
+                let qd4: Vec<f64> = (0..nv).map(|i| qd[i] + h * k3[i]).collect();
+                let k4 = fd(&integrate_config(model, q, &qd3, h), &qd4);
+                let vbar: Vec<f64> = (0..nv)
+                    .map(|i| (qd[i] + 2.0 * qd2[i] + 2.0 * qd3[i] + qd4[i]) / 6.0)
+                    .collect();
+                let q_ref = integrate_config(model, q, &vbar, h);
+                let qd_ref: Vec<f64> = (0..nv)
+                    .map(|i| qd[i] + h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]))
+                    .collect();
+                let what = format!("{} seed {seed}", model.name());
+                assert_eq!(bits(&q_new), bits(&q_ref), "{what}: q_new");
+                assert_eq!(bits(&qd_new), bits(&qd_ref), "{what}: q̇_new");
             }
         }
     }
