@@ -9,9 +9,10 @@
 //!   counts as the accelerator model and calibrated to public specs and
 //!   the paper's anchor numbers;
 //! * [`host_cpu`] — real measurements of our own `rbd-dynamics` kernels
-//!   on the machine running the benchmarks (single- and multi-threaded),
-//!   the live sanity check that the relative costs between functions are
-//!   real.
+//!   on the machine running the benchmarks, the live sanity check that
+//!   the relative costs between functions are real. They run on the
+//!   persistent `BatchEval` pool the controllers use (one executor or
+//!   several), ΔFD through its lane kernel.
 
 pub mod calibration;
 pub mod device;

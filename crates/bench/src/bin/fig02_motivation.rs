@@ -80,7 +80,8 @@ fn main() {
         1.0 / achieved
     );
 
-    // (b) live on this host (core count permitting).
+    // (b) live on this host (core count permitting): the lane ΔFD on
+    //     `BatchEval`'s persistent pool, 20 batches per timed window.
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -89,14 +90,21 @@ fn main() {
         .copied()
         .filter(|&t| t <= host_cores.max(1))
         .collect();
-    let scaling = thread_scaling(&model, FunctionKind::DFd, 96, &live_counts, 2);
+    let scaling = thread_scaling(&model, FunctionKind::DFd, 96, &live_counts, 20);
     let rows: Vec<Vec<String>> = scaling
         .iter()
-        .map(|(t, rel)| vec![t.to_string(), format!("{rel:.3}"), bar(*rel, 1.0, 40)])
+        .map(|&(t, rel, r)| {
+            vec![
+                t.to_string(),
+                r.executors.to_string(),
+                format!("{rel:.3}"),
+                bar(rel, 1.0, 40),
+            ]
+        })
         .collect();
     print_table(
         &format!("Fig 2b (live, this host: {host_cores} core(s)) — relative time vs threads"),
-        &["threads", "relative time", ""],
+        &["threads", "executors", "relative time", ""],
         &rows,
     );
 

@@ -6,7 +6,7 @@
 //! throughput = 256-task batches.
 
 use rbd_accel::{AccelConfig, DaduRbd, FunctionKind};
-use rbd_baselines::{function_work, measure_function, paper_devices};
+use rbd_baselines::{function_work, paper_devices, thread_scaling};
 use rbd_bench::{fmt_si, fmt_us, print_table};
 use rbd_model::robots;
 
@@ -112,18 +112,20 @@ fn main() {
             &thr_rows,
         );
 
-        // Live host reference: our own kernels through the batched
-        // zero-allocation path (single- and multi-thread, 256 tasks).
+        // Live host reference: our own lane ΔFD on `BatchEval`'s
+        // persistent pool (one and all host threads, 20 batches of 256
+        // tasks, fastest of interleaved rounds).
         let host_cores = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        let m1 = measure_function(&model, FunctionKind::DFd, 256, 1, 2);
-        let mt = measure_function(&model, FunctionKind::DFd, 256, host_cores, 2);
+        let rows = thread_scaling(&model, FunctionKind::DFd, 256, &[1, host_cores], 20);
+        let (m1, mt) = (rows[0].2, rows[1].2);
         println!(
-            "host (live, this machine) dFD: {} tasks/s 1T, {} tasks/s {}T",
+            "host (live, this machine) dFD: {} tasks/s 1T, {} tasks/s {}T ({} executor(s) engaged)",
             fmt_si(m1.throughput()),
             fmt_si(mt.throughput()),
-            host_cores
+            host_cores,
+            mt.executors
         );
     }
 

@@ -98,7 +98,6 @@ pub mod finite_diff;
 pub mod idsva;
 pub mod lanes;
 pub mod mminv;
-pub mod momentum;
 pub mod ops;
 mod pool;
 pub mod rnea;
@@ -119,7 +118,6 @@ pub use lanes::{
     LaneFdScratch, LaneRolloutScratch, LaneWorkspace, Rk4Stages, LANE_WIDTH,
 };
 pub use mminv::{mminv_gen, mminv_gen_into, MMinvOutput};
-pub use momentum::{center_of_mass, spatial_momentum, total_mass};
 pub use rnea::{bias_force_in_ws, rnea, rnea_in_ws};
 pub use workspace::DynamicsWorkspace;
 

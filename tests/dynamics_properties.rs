@@ -4,7 +4,8 @@
 //! Each property runs 24 seeded cases on the shared harness in
 //! `support/cases.rs`: every assertion message names the case seed, and
 //! calling the property's `*_case` function with it replays the failing
-//! case alone.
+//! case alone. The tests after them check power balance, momentum and
+//! the centre of mass on fixed robots.
 
 #[path = "support/cases.rs"]
 mod cases;
@@ -13,8 +14,8 @@ use cases::{draw, for_each_case, uniform};
 use dadu_rbd::dynamics::{
     aba, crba, forward_dynamics, kinetic_energy, mminv_gen, rnea, DynamicsWorkspace,
 };
-use dadu_rbd::model::{integrate_config, random_state, robots, SplitMix64};
-use dadu_rbd::spatial::{MatN, VecN};
+use dadu_rbd::model::{integrate_config, random_state, robots, RobotModel, SplitMix64};
+use dadu_rbd::spatial::{ForceVec, MatN, MotionVec, Vec3, VecN};
 
 /// Cases per property.
 const CASES: u64 = 24;
@@ -221,4 +222,134 @@ fn power_balance_along_trajectory() {
         q = q_new;
         qd = qd_new;
     }
+}
+
+// ---- Centroidal momentum: RNEA/ABA physics checked through the total
+// momentum and centre of mass of the whole robot.
+
+/// Total robot mass.
+fn total_mass(model: &RobotModel) -> f64 {
+    (0..model.num_bodies())
+        .map(|i| model.link_inertia(i).mass)
+        .sum()
+}
+
+/// Whole-robot centre of mass in world coordinates.
+fn center_of_mass(model: &RobotModel, ws: &mut DynamicsWorkspace, q: &[f64]) -> Vec3 {
+    ws.update_kinematics(model, q);
+    let mut weighted = Vec3::zero();
+    let mut mass = 0.0;
+    for i in 0..model.num_bodies() {
+        let inertia = model.link_inertia(i);
+        if inertia.mass == 0.0 {
+            continue;
+        }
+        let x0 = ws.xworld[i];
+        let com_w = x0.rot.transpose() * inertia.com() + x0.trans;
+        weighted += com_w * inertia.mass;
+        mass += inertia.mass;
+    }
+    assert!(mass > 0.0, "massless robot");
+    weighted / mass
+}
+
+/// Total spatial momentum about the world origin, world coordinates
+/// (`h = Σᵢ (^0X_i)* Iᵢ vᵢ`, angular part first).
+fn spatial_momentum(
+    model: &RobotModel,
+    ws: &mut DynamicsWorkspace,
+    q: &[f64],
+    qd: &[f64],
+) -> ForceVec {
+    ws.update_kinematics(model, q);
+    let mut h = ForceVec::zero();
+    for i in 0..model.num_bodies() {
+        let vo = model.v_offset(i);
+        let ni = ws.s_off[i + 1] - ws.s_off[i];
+        let vj = MotionVec::weighted_sum(&ws.s[vo..vo + ni], &qd[vo..vo + ni]);
+        let v = match model.topology().parent(i) {
+            Some(p) => ws.xup[i].apply_motion(&ws.v[p]) + vj,
+            None => vj,
+        };
+        ws.v[i] = v;
+        let h_local = model.link_inertia(i).mul_motion(&v);
+        h += ws.xworld[i].inv_apply_force(&h_local);
+    }
+    h
+}
+
+/// Linear momentum of an unactuated floating robot changes at exactly
+/// m·g (Newton), and angular momentum about the world origin at the
+/// gravity moment — checked along an ABA rollout.
+#[test]
+fn momentum_rate_equals_gravity_wrench() {
+    let model = robots::hyq();
+    let mut ws = DynamicsWorkspace::new(&model);
+    let s = random_state(&model, 9);
+    let (q, qd) = (s.q.clone(), s.qd.clone());
+    let tau = vec![0.0; model.nv()];
+    let m = total_mass(&model);
+
+    let h0 = spatial_momentum(&model, &mut ws, &q, &qd);
+    let dt = 1e-6;
+    let qdd = aba(&model, &mut ws, &q, &qd, &tau, None).unwrap();
+    let qd1: Vec<f64> = qd.iter().zip(&qdd).map(|(v, a)| v + dt * a).collect();
+    let q1 = integrate_config(&model, &q, &qd, dt);
+    let h1 = spatial_momentum(&model, &mut ws, &q1, &qd1);
+
+    let dh_lin = (h1.lin() - h0.lin()) * (1.0 / dt);
+    let expect_lin = model.gravity * m;
+    assert!(
+        (dh_lin - expect_lin).max_abs() < 1e-3 * (1.0 + expect_lin.max_abs()),
+        "ṗ = {dh_lin} vs m·g = {expect_lin}"
+    );
+
+    // Angular: ḣ_ang = c × (m g) about the world origin.
+    let com = center_of_mass(&model, &mut ws, &q);
+    let dh_ang = (h1.ang() - h0.ang()) * (1.0 / dt);
+    let expect_ang = com.cross(&(model.gravity * m));
+    assert!(
+        (dh_ang - expect_ang).max_abs() < 1e-2 * (1.0 + expect_ang.max_abs()),
+        "ḣ = {dh_ang} vs c×mg = {expect_ang}"
+    );
+}
+
+/// Internal joint motion of a free-floating robot cannot change the
+/// total momentum (gravity off).
+#[test]
+fn internal_motion_conserves_momentum_without_gravity() {
+    let mut model = robots::hyq();
+    model.gravity = Vec3::zero();
+    let mut ws = DynamicsWorkspace::new(&model);
+    let s = random_state(&model, 2);
+    let (mut q, mut qd) = (s.q.clone(), s.qd.clone());
+    let tau: Vec<f64> = (0..model.nv())
+        .map(|k| if k >= 6 { 0.8 - 0.1 * k as f64 } else { 0.0 })
+        .collect();
+    let h0 = spatial_momentum(&model, &mut ws, &q, &qd);
+    let dt = 1e-4;
+    for _ in 0..100 {
+        let qdd = aba(&model, &mut ws, &q, &qd, &tau, None).unwrap();
+        q = integrate_config(&model, &q, &qd, dt);
+        for k in 0..model.nv() {
+            qd[k] += dt * qdd[k];
+        }
+    }
+    let h1 = spatial_momentum(&model, &mut ws, &q, &qd);
+    assert!(
+        (h1 - h0).max_abs() < 1e-2 * (1.0 + h0.max_abs()),
+        "momentum drifted: {h0} → {h1}"
+    );
+}
+
+#[test]
+fn com_between_extremes() {
+    let model = robots::iiwa();
+    let mut ws = DynamicsWorkspace::new(&model);
+    let q = model.neutral_config();
+    let c = center_of_mass(&model, &mut ws, &q);
+    // Neutral iiwa stands straight up: COM on the z axis, above 0.
+    assert!(c.x().abs() < 1e-9 && c.y().abs() < 1e-9);
+    assert!(c.z() > 0.1 && c.z() < 1.3);
+    assert!((total_mass(&model) - 17.5).abs() < 1e-9);
 }
