@@ -47,8 +47,11 @@ pub struct AccelConfig {
     pub io_gbytes_per_s: f64,
     /// Bytes per streamed scalar (32-bit fixed-point words).
     pub word_bytes: usize,
-    /// Functional model: evaluate trigonometry with the Taylor unit
-    /// instead of `f64::sin_cos`.
+    /// Functional model: evaluate the Forward-Backward module's
+    /// trigonometry (ID, ΔID and the RNEA stages of FD and ΔFD) with the
+    /// Taylor unit instead of `f64::sin_cos`. The Backward-Forward
+    /// module's `M` and `M⁻¹` (also inside FD and ΔFD) always come from
+    /// `rbd_dynamics::mminv_gen` with `f64::sin_cos`.
     pub taylor_trig: bool,
     /// Number of independent SAP instances ("If we want to further
     /// improve throughput, we can instantiate multiple SAPs", §VI-A).

@@ -9,7 +9,9 @@
 //!
 //! The Backward-Forward module runs the MMinvGen reference kernel
 //! ([`rbd_dynamics::mminv_gen`]), which is already organised as the
-//! per-joint `Mb` (backward) / `Mf` (forward) sweeps of Fig 8.
+//! per-joint `Mb` (backward) / `Mf` (forward) sweeps of Fig 8: its `M`
+//! and `M⁻¹` are the reference's bits, with `f64::sin_cos` trigonometry
+//! (the Taylor unit feeds the Forward-Backward module only).
 //!
 //! Integration tests assert every function's output equals the
 //! `rbd-dynamics` reference.
@@ -33,18 +35,9 @@ struct Ftr {
     a: MotionVec,
 }
 
-/// Downward-transfer message `dtr_i` from `Rf_i` to `Rb_i` — carries the
-/// *inputs* needed to re-update `X_i` plus the body force and `[v, a]`.
-#[derive(Debug, Clone, Default)]
-struct Dtr {
-    f: ForceVec,
-    v: MotionVec,
-    a: MotionVec,
-}
-
 /// The functional engine for one model.
 #[derive(Debug)]
-pub struct FunctionalEngine<'m> {
+pub(crate) struct FunctionalEngine<'m> {
     model: &'m RobotModel,
     taylor_trig: bool,
 }
@@ -52,7 +45,7 @@ pub struct FunctionalEngine<'m> {
 impl<'m> FunctionalEngine<'m> {
     /// Creates an engine; with `taylor_trig` the Global Trigonometric
     /// Module evaluates the 7-term Taylor pipeline instead of libm.
-    pub fn new(model: &'m RobotModel, taylor_trig: bool) -> Self {
+    pub(crate) fn new(model: &'m RobotModel, taylor_trig: bool) -> Self {
         Self { model, taylor_trig }
     }
 
@@ -61,7 +54,7 @@ impl<'m> FunctionalEngine<'m> {
     ///
     /// # Panics
     /// Panics on dimension mismatches or a missing `minv_in` for ΔiFD.
-    pub fn run(
+    pub(crate) fn run(
         &self,
         f: FunctionKind,
         q: &[f64],
@@ -81,29 +74,29 @@ impl<'m> FunctionalEngine<'m> {
                 out.tau = tau;
             }
             FunctionKind::MassMatrix => {
-                out.m = self.bf(q, true, false).0;
+                out.m = Some(self.bf(q, true));
             }
             FunctionKind::MassMatrixInverse => {
-                out.minv = self.bf(q, false, true).1;
+                out.minv = Some(self.bf(q, false));
             }
             FunctionKind::Fd => {
                 // ① C = RNEA(q, q̇, 0)   ② M⁻¹ = MMinvGen   ③ q̈ = M⁻¹(τ-C)
                 let zero = vec![0.0; nv];
                 let (c, _) = self.fb_rnea(q, qd, &zero, fext);
-                let minv = self.bf(q, false, true).1.unwrap();
+                let minv = self.bf(q, false);
                 out.qdd = sched_matvec(&minv, u, &c);
                 out.minv = Some(minv);
             }
             FunctionKind::DId => {
                 let (tau, state) = self.fb_rnea(q, qd, u, fext);
-                let (dq, dqd) = self.fb_delta(q, qd, u, &state, fext);
+                let (dq, dqd) = self.fb_delta(qd, u, &state);
                 out.tau = tau;
                 out.dtau = Some((dq, dqd));
             }
             FunctionKind::DiFd => {
                 let minv = minv_in.expect("ΔiFD requires M⁻¹ input").clone();
                 let (_, state) = self.fb_rnea(q, qd, u, fext);
-                let (dq, dqd) = self.fb_delta(q, qd, u, &state, fext);
+                let (dq, dqd) = self.fb_delta(qd, u, &state);
                 out.dqdd = Some((neg_mul(&minv, &dq), neg_mul(&minv, &dqd)));
                 out.minv = Some(minv);
             }
@@ -111,11 +104,11 @@ impl<'m> FunctionalEngine<'m> {
                 // Stage 1: FD (steps ①-③ of Fig 9a).
                 let zero = vec![0.0; nv];
                 let (c, _) = self.fb_rnea(q, qd, &zero, fext);
-                let minv = self.bf(q, false, true).1.unwrap();
+                let minv = self.bf(q, false);
                 let qdd = sched_matvec(&minv, u, &c);
                 // Stage 2 (feedback): ④ RNEA at q̈, ⑤ ΔRNEA.
                 let (_, state) = self.fb_rnea(q, qd, &qdd, fext);
-                let (dq, dqd) = self.fb_delta(q, qd, &qdd, &state, fext);
+                let (dq, dqd) = self.fb_delta(qd, &qdd, &state);
                 // Stage 3: ⑥ ∂q̈ = -M⁻¹ ∂τ.
                 out.dqdd = Some((neg_mul(&minv, &dq), neg_mul(&minv, &dqd)));
                 out.qdd = qdd;
@@ -177,8 +170,8 @@ impl<'m> FunctionalEngine<'m> {
     // -----------------------------------------------------------------
 
     /// Runs the RNEA round-trip pipeline. Returns `τ` and the retained
-    /// `[v, a, f, X]` state that the Dynamics Array forwards to the
-    /// ΔRNEA submodules (Fig 9b).
+    /// `[f, X]` state that the Dynamics Array forwards to the ΔRNEA
+    /// submodules (Fig 9b).
     fn fb_rnea(
         &self,
         q: &[f64],
@@ -190,10 +183,10 @@ impl<'m> FunctionalEngine<'m> {
         let trig = self.trig(q);
         let a0 = MotionVec::new(rbd_spatial::Vec3::zero(), -self.model.gravity);
 
-        // FIFO slots.
+        // FIFO slots; the downward-transfer message `dtr_i` from `Rf_i` to
+        // `Rb_i` is the body force (`Rb_i` re-updates `X_i` itself).
         let mut ftr: Vec<Ftr> = vec![Ftr::default(); nb];
-        let mut dtr: Vec<Dtr> = vec![Dtr::default(); nb];
-        let mut xup: Vec<Xform> = vec![Xform::identity(); nb];
+        let mut dtr: Vec<ForceVec> = vec![ForceVec::zero(); nb];
         let mut xworld: Vec<Xform> = vec![Xform::identity(); nb];
 
         // Forward stream: Rf submodules in topological order. Broadcast
@@ -225,8 +218,7 @@ impl<'m> FunctionalEngine<'m> {
                 fb -= xworld[i].apply_force(&fx[i]);
             }
             ftr[i] = Ftr { v, a };
-            dtr[i] = Dtr { f: fb, v, a };
-            xup[i] = x;
+            dtr[i] = fb;
         }
 
         // Backward stream: Rb submodules in reverse order; the btr of
@@ -237,7 +229,7 @@ impl<'m> FunctionalEngine<'m> {
         for i in (0..nb).rev() {
             // Re-update X (recompute, do not transfer).
             let x = self.build_xup(i, q, &trig);
-            let f = dtr[i].f + btr_acc[i];
+            let f = dtr[i] + btr_acc[i];
             let vo = self.model.v_offset(i);
             for (k, s) in self
                 .model
@@ -254,17 +246,9 @@ impl<'m> FunctionalEngine<'m> {
             }
         }
 
-        (
-            tau,
-            RneaState {
-                xworld,
-                v: dtr.iter().map(|d| d.v).collect(),
-                a: dtr.iter().map(|d| d.a).collect(),
-                // Per-body (un-aggregated) forces; the Db stream performs
-                // its own lazy aggregation.
-                f: dtr.iter().map(|d| d.f).collect(),
-            },
-        )
+        // Per-body (un-aggregated) forces; the Db stream performs its own
+        // lazy aggregation.
+        (tau, RneaState { xworld, f: dtr })
     }
 
     // -----------------------------------------------------------------
@@ -274,14 +258,7 @@ impl<'m> FunctionalEngine<'m> {
     /// Runs the ΔRNEA array over the retained RNEA state. Columns are
     /// world-frame incremental column vectors (§IV-A4): submodule `Df_i`
     /// extends its parent's column set by its own DOFs.
-    fn fb_delta(
-        &self,
-        q: &[f64],
-        qd: &[f64],
-        qdd: &[f64],
-        state: &RneaState,
-        _fext: Option<&[ForceVec]>,
-    ) -> (MatN, MatN) {
+    fn fb_delta(&self, qd: &[f64], qdd: &[f64], state: &RneaState) -> (MatN, MatN) {
         let model = self.model;
         let nb = model.num_bodies();
         let nv = model.nv();
@@ -294,7 +271,6 @@ impl<'m> FunctionalEngine<'m> {
         let mut aj_w = vec![MotionVec::zero(); nb];
         let mut iw: Vec<SpatialInertia> = Vec::with_capacity(nb);
         let a0 = MotionVec::new(rbd_spatial::Vec3::zero(), -model.gravity);
-        let _ = q;
         for i in 0..nb {
             let x0 = state.xworld[i];
             let vo = model.v_offset(i);
@@ -380,12 +356,14 @@ impl<'m> FunctionalEngine<'m> {
         }
 
         // Db backward stream: aggregate ∂f lazily at parents, emit ∂τ.
-        let mut f_agg: Vec<ForceVec> = state.f.clone();
-        // Convert the retained local-frame f to world frame for the
-        // geometric term (the Dynamics Array keeps both views).
-        for i in 0..nb {
-            f_agg[i] = state.xworld[i].inv_apply_force(&state.f[i]);
-        }
+        // The retained local-frame f in world frame for the geometric term
+        // (the Dynamics Array keeps both views).
+        let mut f_agg: Vec<ForceVec> = state
+            .xworld
+            .iter()
+            .zip(&state.f)
+            .map(|(x, f)| x.inv_apply_force(f))
+            .collect();
         let mut dtau_q = MatN::zeros(nv, nv);
         let mut dtau_qd = MatN::zeros(nv, nv);
         for i in (0..nb).rev() {
@@ -417,220 +395,24 @@ impl<'m> FunctionalEngine<'m> {
     }
 
     // -----------------------------------------------------------------
-    // Backward-Forward module (Mb_i / Mf_i, Fig 8): Algorithm 2 executed
-    // as explicit per-joint stages. Each `Mb_i` activation consumes the
-    // lazily accumulated `btr` messages of its children (`λX*F` columns
-    // and the shifted articulated inertia), emits its `M`/`M⁻¹` rows and
-    // its own `btr`; each `Mf_i` consumes the parent's `ftr` (`P`
-    // columns), corrects the trailing `M⁻¹` entries and forwards `P`.
+    // Backward-Forward module (Mb_i / Mf_i, Fig 8): Algorithm 2 is
+    // `mminv_gen`, whose backward and forward sweeps are the per-joint
+    // `Mb`/`Mf` activations. Its trigonometry is `f64::sin_cos`.
     // -----------------------------------------------------------------
-    fn bf(&self, q: &[f64], out_m: bool, out_minv: bool) -> (Option<MatN>, Option<MatN>) {
-        let model = self.model;
-        let nb = model.num_bodies();
-        let nv = model.nv();
-        let trig = self.trig(q);
 
-        let mut m_mat = if out_m {
-            Some(MatN::zeros(nv, nv))
-        } else {
-            None
-        };
-        let mut minv = if out_minv {
-            Some(MatN::zeros(nv, nv))
-        } else {
-            None
-        };
-
-        // btr accumulation slots at each body (lazy update, §IV-A3).
-        let mut ia_acc: Vec<rbd_spatial::Mat6> = vec![rbd_spatial::Mat6::zero(); nb];
-        let mut f_minv: Vec<Vec<ForceVec>> = vec![vec![ForceVec::zero(); nv]; nb];
-        let mut f_m: Vec<Vec<ForceVec>> = vec![vec![ForceVec::zero(); nv]; nb];
-        // dtr slots: factors the forward stream needs.
-        let mut u_cols: Vec<Vec<ForceVec>> = vec![Vec::new(); nb];
-        let mut d_inv: Vec<MatN> = vec![MatN::zeros(0, 0); nb];
-        let mut xups: Vec<Xform> = vec![Xform::identity(); nb];
-
-        // ---------------- Mb backward stream (leaves → root).
-        for i in (0..nb).rev() {
-            let xup = self.build_xup(i, q, &trig); // re-updated, not buffered
-            let cols = model.joint(i).jtype.motion_subspace();
-            let ni = cols.len();
-            let bi = model.v_offset(i);
-
-            // IA_i += I_i (children already folded their btr in).
-            let ia_art = ia_acc[i] + model.link_inertia(i).to_mat6();
-            let u: Vec<ForceVec> = cols.iter().map(|s| ia_art.mul_motion_to_force(s)).collect();
-            let mut d = MatN::zeros(ni, ni);
-            for a in 0..ni {
-                for b in 0..ni {
-                    d[(a, b)] = cols[a].dot_force(&u[b]);
-                }
-            }
-            // D⁻¹ through the reciprocal unit's semantics (§IV-B2).
-            let dinv = d.inverse_spd().expect("BF module: singular D");
-
-            let subtree = model.topology().subtree(i);
-            let desc_dofs: Vec<usize> = subtree
-                .iter()
-                .filter(|&&b| b != i)
-                .flat_map(|&b| {
-                    let o = model.v_offset(b);
-                    o..o + model.joint(b).jtype.nv()
-                })
-                .collect();
-
-            if let Some(minv) = minv.as_mut() {
-                for a in 0..ni {
-                    for b in 0..ni {
-                        minv[(bi + a, bi + b)] = dinv[(a, b)];
-                    }
-                }
-                for &j in &desc_dofs {
-                    for a in 0..ni {
-                        let mut acc = 0.0;
-                        for b in 0..ni {
-                            acc += dinv[(a, b)] * cols[b].dot_force(&f_minv[i][j]);
-                        }
-                        minv[(bi + a, j)] = -acc;
-                    }
-                }
-            }
-            // Composite-inertia path for M (no articulated decrement):
-            // maintained implicitly by re-deriving U from the composite
-            // accumulator below.
-            if let Some(p) = model.topology().parent(i) {
-                let own_and_desc: Vec<usize> =
-                    (bi..bi + ni).chain(desc_dofs.iter().copied()).collect();
-                let mut ia_out = ia_art;
-                if let Some(minv) = minv.as_ref() {
-                    // F += U Minv[i, tree(i)] ; IA -= U D⁻¹ Uᵀ.
-                    for &j in &own_and_desc {
-                        for a in 0..ni {
-                            f_minv[i][j] += u[a] * minv[(bi + a, j)];
-                        }
-                    }
-                    ia_out.sub_outer_weighted(&u[..ni], |a, b| dinv[(a, b)]);
-                }
-                // btr: transformed F columns + shifted IA, lazily folded
-                // into the parent's slots.
-                for &j in &own_and_desc {
-                    if minv.is_some() {
-                        let shifted = xup.inv_apply_force(&f_minv[i][j]);
-                        f_minv[p][j] += shifted;
-                    }
-                }
-                let x6 = rbd_spatial::Mat6::from_xform_motion(&xup);
-                if minv.is_some() {
-                    ia_acc[p] += ia_out.congruence(&x6);
-                }
-                // M path uses its own composite accumulation through f_m
-                // (handled below when out_m).
-                if m_mat.is_some() && minv.is_none() {
-                    ia_acc[p] += ia_art.congruence(&x6);
-                }
-            }
-
-            // M rows need the *composite* U; recompute from a composite
-            // accumulator when both outputs are requested.
-            if let Some(m) = m_mat.as_mut() {
-                // For the M path, f_m carries composite force columns.
-                let ia_comp = if minv.is_some() {
-                    // Rebuild the composite inertia: articulated + the
-                    // rank-ni terms removed so far equals composite only
-                    // in single-output mode; in dual mode recompute from
-                    // children’s composite columns directly.
-                    None
-                } else {
-                    Some(ia_art)
-                };
-                let u_m: Vec<ForceVec> = match ia_comp {
-                    Some(ia) => cols.iter().map(|s| ia.mul_motion_to_force(s)).collect(),
-                    None => {
-                        // Dual mode: fall back to the reference kernel for
-                        // the composite path (the hardware never runs
-                        // both modes in one task).
-                        let mut ws = DynamicsWorkspace::new(model);
-                        let out =
-                            mminv_gen(model, &mut ws, q, true, false).expect("BF module M path");
-                        *m = out.m.unwrap();
-                        u_cols[i] = u;
-                        d_inv[i] = dinv;
-                        xups[i] = xup;
-                        continue;
-                    }
-                };
-                for a in 0..ni {
-                    for b in 0..ni {
-                        m[(bi + a, bi + b)] = cols[a].dot_force(&u_m[b]);
-                    }
-                }
-                for &j in &desc_dofs {
-                    for a in 0..ni {
-                        m[(bi + a, j)] = cols[a].dot_force(&f_m[i][j]);
-                    }
-                }
-                if let Some(p) = model.topology().parent(i) {
-                    f_m[i][bi..bi + ni].copy_from_slice(&u_m[..ni]);
-                    let all: Vec<usize> = (bi..bi + ni).chain(desc_dofs.iter().copied()).collect();
-                    for &j in &all {
-                        let shifted = xup.inv_apply_force(&f_m[i][j]);
-                        f_m[p][j] += shifted;
-                    }
-                }
-            }
-
-            u_cols[i] = u;
-            d_inv[i] = dinv;
-            xups[i] = xup;
-        }
-
-        // ---------------- Mf forward stream (root → leaves), Minv only.
-        if let Some(minv) = minv.as_mut() {
-            let mut p_cols: Vec<Vec<MotionVec>> = vec![vec![MotionVec::zero(); nv]; nb];
-            for i in 0..nb {
-                let bi = model.v_offset(i);
-                let cols = model.joint(i).jtype.motion_subspace();
-                let ni = cols.len();
-                let parent = model.topology().parent(i);
-                for j in bi..nv {
-                    let ftr = parent.map(|p| xups[i].apply_motion(&p_cols[p][j]));
-                    if let Some(tp) = ftr {
-                        for a in 0..ni {
-                            let mut acc = 0.0;
-                            for b in 0..ni {
-                                acc += d_inv[i][(a, b)] * u_cols[i][b].dot_motion(&tp);
-                            }
-                            minv[(bi + a, j)] -= acc;
-                        }
-                    }
-                    let mut pcol = MotionVec::zero();
-                    for (a, s) in cols.iter().enumerate() {
-                        pcol += *s * minv[(bi + a, j)];
-                    }
-                    if let Some(tp) = ftr {
-                        pcol += tp;
-                    }
-                    p_cols[i][j] = pcol;
-                }
-            }
-            minv.symmetrize_from_upper();
-        }
-        if let Some(m) = m_mat.as_mut() {
-            m.symmetrize_from_upper();
-        }
-        (m_mat, minv)
+    /// `M` when `out_m`, `M⁻¹` otherwise (the hardware emits one per task).
+    fn bf(&self, q: &[f64], out_m: bool) -> MatN {
+        let mut ws = DynamicsWorkspace::new(self.model);
+        let out = mminv_gen(self.model, &mut ws, q, out_m, !out_m).expect("BF module: singular D");
+        out.m.or(out.minv).unwrap()
     }
 }
 
-/// Retained per-body RNEA state (the `[v, a, f]` by-products of Table I
-/// plus the world transforms the array shares).
+/// Retained per-body RNEA state the ΔRNEA array reads: the body forces
+/// and the world transforms the array shares.
 #[derive(Debug, Clone)]
 struct RneaState {
     xworld: Vec<Xform>,
-    #[allow(dead_code)]
-    v: Vec<MotionVec>,
-    #[allow(dead_code)]
-    a: Vec<MotionVec>,
     f: Vec<ForceVec>,
 }
 

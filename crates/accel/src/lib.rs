@@ -1,15 +1,17 @@
 //! Dadu-RBD — a functional and cycle-level simulator of the MICRO 2023
 //! multifunctional robot rigid-body-dynamics accelerator.
 //!
-//! The real system is an FPGA design (XCVU9P @ 125 MHz); per the
-//! reproduction's substitution rule (DESIGN.md §3) this crate models it at
-//! two coupled levels:
+//! The real system is an FPGA design (XCVU9P @ 125 MHz); this crate models
+//! it at two coupled levels:
 //!
-//! * **Functional** ([`functional`], [`dataflow`]) — every submodule
-//!   (`Rf`/`Rb`/`Df`/`Db`/`Mb`/`Mf`, Figs 6-8) is an explicit stage
-//!   exchanging `ftr`/`btr`/`dtr` messages over FIFO streams and computing
-//!   real numbers; outputs are asserted equal to the `rbd-dynamics`
-//!   reference in the integration tests.
+//! * **Functional** (the `DaduRbd::run_*` entry points, [`dataflow`]) —
+//!   the Forward-Backward module's submodules (`Rf`/`Rb`/`Df`/`Db`,
+//!   Figs 6-7) are explicit stages exchanging `ftr`/`btr`/`dtr` messages
+//!   over FIFO streams and computing real numbers; the Backward-Forward
+//!   module (`Mb`/`Mf`, Fig 8) runs `rbd_dynamics::mminv_gen`, whose
+//!   per-joint backward and forward sweeps are those submodules. Outputs
+//!   are asserted equal to the `rbd-dynamics` reference in the
+//!   integration tests (`M` and `M⁻¹` bit for bit).
 //! * **Timing/resources** ([`ops`], [`pipeline`], [`timing`],
 //!   [`resources`], [`power`]) — per-submodule operation counts from the
 //!   paper's sparsity analysis (`ops` is `rbd_dynamics::ops`, the same
@@ -36,7 +38,7 @@
 
 pub mod config;
 pub mod dataflow;
-pub mod functional;
+mod functional;
 pub mod pipeline;
 pub mod power;
 pub mod resources;

@@ -1,7 +1,7 @@
 //! Baseline performance models and measurement harnesses for the
 //! evaluation figures (§VI, Table II).
 //!
-//! Two kinds of baseline are provided (see DESIGN.md §3):
+//! Two kinds of baseline are provided:
 //!
 //! * [`device`] — analytic models of the comparison hardware (Jetson AGX
 //!   Orin CPU/GPU, i9-13900HX, RTX 4090M, i7-7700, RTX 2080, and the

@@ -24,7 +24,6 @@ fn main() {
     println!(
         "\nReproduction note: CPUs/GPUs are analytic device models driven by the\n\
          shared operation-count workload; the XCVU9P @125 MHz row is the cycle-level\n\
-         Dadu-RBD simulator; the 56 MHz row anchors the Robomorphic comparison\n\
-         (see DESIGN.md, 'Substitutions')."
+         Dadu-RBD simulator; the 56 MHz row anchors the Robomorphic comparison."
     );
 }

@@ -4,7 +4,7 @@
 //! Every binary prints the rows/series of one table or figure of the
 //! paper, alongside the paper-reported anchors where available, so the
 //! *shape* comparison (who wins, by what factor, where crossovers fall)
-//! is immediate. See EXPERIMENTS.md for the recorded outcomes.
+//! is immediate.
 
 pub mod compare;
 pub mod harness;

@@ -6,7 +6,7 @@ use std::fmt;
 /// The joint types supported by the reproduction (§II of the paper lists
 /// revolute, prismatic, helical, cylindrical, planar, spherical, 3-DOF
 /// translation and 6-DOF; helical/cylindrical are not exercised by any
-/// paper robot and are omitted — see DESIGN.md).
+/// paper robot and are omitted).
 ///
 /// Every implemented joint has a motion subspace `S` that is **constant in
 /// the child frame**, with velocity coordinates taken in the body (child)

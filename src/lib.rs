@@ -30,10 +30,10 @@
 //! assert!(t.throughput_tasks_per_s > 1e6);
 //! ```
 //!
-//! See `README.md` for the architecture overview, `DESIGN.md` for the
-//! system inventory and `EXPERIMENTS.md` for the paper-vs-measured
-//! record; `cargo run -p rbd-bench --bin <figure>` regenerates each
-//! evaluation artifact.
+//! See `README.md` for the architecture overview (its crate table) and
+//! the run commands (its Quickstart);
+//! `cargo run -p rbd-bench --bin <figure>` regenerates each evaluation
+//! artifact.
 
 pub use rbd_accel as accel;
 pub use rbd_baselines as baselines;

@@ -7,7 +7,7 @@ use dadu_rbd::dynamics::{
     fd_derivatives, forward_dynamics, mminv_gen, rnea, rnea_derivatives, DynamicsWorkspace,
 };
 use dadu_rbd::model::{random_state, robots, RobotModel};
-use dadu_rbd::spatial::ForceVec;
+use dadu_rbd::spatial::{ForceVec, MatN};
 
 fn all_models() -> Vec<RobotModel> {
     vec![
@@ -79,34 +79,50 @@ fn fd_matches_reference_everywhere() {
     }
 }
 
+/// Entries of `a` whose bits differ from `b`'s.
+fn bit_mismatches(a: &MatN, b: &MatN) -> usize {
+    assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()));
+    (0..a.rows())
+        .flat_map(|i| a.row(i).iter().zip(b.row(i)))
+        .filter(|(x, y)| x.to_bits() != y.to_bits())
+        .count()
+}
+
 #[test]
 fn mass_matrix_paths_agree_everywhere() {
+    // The Backward-Forward module runs MMinvGen, so `M` and `M⁻¹` are the
+    // reference's bits whether or not the Taylor trig unit is on.
     for model in all_models() {
-        let accel = DaduRbd::configure(&model, AccelConfig::default());
         let mut ws = DynamicsWorkspace::new(&model);
-        let s = random_state(&model, 11);
-        let m = accel.run_mass_matrix(&s.q).m.unwrap();
-        let minv = accel.run_minv(&s.q).minv.unwrap();
-        let m_ref = mminv_gen(&model, &mut ws, &s.q, true, false)
-            .unwrap()
-            .m
-            .unwrap();
-        assert!(
-            (&m - &m_ref).max_abs() < 1e-9 * (1.0 + m_ref.max_abs()),
-            "{}",
-            model.name()
-        );
-        // M · Minv = 1.
-        let prod = m.mul_mat(&minv);
-        let nv = model.nv();
-        for i in 0..nv {
-            for j in 0..nv {
-                let expect = if i == j { 1.0 } else { 0.0 };
-                assert!(
-                    (prod[(i, j)] - expect).abs() < 1e-6 * (1.0 + m.max_abs()),
-                    "{} ({i},{j})",
-                    model.name()
-                );
+        for taylor_trig in [false, true] {
+            let cfg = AccelConfig {
+                taylor_trig,
+                ..AccelConfig::default()
+            };
+            let accel = DaduRbd::configure(&model, cfg);
+            for seed in [11, 12, 13] {
+                let s = random_state(&model, seed);
+                let m = accel.run_mass_matrix(&s.q).m.unwrap();
+                let minv = accel.run_minv(&s.q).minv.unwrap();
+                let mut mminv = |out_m| mminv_gen(&model, &mut ws, &s.q, out_m, !out_m).unwrap();
+                let m_ref = mminv(true).m.unwrap();
+                let minv_ref = mminv(false).minv.unwrap();
+                let at = format!("{} taylor {taylor_trig} seed {seed}", model.name());
+                assert_eq!(bit_mismatches(&m, &m_ref), 0, "M entries off, {at}");
+                assert_eq!(bit_mismatches(&minv, &minv_ref), 0, "M⁻¹ entries off, {at}");
+                // M · Minv = 1.
+                let prod = m.mul_mat(&minv);
+                let nv = model.nv();
+                for i in 0..nv {
+                    for j in 0..nv {
+                        let expect = if i == j { 1.0 } else { 0.0 };
+                        assert!(
+                            (prod[(i, j)] - expect).abs() < 1e-6 * (1.0 + m.max_abs()),
+                            "{} ({i},{j})",
+                            model.name()
+                        );
+                    }
+                }
             }
         }
     }
