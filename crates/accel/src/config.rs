@@ -4,12 +4,13 @@
 //! calculation", §V-B).
 
 use crate::dataflow::{FunctionKind, FunctionOutput};
-use crate::functional::FunctionalEngine;
+use crate::functional::{self, FunctionalEngine};
 use crate::ops::{self, OpCount};
 use crate::resources::{self, FpgaDevice, ResourceUsage};
 use crate::sap::SapLayout;
 use crate::submodule::{Submodule, SubmoduleKind};
 use crate::timing::{self, TimingEstimate};
+use rbd_dynamics::{fd_derivatives, rnea_derivatives, DynamicsWorkspace};
 use rbd_model::{JointType, RobotModel};
 use rbd_spatial::{ForceVec, MatN};
 
@@ -47,11 +48,12 @@ pub struct AccelConfig {
     pub io_gbytes_per_s: f64,
     /// Bytes per streamed scalar (32-bit fixed-point words).
     pub word_bytes: usize,
-    /// Functional model: evaluate the Forward-Backward module's
-    /// trigonometry (ID, ΔID and the RNEA stages of FD and ΔFD) with the
-    /// Taylor unit instead of `f64::sin_cos`. The Backward-Forward
-    /// module's `M` and `M⁻¹` (also inside FD and ΔFD) always come from
-    /// `rbd_dynamics::mminv_gen` with `f64::sin_cos`.
+    /// Functional model: evaluate the trigonometry of the RNEA round
+    /// trip (ID, and FD's bias force `C`) with the Taylor unit instead of
+    /// `f64::sin_cos`. Every other function runs its `rbd-dynamics`
+    /// kernel with `f64::sin_cos`: `M` and `M⁻¹` (also inside FD) come
+    /// from `rbd_dynamics::mminv_gen`, and ΔID, ΔFD and ΔiFD from
+    /// `rnea_derivatives` / `fd_derivatives`.
     pub taylor_trig: bool,
     /// Number of independent SAP instances ("If we want to further
     /// improve throughput, we can instantiate multiple SAPs", §VI-A).
@@ -331,8 +333,9 @@ impl DaduRbd {
     }
 
     // ---------------------------------------------------------------
-    // Functional entry points (compute real numbers through the
-    // submodule dataflow; see `functional`).
+    // Functional entry points (compute real numbers; see `functional`).
+    // ID and FD's bias force run the simulator's own Rf/Rb round trip;
+    // every other function runs its `rbd-dynamics` kernel.
     // ---------------------------------------------------------------
 
     /// Inverse dynamics through the Rf/Rb round-trip pipeline.
@@ -343,14 +346,10 @@ impl DaduRbd {
         qdd: &[f64],
         fext: Option<&[ForceVec]>,
     ) -> FunctionOutput {
-        FunctionalEngine::new(&self.model, self.cfg.taylor_trig).run(
-            FunctionKind::Id,
-            q,
-            qd,
-            qdd,
-            None,
-            fext,
-        )
+        FunctionOutput {
+            tau: FunctionalEngine::new(&self.model, self.cfg.taylor_trig).fb_rnea(q, qd, qdd, fext),
+            ..FunctionOutput::default()
+        }
     }
 
     /// Forward dynamics (`M⁻¹(τ-C)` dataflow of Fig 9a).
@@ -361,43 +360,41 @@ impl DaduRbd {
         tau: &[f64],
         fext: Option<&[ForceVec]>,
     ) -> FunctionOutput {
-        FunctionalEngine::new(&self.model, self.cfg.taylor_trig).run(
-            FunctionKind::Fd,
+        // ① C = RNEA(q, q̇, 0)   ② M⁻¹ = MMinvGen   ③ q̈ = M⁻¹(τ-C)
+        let nv = self.model.nv();
+        assert_eq!(tau.len(), nv);
+        let c = FunctionalEngine::new(&self.model, self.cfg.taylor_trig).fb_rnea(
             q,
             qd,
-            tau,
-            None,
+            &vec![0.0; nv],
             fext,
-        )
+        );
+        let minv = functional::bf(&self.model, q, false);
+        FunctionOutput {
+            qdd: functional::sched_matvec(&minv, tau, &c),
+            minv: Some(minv),
+            ..FunctionOutput::default()
+        }
     }
 
     /// Mass matrix (Backward-Forward module, `outM`).
     pub fn run_mass_matrix(&self, q: &[f64]) -> FunctionOutput {
-        let zero = vec![0.0; self.model.nv()];
-        FunctionalEngine::new(&self.model, self.cfg.taylor_trig).run(
-            FunctionKind::MassMatrix,
-            q,
-            &zero,
-            &zero,
-            None,
-            None,
-        )
+        FunctionOutput {
+            m: Some(functional::bf(&self.model, q, true)),
+            ..FunctionOutput::default()
+        }
     }
 
     /// Inverse mass matrix (`outMinv`).
     pub fn run_minv(&self, q: &[f64]) -> FunctionOutput {
-        let zero = vec![0.0; self.model.nv()];
-        FunctionalEngine::new(&self.model, self.cfg.taylor_trig).run(
-            FunctionKind::MassMatrixInverse,
-            q,
-            &zero,
-            &zero,
-            None,
-            None,
-        )
+        FunctionOutput {
+            minv: Some(functional::bf(&self.model, q, false)),
+            ..FunctionOutput::default()
+        }
     }
 
-    /// ΔID through the Dynamics Array.
+    /// ΔID (the Dynamics Array's ΔRNEA mode):
+    /// `rbd_dynamics::rnea_derivatives`, whose `τ` comes as a by-product.
     pub fn run_did(
         &self,
         q: &[f64],
@@ -405,17 +402,17 @@ impl DaduRbd {
         qdd: &[f64],
         fext: Option<&[ForceVec]>,
     ) -> FunctionOutput {
-        FunctionalEngine::new(&self.model, self.cfg.taylor_trig).run(
-            FunctionKind::DId,
-            q,
-            qd,
-            qdd,
-            None,
-            fext,
-        )
+        let mut ws = DynamicsWorkspace::new(&self.model);
+        let d = rnea_derivatives(&self.model, &mut ws, q, qd, qdd, fext);
+        FunctionOutput {
+            tau: d.tau,
+            dtau: Some((d.dtau_dq, d.dtau_dqd)),
+            ..FunctionOutput::default()
+        }
     }
 
-    /// ΔFD — the full six-step dataflow with feedback (Fig 9a / 14f).
+    /// ΔFD — the six-step dataflow with feedback (Fig 9a / 14f):
+    /// `rbd_dynamics::fd_derivatives`, which also emits `q̈` and `M⁻¹`.
     pub fn run_dfd(
         &self,
         q: &[f64],
@@ -423,17 +420,19 @@ impl DaduRbd {
         tau: &[f64],
         fext: Option<&[ForceVec]>,
     ) -> FunctionOutput {
-        FunctionalEngine::new(&self.model, self.cfg.taylor_trig).run(
-            FunctionKind::DFd,
-            q,
-            qd,
-            tau,
-            None,
-            fext,
-        )
+        let mut ws = DynamicsWorkspace::new(&self.model);
+        let d =
+            fd_derivatives(&self.model, &mut ws, q, qd, tau, fext).expect("BF module: singular D");
+        FunctionOutput {
+            qdd: d.qdd,
+            minv: Some(d.dqdd_dtau),
+            dqdd: Some((d.dqdd_dq, d.dqdd_dqd)),
+            ..FunctionOutput::default()
+        }
     }
 
-    /// ΔiFD — derivatives with `M⁻¹` supplied by the host (Table I).
+    /// ΔiFD — derivatives with `M⁻¹` supplied by the host (Table I):
+    /// `∂q̈ = −M⁻¹ ∂τ`, with `∂τ` from `rbd_dynamics::rnea_derivatives`.
     pub fn run_difd(
         &self,
         q: &[f64],
@@ -442,14 +441,16 @@ impl DaduRbd {
         minv: &MatN,
         fext: Option<&[ForceVec]>,
     ) -> FunctionOutput {
-        FunctionalEngine::new(&self.model, self.cfg.taylor_trig).run(
-            FunctionKind::DiFd,
-            q,
-            qd,
-            qdd,
-            Some(minv),
-            fext,
-        )
+        let mut ws = DynamicsWorkspace::new(&self.model);
+        let d = rnea_derivatives(&self.model, &mut ws, q, qd, qdd, fext);
+        FunctionOutput {
+            dqdd: Some((
+                functional::neg_mul(minv, &d.dtau_dq),
+                functional::neg_mul(minv, &d.dtau_dqd),
+            )),
+            minv: Some(minv.clone()),
+            ..FunctionOutput::default()
+        }
     }
 }
 

@@ -5,13 +5,18 @@
 //! it at two coupled levels:
 //!
 //! * **Functional** (the `DaduRbd::run_*` entry points, [`dataflow`]) —
-//!   the Forward-Backward module's submodules (`Rf`/`Rb`/`Df`/`Db`,
-//!   Figs 6-7) are explicit stages exchanging `ftr`/`btr`/`dtr` messages
-//!   over FIFO streams and computing real numbers; the Backward-Forward
-//!   module (`Mb`/`Mf`, Fig 8) runs `rbd_dynamics::mminv_gen`, whose
-//!   per-joint backward and forward sweeps are those submodules. Outputs
-//!   are asserted equal to the `rbd-dynamics` reference in the
-//!   integration tests (`M` and `M⁻¹` bit for bit).
+//!   the Forward-Backward module's RNEA mode (`Rf`/`Rb`, Fig 6) runs as
+//!   explicit stages exchanging `ftr`/`btr`/`dtr` messages over FIFO
+//!   streams and computing real numbers; it gives ID and FD's bias force,
+//!   with the Taylor trig unit as an option. Every other function runs
+//!   its `rbd-dynamics` kernel: the Backward-Forward module (`Mb`/`Mf`,
+//!   Fig 8) is `rbd_dynamics::mminv_gen`, whose per-joint backward and
+//!   forward sweeps are those submodules, and ΔID, ΔFD and ΔiFD (the
+//!   ΔRNEA mode, Fig 7) are `rnea_derivatives` and `fd_derivatives`; the
+//!   `Df`/`Db` column structure of §IV-A4 lives on in the timing model's
+//!   `Df`/`Db` submodules. Outputs are asserted equal to the `rbd-dynamics`
+//!   reference in the integration tests (`M`, `M⁻¹`, ΔID and ΔFD bit for
+//!   bit).
 //! * **Timing/resources** ([`ops`], [`pipeline`], [`timing`],
 //!   [`resources`], [`power`]) — per-submodule operation counts from the
 //!   paper's sparsity analysis (`ops` is `rbd_dynamics::ops`, the same

@@ -96,11 +96,6 @@ fn parse_json_string(s: &str) -> Result<String, String> {
     }
 }
 
-/// Looks a case up by name.
-pub fn median_of<'a>(cases: &'a [BenchCase], name: &str) -> Option<&'a BenchCase> {
-    cases.iter().find(|c| c.name == name)
-}
-
 /// One median that regressed past the threshold.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Regression {
@@ -308,13 +303,8 @@ mod tests {
         let cases = parse_report(json).unwrap();
         assert_eq!(cases.len(), 2);
         assert_eq!(cases[0].median_ns, 3341.519);
-        assert_eq!(
-            median_of(&cases, "derivatives/iiwa/dFD_batch64_1T")
-                .unwrap()
-                .median_ns,
-            435314.174
-        );
-        assert!(median_of(&cases, "nope").is_none());
+        assert_eq!(cases[1].name, "derivatives/iiwa/dFD_batch64_1T");
+        assert_eq!(cases[1].median_ns, 435314.174);
     }
 
     #[test]

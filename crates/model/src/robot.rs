@@ -106,24 +106,6 @@ impl RobotModel {
         }
         q
     }
-
-    /// Maps a velocity index to the body owning that DOF.
-    pub fn body_of_dof(&self, dof: usize) -> usize {
-        debug_assert!(dof < self.nv);
-        // v_index is monotonically increasing.
-        match self.v_index.binary_search(&dof) {
-            Ok(i) => {
-                // Several bodies may share an offset only if nv()==0, which
-                // cannot happen; still, find the first exact match.
-                let mut k = i;
-                while k > 0 && self.v_index[k - 1] == dof {
-                    k -= 1;
-                }
-                k
-            }
-            Err(i) => i - 1,
-        }
-    }
 }
 
 impl fmt::Display for RobotModel {
@@ -254,8 +236,6 @@ mod tests {
         assert_eq!(m.nv(), 2);
         assert_eq!(m.q_offset(1), 1);
         assert_eq!(m.v_offset(1), 1);
-        assert_eq!(m.body_of_dof(0), 0);
-        assert_eq!(m.body_of_dof(1), 1);
     }
 
     #[test]
@@ -287,9 +267,6 @@ mod tests {
         assert_eq!(m.nv(), 6 + 1 + 3);
         assert_eq!(m.q_offset(2), 8);
         assert_eq!(m.v_offset(2), 7);
-        assert_eq!(m.body_of_dof(5), 0);
-        assert_eq!(m.body_of_dof(6), 1);
-        assert_eq!(m.body_of_dof(7), 2);
         assert_eq!(m.neutral_config().len(), m.nq());
         assert_eq!(m.body_id("arm"), Some(1));
         assert_eq!(m.body_id("nope"), None);

@@ -263,50 +263,6 @@ pub fn atlas() -> RobotModel {
     b.build()
 }
 
-/// Atlas re-rooted at torso2 (the paper's Fig 11c optimisation):
-/// identical link set, floating joint moved to torso2, topology depth 9
-/// with balanced branches. Demonstrates the SAP re-rooting by
-/// construction (the connectivity-level transform lives in
-/// [`crate::tree::Topology::reroot`]).
-pub fn atlas_rerooted() -> RobotModel {
-    let mut b = ModelBuilder::new("atlas-rerooted");
-    let torso2 = b.add_body(
-        "torso2",
-        None,
-        JointType::Floating,
-        Xform::identity(),
-        SpatialInertia::solid_box(3.0, 0.2, 0.25, 0.1, Vec3::zero()),
-    );
-    // Upward branch: torso3 + arms.
-    let torso3 = b.add_body(
-        "torso3",
-        Some(torso2),
-        JointType::revolute_x(),
-        Xform::translation(Vec3::new(0.0, 0.0, 0.1)),
-        SpatialInertia::solid_box(20.0, 0.25, 0.35, 0.4, Vec3::new(0.0, 0.0, 0.2)),
-    );
-    add_arm(&mut b, torso3, "l_arm", Vec3::new(0.0, 0.25, 0.35), 7);
-    add_arm(&mut b, torso3, "r_arm", Vec3::new(0.0, -0.25, 0.35), 7);
-    // Downward branch: torso1 (reversed), pelvis, legs.
-    let torso1 = b.add_body(
-        "torso1",
-        Some(torso2),
-        JointType::revolute_y(),
-        Xform::translation(Vec3::new(0.0, 0.0, -0.1)),
-        SpatialInertia::solid_box(3.0, 0.2, 0.25, 0.1, Vec3::new(0.0, 0.0, -0.05)),
-    );
-    let pelvis = b.add_body(
-        "pelvis",
-        Some(torso1),
-        JointType::revolute_z(),
-        Xform::translation(Vec3::new(0.0, 0.0, -0.12)),
-        SpatialInertia::solid_box(16.0, 0.25, 0.3, 0.2, Vec3::zero()),
-    );
-    add_humanoid_leg(&mut b, pelvis, "l_leg", 1.0);
-    add_humanoid_leg(&mut b, pelvis, "r_leg", -1.0);
-    b.build()
-}
-
 /// A hexapod: 6-DOF floating body with six identical 3-DOF legs
 /// (NB = 19, N = 24) — exercises the SAP merge rule on an odd group
 /// (6 legs → 3 × ×2 arrays).
@@ -483,14 +439,6 @@ mod tests {
         assert_eq!(m.num_bodies(), 30);
         assert_eq!(m.nv(), 35);
         assert_eq!(m.topology().max_depth(), 11);
-    }
-
-    #[test]
-    fn atlas_rerooted_depth_is_nine() {
-        let m = atlas_rerooted();
-        assert_eq!(m.num_bodies(), atlas().num_bodies());
-        assert_eq!(m.nv(), atlas().nv());
-        assert_eq!(m.topology().max_depth(), 9);
     }
 
     #[test]

@@ -194,8 +194,7 @@ impl Topology {
     ///
     /// This operates at the connectivity level (as used for pipeline
     /// organisation); building an equivalent *dynamic* model additionally
-    /// requires reversing joint placements, which
-    /// `rbd_model::robots::atlas_rerooted` demonstrates by construction.
+    /// requires reversing joint placements.
     ///
     /// # Panics
     /// Panics if the tree has multiple roots (a forest) or `new_root` is

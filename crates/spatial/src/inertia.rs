@@ -114,20 +114,6 @@ impl SpatialInertia {
         )
     }
 
-    /// Batched [`Self::mul_motion`]: `out[k] = I · vs[k]` over a
-    /// contiguous run of motion vectors, keeping `Ī`, `h` and `m` hot
-    /// across the batch.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != vs.len()`.
-    #[inline]
-    pub fn apply_batch(&self, vs: &[MotionVec], out: &mut [ForceVec]) {
-        assert_eq!(vs.len(), out.len(), "apply_batch length mismatch");
-        for (o, v) in out.iter_mut().zip(vs) {
-            *o = self.mul_motion(v);
-        }
-    }
-
     /// Kinetic energy `½ vᵀ I v` of a body moving with spatial velocity `v`.
     pub fn kinetic_energy(&self, v: &MotionVec) -> f64 {
         0.5 * v.dot_force(&self.mul_motion(v))

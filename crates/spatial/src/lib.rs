@@ -53,19 +53,3 @@ pub use quat::Quat;
 pub use spatial_vec::{ForceVec, MotionVec};
 pub use vec3::Vec3;
 pub use xform::Xform;
-
-/// Absolute tolerance used by the test suites of the workspace.
-pub const TEST_EPS: f64 = 1e-9;
-
-/// Returns `true` when `a` and `b` agree to within `tol` absolutely or
-/// relatively (whichever is looser), the standard comparison used across the
-/// workspace test suites.
-///
-/// # Example
-/// ```
-/// assert!(rbd_spatial::approx_eq(1.0, 1.0 + 1e-12, 1e-9));
-/// ```
-pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
-    let diff = (a - b).abs();
-    diff <= tol || diff <= tol * a.abs().max(b.abs())
-}

@@ -330,7 +330,6 @@ impl IndexMut<(usize, usize)> for Mat3 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::approx_eq;
 
     #[test]
     fn rotation_is_orthonormal() {
@@ -342,7 +341,8 @@ mod tests {
         ] {
             let e = r * r.transpose() - Mat3::identity();
             assert!(e.max_abs() < 1e-12);
-            assert!(approx_eq(r.det(), 1.0, 1e-12));
+            let det = r.det();
+            assert!((det - 1.0).abs() <= 1e-12 * det.abs().max(1.0));
         }
     }
 

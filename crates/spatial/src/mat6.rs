@@ -179,21 +179,15 @@ impl Mat6 {
         x6.transpose() * (*self * *x6)
     }
 
-    /// [`Self::congruence`] with the transform given directly as a
-    /// Plücker [`Xform`], evaluated analytically on the `[E 0; B E]`
-    /// block structure (`B = -E r×`) — twelve dense 3×3 products instead
-    /// of two zero-laden 6×6 products, with no `Mat6` temporaries.
-    ///
-    /// Agrees with `congruence(&Mat6::from_xform_motion(x))` to rounding
-    /// error (the summation order differs).
-    pub fn congruence_xform(&self, x: &Xform) -> Self {
-        let mut out = Self::zero();
-        self.add_congruence_xform(x, &mut out);
-        out
-    }
-
-    /// Fused `dest += Xᵀ · self · X` — the accumulation form used by the
-    /// leaf-to-root composite/articulated inertia sweeps.
+    /// Fused `dest += Xᵀ · self · X` with the transform given directly as
+    /// a Plücker [`Xform`] — the general form of the accumulation the
+    /// leaf-to-root composite/articulated inertia sweeps run
+    /// ([`Self::add_congruence_xform_sym`]). Evaluated
+    /// analytically on the `[E 0; B E]` block structure (`B = -E r×`):
+    /// twelve dense 3×3 products instead of two zero-laden 6×6 products,
+    /// with no `Mat6` temporaries. Agrees with
+    /// `congruence(&Mat6::from_xform_motion(x))` to rounding error (the
+    /// summation order differs).
     pub fn add_congruence_xform(&self, x: &Xform, dest: &mut Mat6) {
         let e = &x.rot.m;
         let b = {
@@ -485,7 +479,8 @@ mod tests {
             }
         }
         let dense = s.congruence(&Mat6::from_xform_motion(&x));
-        let fast = s.congruence_xform(&x);
+        let mut fast = Mat6::zero();
+        s.add_congruence_xform(&x, &mut fast);
         assert!((dense - fast).max_abs() < 1e-12 * (1.0 + dense.max_abs()));
 
         // The accumulate form adds on top of existing content.

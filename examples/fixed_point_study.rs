@@ -1,6 +1,8 @@
 //! Datapath accuracy study (§IV-B2, §V-B2): the Taylor trigonometric
 //! unit, the fixed↔float fast reciprocal, and the end-to-end effect of
-//! the Taylor datapath on inverse-dynamics outputs.
+//! the Taylor datapath on inverse-dynamics outputs. Exits 1 unless the
+//! worst Taylor-vs-exact relative torque deviation on Atlas is below the
+//! Q31.32 quantization step.
 //!
 //! ```text
 //! cargo run --example fixed_point_study --release
@@ -64,4 +66,12 @@ fn main() {
          worst relative torque deviation = {worst:.3e}\n  \
          (the 7-term unit is indistinguishable at the accelerator's word width)"
     );
+    if worst >= Q32::epsilon() {
+        eprintln!(
+            "FAIL: the worst relative torque deviation {worst:.3e} must be below \
+             the Q31.32 step {:.3e}",
+            Q32::epsilon()
+        );
+        std::process::exit(1);
+    }
 }

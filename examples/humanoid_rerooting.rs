@@ -1,7 +1,8 @@
 //! Structure-Adaptive Pipelines on a humanoid: how re-rooting Atlas at
 //! the torso (§V-C1, Fig 11c) balances the tree, shortens the pipeline
 //! and cuts resources — and that the dynamics results are unaffected by
-//! the hardware organisation.
+//! the hardware organisation. Exits 1 unless both organisations compute
+//! the same torques (`max |Δτ| = 0`).
 //!
 //! ```text
 //! cargo run --example humanoid_rerooting --release
@@ -57,4 +58,8 @@ fn main() {
         .map(|(x, y)| (x - y).abs())
         .fold(0.0_f64, f64::max);
     println!("\nfunctional equivalence: max |Δτ| between organisations = {max_diff:.2e}");
+    if max_diff != 0.0 {
+        eprintln!("FAIL: the organisations' torques differ (max |Δτ| = {max_diff:.2e})");
+        std::process::exit(1);
+    }
 }

@@ -128,46 +128,71 @@ fn mass_matrix_paths_agree_everywhere() {
     }
 }
 
+/// Bit patterns of a vector, for `to_bits` equality.
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 #[test]
 fn derivative_functions_match_reference_everywhere() {
+    // ΔID and ΔFD run the `rbd-dynamics` kernels, so their outputs are the
+    // reference's bits whether or not the Taylor trig unit is on; ΔiFD's
+    // `−M⁻¹·∂τ` equals ΔFD's in value.
     for model in all_models() {
-        let accel = DaduRbd::configure(&model, AccelConfig::default());
         let mut ws = DynamicsWorkspace::new(&model);
-        let s = random_state(&model, 13);
         let nv = model.nv();
         let qdd: Vec<f64> = (0..nv).map(|k| 0.1 * (k % 4) as f64 - 0.2).collect();
         let tau: Vec<f64> = (0..nv).map(|k| 0.3 - 0.02 * k as f64).collect();
         let fext = fext_for(&model, 0.5);
+        for taylor_trig in [false, true] {
+            let cfg = AccelConfig {
+                taylor_trig,
+                ..AccelConfig::default()
+            };
+            let accel = DaduRbd::configure(&model, cfg);
+            for seed in [13, 14, 15] {
+                let s = random_state(&model, seed);
+                for fext in [Some(&fext[..]), None] {
+                    let at = format!(
+                        "{} taylor {taylor_trig} seed {seed} fext {}",
+                        model.name(),
+                        fext.is_some()
+                    );
 
-        // ΔID
-        let did = accel.run_did(&s.q, &s.qd, &qdd, Some(&fext));
-        let did_ref = rnea_derivatives(&model, &mut ws, &s.q, &s.qd, &qdd, Some(&fext));
-        let (dq, dqd) = did.dtau.unwrap();
-        let scale = 1.0 + did_ref.dtau_dq.max_abs();
-        assert!(
-            (&dq - &did_ref.dtau_dq).max_abs() / scale < 1e-9,
-            "{}",
-            model.name()
-        );
-        assert!((&dqd - &did_ref.dtau_dqd).max_abs() / scale < 1e-9);
+                    // ΔID
+                    let did = accel.run_did(&s.q, &s.qd, &qdd, fext);
+                    let did_ref = rnea_derivatives(&model, &mut ws, &s.q, &s.qd, &qdd, fext);
+                    let (dq, dqd) = did.dtau.unwrap();
+                    assert_eq!(bit_mismatches(&dq, &did_ref.dtau_dq), 0, "∂τ/∂q, {at}");
+                    assert_eq!(bit_mismatches(&dqd, &did_ref.dtau_dqd), 0, "∂τ/∂q̇, {at}");
+                    assert_eq!(bits(&did.tau), bits(&did_ref.tau), "τ, {at}");
+                    let scale = 1.0 + did_ref.dtau_dq.max_abs();
+                    assert!((&dq - &did_ref.dtau_dq).max_abs() / scale < 1e-9, "{at}");
+                    assert!((&dqd - &did_ref.dtau_dqd).max_abs() / scale < 1e-9);
 
-        // ΔFD (3-stage feedback dataflow)
-        let dfd = accel.run_dfd(&s.q, &s.qd, &tau, Some(&fext));
-        let dfd_ref = fd_derivatives(&model, &mut ws, &s.q, &s.qd, &tau, Some(&fext)).unwrap();
-        let (dq, dqd) = dfd.dqdd.unwrap();
-        let scale = 1.0 + dfd_ref.dqdd_dq.max_abs();
-        assert!(
-            (&dq - &dfd_ref.dqdd_dq).max_abs() / scale < 1e-7,
-            "{}",
-            model.name()
-        );
-        assert!((&dqd - &dfd_ref.dqdd_dqd).max_abs() / scale < 1e-7);
+                    // ΔFD (3-stage feedback dataflow)
+                    let dfd = accel.run_dfd(&s.q, &s.qd, &tau, fext);
+                    let dfd_ref = fd_derivatives(&model, &mut ws, &s.q, &s.qd, &tau, fext).unwrap();
+                    let (dq, dqd) = dfd.dqdd.unwrap();
+                    assert_eq!(bit_mismatches(&dq, &dfd_ref.dqdd_dq), 0, "∂q̈/∂q, {at}");
+                    assert_eq!(bit_mismatches(&dqd, &dfd_ref.dqdd_dqd), 0, "∂q̈/∂q̇, {at}");
+                    let minv = dfd.minv.unwrap();
+                    assert_eq!(bit_mismatches(&minv, &dfd_ref.dqdd_dtau), 0, "M⁻¹, {at}");
+                    assert_eq!(bits(&dfd.qdd), bits(&dfd_ref.qdd), "q̈, {at}");
+                    let scale = 1.0 + dfd_ref.dqdd_dq.max_abs();
+                    assert!((&dq - &dfd_ref.dqdd_dq).max_abs() / scale < 1e-7, "{at}");
+                    assert!((&dqd - &dfd_ref.dqdd_dqd).max_abs() / scale < 1e-7);
 
-        // ΔiFD with host-provided M⁻¹
-        let difd = accel.run_difd(&s.q, &s.qd, &dfd_ref.qdd, &dfd_ref.dqdd_dtau, Some(&fext));
-        let (dq, dqd) = difd.dqdd.unwrap();
-        assert!((&dq - &dfd_ref.dqdd_dq).max_abs() / scale < 1e-7);
-        assert!((&dqd - &dfd_ref.dqdd_dqd).max_abs() / scale < 1e-7);
+                    // ΔiFD with host-provided M⁻¹
+                    let difd = accel.run_difd(&s.q, &s.qd, &dfd_ref.qdd, &dfd_ref.dqdd_dtau, fext);
+                    let (dq, dqd) = difd.dqdd.unwrap();
+                    assert_eq!((&dq - &dfd_ref.dqdd_dq).max_abs(), 0.0, "ΔiFD ∂q, {at}");
+                    assert_eq!((&dqd - &dfd_ref.dqdd_dqd).max_abs(), 0.0, "ΔiFD ∂q̇, {at}");
+                    assert!((&dq - &dfd_ref.dqdd_dq).max_abs() / scale < 1e-7);
+                    assert!((&dqd - &dfd_ref.dqdd_dqd).max_abs() / scale < 1e-7);
+                }
+            }
+        }
     }
 }
 
