@@ -4,7 +4,7 @@
 //! calculation", §V-B).
 
 use crate::dataflow::{FunctionKind, FunctionOutput};
-use crate::functional::{self, FunctionalEngine};
+use crate::functional;
 use crate::ops::{self, OpCount};
 use crate::resources::{self, FpgaDevice, ResourceUsage};
 use crate::sap::SapLayout;
@@ -48,8 +48,9 @@ pub struct AccelConfig {
     pub io_gbytes_per_s: f64,
     /// Bytes per streamed scalar (32-bit fixed-point words).
     pub word_bytes: usize,
-    /// Functional model: evaluate the trigonometry of the RNEA round
-    /// trip (ID, and FD's bias force `C`) with the Taylor unit instead of
+    /// Functional model: the Global Trigonometric Module evaluates the
+    /// joint transforms it feeds to `rbd_dynamics::rnea_sweeps_in_ws`
+    /// (ID, and FD's bias force `C`) with the Taylor unit instead of
     /// `f64::sin_cos`. Every other function runs its `rbd-dynamics`
     /// kernel with `f64::sin_cos`: `M` and `M⁻¹` (also inside FD) come
     /// from `rbd_dynamics::mminv_gen`, and ΔID, ΔFD and ΔiFD from
@@ -334,11 +335,14 @@ impl DaduRbd {
 
     // ---------------------------------------------------------------
     // Functional entry points (compute real numbers; see `functional`).
-    // ID and FD's bias force run the simulator's own Rf/Rb round trip;
-    // every other function runs its `rbd-dynamics` kernel.
+    // The simulator has no RNEA of its own: ID and FD's bias force run
+    // `rbd_dynamics::rnea_sweeps_in_ws` over the transforms of its trig
+    // module; every other function runs its `rbd-dynamics` kernel.
     // ---------------------------------------------------------------
 
-    /// Inverse dynamics through the Rf/Rb round-trip pipeline.
+    /// Inverse dynamics: the trig module's joint transforms fed to the
+    /// Rf/Rb sweeps of `rbd_dynamics::rnea_sweeps_in_ws`; with libm
+    /// trigonometry `τ` is `rbd_dynamics::rnea`'s bits.
     pub fn run_id(
         &self,
         q: &[f64],
@@ -347,7 +351,7 @@ impl DaduRbd {
         fext: Option<&[ForceVec]>,
     ) -> FunctionOutput {
         FunctionOutput {
-            tau: FunctionalEngine::new(&self.model, self.cfg.taylor_trig).fb_rnea(q, qd, qdd, fext),
+            tau: functional::fb_rnea(&self.model, self.cfg.taylor_trig, q, qd, qdd, fext),
             ..FunctionOutput::default()
         }
     }
@@ -363,7 +367,9 @@ impl DaduRbd {
         // ① C = RNEA(q, q̇, 0)   ② M⁻¹ = MMinvGen   ③ q̈ = M⁻¹(τ-C)
         let nv = self.model.nv();
         assert_eq!(tau.len(), nv);
-        let c = FunctionalEngine::new(&self.model, self.cfg.taylor_trig).fb_rnea(
+        let c = functional::fb_rnea(
+            &self.model,
+            self.cfg.taylor_trig,
             q,
             qd,
             &vec![0.0; nv],

@@ -1,21 +1,21 @@
 //! Functional (bit-true at f64 granularity) model of the multifunctional
-//! dataflow. The simulator keeps one dataflow of its own: the
-//! Forward-Backward module's RNEA mode, executed as explicit per-joint
-//! `Rf`/`Rb` activations exchanging `ftr`/`dtr`/`btr` messages through
-//! FIFO slots (Figs 6, 9), including the paper's *re-updated
-//! transformation matrices* (§IV-A2: `Rb` recomputes `X` from the shared
-//! trigonometric outputs instead of receiving it) and *lazy updates*
-//! (§IV-A3: children's contributions are applied at the parent's
-//! activation). It computes ID and FD's bias force `C`, and it is what the
-//! Taylor trigonometric unit feeds.
+//! dataflow. The simulator has no dynamics sweep of its own: every
+//! function runs its `rbd-dynamics` kernel, so its outputs are the
+//! reference's bits.
 //!
-//! Every other function runs its `rbd-dynamics` kernel, with
-//! `f64::sin_cos` trigonometry: the Backward-Forward module is
-//! [`rbd_dynamics::mminv_gen`], which is already organised as the
-//! per-joint `Mb` (backward) / `Mf` (forward) sweeps of Fig 8, and the
-//! ΔRNEA mode behind ΔID, ΔiFD and ΔFD is
+//! What it keeps is the Global Trigonometric Module ([`fb_rnea`]): it
+//! builds each joint's transform from its `(sin, cos)` pair, from libm or
+//! from the 7-term Taylor unit (§IV-B2), and feeds the transforms to
+//! [`rbd_dynamics::rnea_sweeps_in_ws`], the forward (`Rf`) and backward
+//! (`Rb`) sweeps of the Forward-Backward module's RNEA mode (Fig 6). That
+//! gives ID and FD's bias force `C`; with libm the transforms are
+//! [`rbd_dynamics::DynamicsWorkspace::update_kinematics`]' bits, so `τ`
+//! is `rnea`'s.
+//!
+//! The Backward-Forward module is [`rbd_dynamics::mminv_gen`], which is
+//! already organised as the per-joint `Mb` (backward) / `Mf` (forward)
+//! sweeps of Fig 8, and the ΔRNEA mode behind ΔID, ΔiFD and ΔFD is
 //! `rbd_dynamics::rnea_derivatives` and `rbd_dynamics::fd_derivatives`.
-//! So `M`, `M⁻¹`, ΔID and ΔFD are the reference's bits.
 //! The per-joint `Df`/`Db` column structure of ΔRNEA (Fig 7, §IV-A4)
 //! lives on in the timing model, whose `Df`/`Db` submodules are costed
 //! over their live columns.
@@ -23,173 +23,61 @@
 //! Integration tests assert every function's output equals the
 //! `rbd-dynamics` reference.
 
-use rbd_dynamics::{mminv_gen, DynamicsWorkspace};
+use rbd_dynamics::{mminv_gen, rnea_sweeps_in_ws, DynamicsWorkspace};
 use rbd_model::{JointType, RobotModel};
-use rbd_spatial::{ForceVec, Mat3, MatN, MotionVec, VecN, Xform};
+use rbd_spatial::{ForceVec, Mat3, MatN, Vec3, VecN, Xform};
 
-/// Output of the Global Trigonometric Module for one joint: the
-/// `(sin, cos)` pairs its transform needs (empty for trig-free joints).
-#[derive(Debug, Clone, Default)]
-struct TrigOut {
-    sc: Vec<(f64, f64)>,
-}
-
-/// Forward-transfer message `ftr_i = {v_i, a_i}` (Fig 6).
-#[derive(Debug, Clone, Copy, Default)]
-struct Ftr {
-    v: MotionVec,
-    a: MotionVec,
-}
-
-/// The Forward-Backward module's RNEA round trip for one model.
-#[derive(Debug)]
-pub(crate) struct FunctionalEngine<'m> {
-    model: &'m RobotModel,
+/// The Forward-Backward module's RNEA mode fed by the Global
+/// Trigonometric Module: each joint's transform is built from `sin_cos`
+/// (the Taylor unit when `taylor_trig`, libm otherwise), composed into
+/// the world transforms and handed to `rnea_sweeps_in_ws`. Returns `τ`.
+///
+/// # Panics
+/// Panics on dimension mismatches.
+pub(crate) fn fb_rnea(
+    model: &RobotModel,
     taylor_trig: bool,
-}
-
-impl<'m> FunctionalEngine<'m> {
-    /// Creates an engine; with `taylor_trig` the Global Trigonometric
-    /// Module evaluates the 7-term Taylor pipeline instead of libm.
-    pub(crate) fn new(model: &'m RobotModel, taylor_trig: bool) -> Self {
-        Self { model, taylor_trig }
+    q: &[f64],
+    qd: &[f64],
+    qdd: &[f64],
+    fext: Option<&[ForceVec]>,
+) -> Vec<f64> {
+    assert_eq!(q.len(), model.nq(), "q dimension");
+    assert_eq!(qd.len(), model.nv(), "qd dimension");
+    assert_eq!(qdd.len(), model.nv(), "qdd dimension");
+    if let Some(f) = fext {
+        assert_eq!(f.len(), model.num_bodies(), "fext dimension");
     }
-
-    // -----------------------------------------------------------------
-    // Global Trigonometric Module
-    // -----------------------------------------------------------------
-    fn trig(&self, q: &[f64]) -> Vec<TrigOut> {
-        let eval = |x: f64| {
-            if self.taylor_trig {
-                rbd_fixed::trig::sin_cos(x)
-            } else {
-                x.sin_cos()
-            }
-        };
-        (0..self.model.num_bodies())
-            .map(|i| {
-                let qi = self.model.q_slice(i, q);
-                let sc = match self.model.joint(i).jtype {
-                    JointType::Revolute(_) => vec![eval(qi[0])],
-                    JointType::Planar => vec![eval(qi[2])],
-                    _ => Vec::new(),
-                };
-                TrigOut { sc }
-            })
-            .collect()
-    }
-
-    /// Re-updates `X_i` from the trig outputs (the `Rb` submodules
-    /// recompute this rather than buffering the matrix, §IV-A2).
-    fn build_xup(&self, i: usize, q: &[f64], trig: &[TrigOut]) -> Xform {
-        let joint = self.model.joint(i);
-        let qi = self.model.q_slice(i, q);
-        match joint.jtype {
+    let sin_cos: fn(f64) -> (f64, f64) = if taylor_trig {
+        rbd_fixed::trig::sin_cos
+    } else {
+        f64::sin_cos
+    };
+    let mut ws = DynamicsWorkspace::new(model);
+    for i in 0..model.num_bodies() {
+        let joint = model.joint(i);
+        let qi = model.q_slice(i, q);
+        let xup = match joint.jtype {
             JointType::Revolute(axis) => {
-                let (s, c) = trig[i].sc[0];
-                Xform::new(
-                    Mat3::rotation_axis_sc(axis, s, c).transpose(),
-                    rbd_spatial::Vec3::zero(),
-                )
-                .compose(&joint.placement)
+                let (s, c) = sin_cos(qi[0]);
+                Xform::new(Mat3::rotation_axis_sc(axis, s, c).transpose(), Vec3::zero())
+                    .compose(&joint.placement)
             }
             JointType::Planar => {
-                let (s, c) = trig[i].sc[0];
+                let (s, c) = sin_cos(qi[2]);
                 let e = Mat3::from_rows([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]]);
-                Xform::new(e, rbd_spatial::Vec3::new(qi[0], qi[1], 0.0)).compose(&joint.placement)
+                Xform::new(e, Vec3::new(qi[0], qi[1], 0.0)).compose(&joint.placement)
             }
             _ => joint.child_xform(qi),
-        }
+        };
+        ws.xworld[i] = match model.topology().parent(i) {
+            Some(p) => xup.compose(&ws.xworld[p]),
+            None => xup,
+        };
+        ws.xup[i] = xup;
     }
-
-    // -----------------------------------------------------------------
-    // Forward-Backward module, RNEA mode (Rf_i → … → Rb_i, Fig 6)
-    // -----------------------------------------------------------------
-
-    /// Runs the RNEA round-trip pipeline and returns `τ`.
-    ///
-    /// # Panics
-    /// Panics on dimension mismatches.
-    pub(crate) fn fb_rnea(
-        &self,
-        q: &[f64],
-        qd: &[f64],
-        qdd: &[f64],
-        fext: Option<&[ForceVec]>,
-    ) -> Vec<f64> {
-        assert_eq!(q.len(), self.model.nq());
-        assert_eq!(qd.len(), self.model.nv());
-        assert_eq!(qdd.len(), self.model.nv());
-        let nb = self.model.num_bodies();
-        let trig = self.trig(q);
-        let a0 = MotionVec::new(rbd_spatial::Vec3::zero(), -self.model.gravity);
-
-        // FIFO slots; the downward-transfer message `dtr_i` from `Rf_i` to
-        // `Rb_i` is the body force (`Rb_i` re-updates `X_i` itself). The
-        // world transforms serve the external forces only.
-        let mut ftr: Vec<Ftr> = vec![Ftr::default(); nb];
-        let mut dtr: Vec<ForceVec> = vec![ForceVec::zero(); nb];
-        let mut xworld: Vec<Xform> = vec![Xform::identity(); nb];
-
-        // Forward stream: Rf submodules in topological order. Broadcast
-        // to branches is implicit: every child reads its parent's ftr.
-        for i in 0..nb {
-            let x = self.build_xup(i, q, &trig);
-            let parent = self.model.topology().parent(i);
-            xworld[i] = match parent {
-                Some(p) => x.compose(&xworld[p]),
-                None => x,
-            };
-            let vo = self.model.v_offset(i);
-            let cols = self.model.joint(i).jtype.motion_subspace();
-            let mut vj = MotionVec::zero();
-            let mut aj = MotionVec::zero();
-            for (k, s) in cols.iter().enumerate() {
-                vj += *s * qd[vo + k];
-                aj += *s * qdd[vo + k];
-            }
-            let (vp, ap) = match parent {
-                Some(p) => (x.apply_motion(&ftr[p].v), x.apply_motion(&ftr[p].a)),
-                None => (MotionVec::zero(), x.apply_motion(&a0)),
-            };
-            let v = vp + vj;
-            let a = ap + aj + v.cross_motion(&vj);
-            let inertia = self.model.link_inertia(i);
-            let mut fb = inertia.mul_motion(&a) + v.cross_force(&inertia.mul_motion(&v));
-            if let Some(fx) = fext {
-                fb -= xworld[i].apply_force(&fx[i]);
-            }
-            ftr[i] = Ftr { v, a };
-            dtr[i] = fb;
-        }
-
-        // Backward stream: Rb submodules in reverse order; the btr of
-        // each child is lazily added at the parent's activation
-        // (§IV-A3), children on different branches reduce by summation.
-        let mut btr_acc: Vec<ForceVec> = vec![ForceVec::zero(); nb];
-        let mut tau = vec![0.0; self.model.nv()];
-        for i in (0..nb).rev() {
-            // Re-update X (recompute, do not transfer).
-            let x = self.build_xup(i, q, &trig);
-            let f = dtr[i] + btr_acc[i];
-            let vo = self.model.v_offset(i);
-            for (k, s) in self
-                .model
-                .joint(i)
-                .jtype
-                .motion_subspace()
-                .iter()
-                .enumerate()
-            {
-                tau[vo + k] = s.dot_force(&f);
-            }
-            if let Some(p) = self.model.topology().parent(i) {
-                btr_acc[p] += x.inv_apply_force(&f);
-            }
-        }
-
-        tau
-    }
+    rnea_sweeps_in_ws(model, &mut ws, qd, qdd, fext);
+    ws.tau
 }
 
 /// The Backward-Forward module (`Mb_i`/`Mf_i`, Fig 8): Algorithm 2 is

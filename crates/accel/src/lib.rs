@@ -5,18 +5,19 @@
 //! it at two coupled levels:
 //!
 //! * **Functional** (the `DaduRbd::run_*` entry points, [`dataflow`]) —
-//!   the Forward-Backward module's RNEA mode (`Rf`/`Rb`, Fig 6) runs as
-//!   explicit stages exchanging `ftr`/`btr`/`dtr` messages over FIFO
-//!   streams and computing real numbers; it gives ID and FD's bias force,
-//!   with the Taylor trig unit as an option. Every other function runs
-//!   its `rbd-dynamics` kernel: the Backward-Forward module (`Mb`/`Mf`,
-//!   Fig 8) is `rbd_dynamics::mminv_gen`, whose per-joint backward and
-//!   forward sweeps are those submodules, and ΔID, ΔFD and ΔiFD (the
-//!   ΔRNEA mode, Fig 7) are `rnea_derivatives` and `fd_derivatives`; the
-//!   `Df`/`Db` column structure of §IV-A4 lives on in the timing model's
-//!   `Df`/`Db` submodules. Outputs are asserted equal to the `rbd-dynamics`
-//!   reference in the integration tests (`M`, `M⁻¹`, ΔID and ΔFD bit for
-//!   bit).
+//!   the simulator has no dynamics sweep of its own; every function runs
+//!   its `rbd-dynamics` kernel. Its Global Trigonometric Module builds
+//!   the joint transforms (libm, or the Taylor unit as an option) and
+//!   feeds them to `rbd_dynamics::rnea_sweeps_in_ws`, the
+//!   Forward-Backward module's RNEA mode (`Rf`/`Rb`, Fig 6), for ID and
+//!   FD's bias force. The Backward-Forward module (`Mb`/`Mf`, Fig 8) is
+//!   `rbd_dynamics::mminv_gen`, whose per-joint backward and forward
+//!   sweeps are those submodules, and ΔID, ΔFD and ΔiFD (the ΔRNEA mode,
+//!   Fig 7) are `rnea_derivatives` and `fd_derivatives`; the `Df`/`Db`
+//!   column structure of §IV-A4 lives on in the timing model's `Df`/`Db`
+//!   submodules. Outputs are asserted equal to the `rbd-dynamics`
+//!   reference in the integration tests (ID with libm, `M`, `M⁻¹`, ΔID
+//!   and ΔFD bit for bit).
 //! * **Timing/resources** ([`ops`], [`pipeline`], [`timing`],
 //!   [`resources`], [`power`]) — per-submodule operation counts from the
 //!   paper's sparsity analysis (`ops` is `rbd_dynamics::ops`, the same
@@ -33,7 +34,7 @@
 //! let model = robots::iiwa();
 //! let accel = DaduRbd::configure(&model, AccelConfig::default());
 //! let s = random_state(&model, 0);
-//! // Functional result (computed through the submodule dataflow):
+//! // Functional result (`rnea`'s bits, fed by the trig module):
 //! let out = accel.run_id(&s.q, &s.qd, &vec![0.0; model.nv()], None);
 //! assert_eq!(out.tau.len(), model.nv());
 //! // Timing estimate for a 256-task batch:

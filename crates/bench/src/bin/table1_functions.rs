@@ -1,11 +1,24 @@
 //! Table I — the rigid-body dynamics functions, exercised end-to-end on
 //! the accelerator's functional model and verified against the
-//! `rbd-dynamics` reference.
+//! `rbd-dynamics` reference: ID, M, M⁻¹, ΔID and ΔFD bit for bit (the
+//! simulator runs those kernels), ΔiFD's `−M⁻¹·∂τ` equal in value to
+//! ΔFD's, and FD's `M⁻¹(τ − C)` within tolerance of ABA.
 
 use rbd_accel::{AccelConfig, DaduRbd};
 use rbd_bench::print_table;
 use rbd_dynamics::{mminv_gen, rnea, DynamicsWorkspace};
 use rbd_model::{random_state, robots};
+use rbd_spatial::MatN;
+
+/// `true` when both slices hold the same `f64` bit patterns.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// [`same_bits`] row by row.
+fn same_mat_bits(a: &MatN, b: &MatN) -> bool {
+    a.rows() == b.rows() && (0..a.rows()).all(|i| same_bits(a.row(i), b.row(i)))
+}
 
 fn main() {
     let model = robots::iiwa();
@@ -33,10 +46,7 @@ fn main() {
     ok(
         "Inverse Dynamics",
         "tau = ID(q, qd, qdd, fext)",
-        id.tau
-            .iter()
-            .zip(&id_ref)
-            .all(|(a, b)| (a - b).abs() < 1e-9),
+        same_bits(&id.tau, &id_ref),
         format!("tau[{nv}]"),
     );
 
@@ -63,7 +73,7 @@ fn main() {
     ok(
         "Mass Matrix",
         "M = M(q)",
-        (&m.m.clone().unwrap() - &m_ref).max_abs() < 1e-9,
+        same_mat_bits(m.m.as_ref().unwrap(), &m_ref),
         format!("M[{nv}x{nv}]"),
     );
 
@@ -76,7 +86,7 @@ fn main() {
     ok(
         "Inverse of Mass Matrix",
         "Minv = Minv(q)",
-        (&mi.minv.clone().unwrap() - &mi_ref).max_abs() < 1e-9,
+        same_mat_bits(mi.minv.as_ref().unwrap(), &mi_ref),
         format!("Minv[{nv}x{nv}]"),
     );
 
@@ -87,7 +97,7 @@ fn main() {
     ok(
         "Derivatives of ID",
         "du_tau = dID(q, qd, qdd, fext)",
-        (&dq - &did_ref.dtau_dq).max_abs() < 1e-8 && (&dqd - &did_ref.dtau_dqd).max_abs() < 1e-8,
+        same_mat_bits(&dq, &did_ref.dtau_dq) && same_mat_bits(&dqd, &did_ref.dtau_dqd),
         format!("2x[{nv}x{nv}]"),
     );
 
@@ -99,7 +109,7 @@ fn main() {
     ok(
         "Derivatives of FD",
         "du_qdd = dFD(q, qd, tau, fext)",
-        (&dq - &dfd_ref.dqdd_dq).max_abs() < 1e-7 && (&dqd - &dfd_ref.dqdd_dqd).max_abs() < 1e-7,
+        same_mat_bits(&dq, &dfd_ref.dqdd_dq) && same_mat_bits(&dqd, &dfd_ref.dqdd_dqd),
         format!("2x[{nv}x{nv}]"),
     );
 
@@ -109,7 +119,7 @@ fn main() {
     ok(
         "Derivatives of Dynamics",
         "du_qdd = diFD(q, qd, qdd, Minv, fext)",
-        (&dq - &dfd_ref.dqdd_dq).max_abs() < 1e-7 && (&dqd - &dfd_ref.dqdd_dqd).max_abs() < 1e-7,
+        (&dq - &dfd_ref.dqdd_dq).max_abs() == 0.0 && (&dqd - &dfd_ref.dqdd_dqd).max_abs() == 0.0,
         format!("2x[{nv}x{nv}]"),
     );
 

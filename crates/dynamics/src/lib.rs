@@ -71,6 +71,15 @@
 //! take external forces; [`rnea_in_ws`] is on the ΔFD hot path (through
 //! [`bias_force_in_ws`]).
 //!
+//! # One RNEA
+//!
+//! [`rnea_in_ws`] is [`DynamicsWorkspace::update_kinematics`] followed by
+//! [`rnea_sweeps_in_ws`], the forward and backward sweeps over whatever
+//! joint transforms the workspace holds. The accelerator simulator's ID
+//! and FD bias force run those sweeps too: its Global Trigonometric
+//! Module (libm or the Taylor unit) writes the transforms, and with libm
+//! its `τ` is [`rnea()`]'s bits.
+//!
 //! # Example
 //!
 //! ```
@@ -118,7 +127,7 @@ pub use lanes::{
     LaneFdScratch, LaneRolloutScratch, LaneWorkspace, Rk4Stages, LANE_WIDTH,
 };
 pub use mminv::{mminv_gen, mminv_gen_into, MMinvOutput};
-pub use rnea::{bias_force_in_ws, rnea, rnea_in_ws};
+pub use rnea::{bias_force_in_ws, rnea, rnea_in_ws, rnea_sweeps_in_ws};
 pub use workspace::DynamicsWorkspace;
 
 /// Error type for dynamics computations that can fail (singular mass

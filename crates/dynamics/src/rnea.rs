@@ -64,6 +64,31 @@ pub fn rnea_in_ws(
     }
 
     ws.update_kinematics(model, q);
+    rnea_sweeps_in_ws(model, ws, qd, qdd, fext);
+}
+
+/// The forward and backward sweeps of [`rnea_in_ws`] over the joint
+/// transforms that `ws.xup` and `ws.xworld` already hold, leaving `τ` in
+/// `ws.tau` (and the `v`, `a`, `f` by-products of [`rnea`]).
+/// [`rnea_in_ws`] fills the transforms with
+/// [`DynamicsWorkspace::update_kinematics`]; a caller that builds them
+/// another way (the accelerator simulator's trigonometric unit) writes
+/// them itself, on a workspace of its own: `update_kinematics` skips
+/// rebuilding them when called again with the `q` it last saw.
+///
+/// # Panics
+/// Panics if `qd`, `qdd` or `fext` are shorter than the model needs.
+/// Longer ones are not checked here: [`rnea_in_ws`] asserts the exact
+/// dimensions.
+#[inline(always)]
+pub fn rnea_sweeps_in_ws(
+    model: &RobotModel,
+    ws: &mut DynamicsWorkspace,
+    qd: &[f64],
+    qdd: &[f64],
+    fext: Option<&[ForceVec]>,
+) {
+    let nb = model.num_bodies();
     // a0 = -g expressed as a motion vector (d'Alembert trick: gravity is
     // implemented as an upward acceleration of the base).
     let a0 = MotionVec::new(rbd_spatial::Vec3::zero(), -model.gravity);

@@ -392,7 +392,7 @@ mod tests {
                 // Chain = dofs of ancestors + self, ascending.
                 let mut expect: Vec<usize> = Vec::new();
                 for b in 0..model.num_bodies() {
-                    if topo.is_ancestor_or_self(b, i) {
+                    if b == i || topo.ancestors(i).contains(&b) {
                         let vo = model.v_offset(b);
                         expect.extend(vo..vo + model.joint(b).jtype.nv());
                     }
@@ -402,7 +402,7 @@ mod tests {
 
                 // Descendants = treee(i) dofs.
                 let mut expect_d: Vec<usize> = Vec::new();
-                for b in topo.subtree_excl(i) {
+                for b in topo.subtree(i).into_iter().filter(|&b| b != i) {
                     let vo = model.v_offset(b);
                     expect_d.extend(vo..vo + model.joint(b).jtype.nv());
                 }

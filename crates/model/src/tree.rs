@@ -93,7 +93,8 @@ impl Topology {
     }
 
     /// The paper's `tree(i)`: ids of all bodies in the subtree rooted at
-    /// `i`, including `i`, in increasing order.
+    /// `i`, including `i`, in increasing order (its `treee(i)` is this
+    /// without `i`).
     pub fn subtree(&self, i: usize) -> Vec<usize> {
         let mut out = Vec::new();
         let mut stack = vec![i];
@@ -105,11 +106,6 @@ impl Topology {
         out
     }
 
-    /// The paper's `treee(i) = tree(i) \ {i}`.
-    pub fn subtree_excl(&self, i: usize) -> Vec<usize> {
-        self.subtree(i).into_iter().filter(|&j| j != i).collect()
-    }
-
     /// Ancestors of `i` from its parent up to a root (exclusive of `i`).
     pub fn ancestors(&self, i: usize) -> Vec<usize> {
         let mut out = Vec::new();
@@ -119,18 +115,6 @@ impl Topology {
             cur = self.parent[p];
         }
         out
-    }
-
-    /// `true` when `a` is an ancestor of `d` or equal to it.
-    pub fn is_ancestor_or_self(&self, a: usize, d: usize) -> bool {
-        let mut cur = Some(d);
-        while let Some(n) = cur {
-            if n == a {
-                return true;
-            }
-            cur = self.parent[n];
-        }
-        false
     }
 
     /// Depth of body `i` (root depth = 0).
@@ -281,7 +265,7 @@ mod tests {
         let t = y_tree();
         assert_eq!(t.subtree(0), vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(t.subtree(4), vec![4, 5]);
-        assert_eq!(t.subtree_excl(1), vec![2, 3, 4, 5]);
+        assert_eq!(t.subtree(1)[1..], [2, 3, 4, 5]);
         assert_eq!(t.subtree(3), vec![3]);
     }
 
@@ -292,9 +276,10 @@ mod tests {
         assert_eq!(t.depth(0), 0);
         assert_eq!(t.depth(5), 3);
         assert_eq!(t.max_depth(), 4);
-        assert!(t.is_ancestor_or_self(1, 5));
-        assert!(t.is_ancestor_or_self(5, 5));
-        assert!(!t.is_ancestor_or_self(2, 5));
+        let ancestor_or_self = |a: usize, d: usize| a == d || t.ancestors(d).contains(&a);
+        assert!(ancestor_or_self(1, 5));
+        assert!(ancestor_or_self(5, 5));
+        assert!(!ancestor_or_self(2, 5));
     }
 
     #[test]

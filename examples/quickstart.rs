@@ -24,8 +24,9 @@ fn main() {
         accel.layout().branches.len()
     );
 
-    // 3. Run inverse dynamics through the Rf/Rb round-trip pipeline and
-    //    check it against the reference library.
+    // 3. Run inverse dynamics through the accelerator's functional model
+    //    (its trig module feeding the Rf/Rb sweeps) and check it against
+    //    the reference library.
     let s = random_state(&model, 42);
     let qdd = vec![0.25; model.nv()];
     let out = accel.run_id(&s.q, &s.qd, &qdd, None);

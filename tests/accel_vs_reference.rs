@@ -37,6 +37,8 @@ fn fext_for(model: &RobotModel, seed: f64) -> Vec<ForceVec> {
 
 #[test]
 fn id_matches_reference_everywhere() {
+    // The simulator's trig module (libm here) feeds `rnea_sweeps_in_ws`,
+    // so its `τ` is `rnea`'s bits.
     for model in all_models() {
         let accel = DaduRbd::configure(&model, AccelConfig::default());
         let mut ws = DynamicsWorkspace::new(&model);
@@ -44,13 +46,22 @@ fn id_matches_reference_everywhere() {
             let s = random_state(&model, seed);
             let qdd: Vec<f64> = (0..model.nv()).map(|k| 0.2 * k as f64 - 0.5).collect();
             let fext = fext_for(&model, seed as f64);
-            let out = accel.run_id(&s.q, &s.qd, &qdd, Some(&fext));
-            let expect = rnea(&model, &mut ws, &s.q, &s.qd, &qdd, Some(&fext));
-            for k in 0..model.nv() {
-                assert!(
-                    (out.tau[k] - expect[k]).abs() < 1e-9 * (1.0 + expect[k].abs()),
-                    "{} seed {seed} dof {k}",
-                    model.name()
+            for fx in [Some(&fext[..]), None] {
+                let out = accel.run_id(&s.q, &s.qd, &qdd, fx);
+                let expect = rnea(&model, &mut ws, &s.q, &s.qd, &qdd, fx);
+                for k in 0..model.nv() {
+                    assert!(
+                        (out.tau[k] - expect[k]).abs() < 1e-9 * (1.0 + expect[k].abs()),
+                        "{} seed {seed} dof {k}",
+                        model.name()
+                    );
+                }
+                assert_eq!(
+                    bits(&out.tau),
+                    bits(&expect),
+                    "{} seed {seed} fext {}",
+                    model.name(),
+                    fx.is_some()
                 );
             }
         }
