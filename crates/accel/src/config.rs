@@ -5,7 +5,6 @@
 
 use crate::dataflow::{FunctionKind, FunctionOutput};
 use crate::functional;
-use crate::ops::{self, OpCount};
 use crate::resources::{self, FpgaDevice, ResourceUsage};
 use crate::sap::SapLayout;
 use crate::submodule::{Submodule, SubmoduleKind};
@@ -147,32 +146,26 @@ impl DaduRbd {
                 };
 
             for sj in &stage_joints {
-                let mk = |kind: SubmoduleKind, ops: OpCount, lanes: usize| Submodule {
-                    kind,
-                    body: node.body,
-                    level: node.level,
-                    mult: node.mult,
-                    ops,
-                    lanes: lanes.max(1),
-                };
-                let base_lanes = |ops: &OpCount| ops.mul.div_ceil(cfg.base_ii).max(1);
-                let col_lanes = |ops: &OpCount, ii_target: usize| {
-                    (ops.mul * node.mult).div_ceil(ii_target.max(1)).max(1)
-                };
-
-                let rf = ops::rf_cost(sj);
-                let rb = ops::rb_cost(sj);
-                let df = ops::df_cost(sj, chain);
-                let db = ops::db_cost(sj, chain);
-                let mb = ops::mb_cost(sj, subtree);
-                let mf = ops::mf_cost(sj, trailing);
-
-                fb.push(mk(SubmoduleKind::Rf, rf, base_lanes(&rf)));
-                fb.push(mk(SubmoduleKind::Rb, rb, base_lanes(&rb)));
-                fb.push(mk(SubmoduleKind::Df, df, col_lanes(&df, ii_fb_target)));
-                fb.push(mk(SubmoduleKind::Db, db, col_lanes(&db, ii_fb_target)));
-                bf.push(mk(SubmoduleKind::Mb, mb, col_lanes(&mb, ii_bf_target)));
-                bf.push(mk(SubmoduleKind::Mf, mf, col_lanes(&mf, ii_bf_target)));
+                for kind in SubmoduleKind::ALL {
+                    let ops = kind.cost(sj, chain, subtree, trailing);
+                    let col_lanes =
+                        |ii_target: usize| (ops.mul * node.mult).div_ceil(ii_target.max(1));
+                    let (engine, lanes) = match kind {
+                        SubmoduleKind::Rf | SubmoduleKind::Rb => {
+                            (&mut fb, ops.mul.div_ceil(cfg.base_ii))
+                        }
+                        SubmoduleKind::Df | SubmoduleKind::Db => (&mut fb, col_lanes(ii_fb_target)),
+                        SubmoduleKind::Mb | SubmoduleKind::Mf => (&mut bf, col_lanes(ii_bf_target)),
+                    };
+                    engine.push(Submodule {
+                        kind,
+                        body: node.body,
+                        level: node.level,
+                        mult: node.mult,
+                        ops,
+                        lanes: lanes.max(1),
+                    });
+                }
             }
         }
 
@@ -286,40 +279,12 @@ impl DaduRbd {
     }
 
     /// Resources active for one function's dataflow (drives the power
-    /// model).
+    /// model): the stages of every family the function fires
+    /// ([`FunctionKind::uses`]), plus the trig module and the scheduler.
     pub fn active_resources(&self, function: FunctionKind) -> ResourceUsage {
         let mut total = ResourceUsage::default();
-        let fb_kinds: &[SubmoduleKind] = match function {
-            FunctionKind::Id => &[SubmoduleKind::Rf, SubmoduleKind::Rb],
-            FunctionKind::MassMatrix | FunctionKind::MassMatrixInverse => &[],
-            FunctionKind::Fd => &[SubmoduleKind::Rf, SubmoduleKind::Rb],
-            FunctionKind::DId | FunctionKind::DiFd => &[
-                SubmoduleKind::Rf,
-                SubmoduleKind::Rb,
-                SubmoduleKind::Df,
-                SubmoduleKind::Db,
-            ],
-            FunctionKind::DFd => &[
-                SubmoduleKind::Rf,
-                SubmoduleKind::Rb,
-                SubmoduleKind::Df,
-                SubmoduleKind::Db,
-            ],
-        };
-        let bf_active = matches!(
-            function,
-            FunctionKind::MassMatrix
-                | FunctionKind::MassMatrixInverse
-                | FunctionKind::Fd
-                | FunctionKind::DFd
-        );
-        for s in &self.fb {
-            if fb_kinds.contains(&s.kind) {
-                total += resources::submodule_usage(s);
-            }
-        }
-        if bf_active {
-            for s in &self.bf {
+        for s in self.fb.iter().chain(&self.bf) {
+            if function.uses(s.kind) > 0 {
                 total += resources::submodule_usage(s);
             }
         }
@@ -549,6 +514,23 @@ mod tests {
         let act = d.active_resources(FunctionKind::Id);
         let tot = d.resource_usage();
         assert!(act.dsp < tot.dsp);
+    }
+
+    #[test]
+    fn active_resources_follow_the_dataflow() {
+        // `M` fires `Mb` alone (Fig 14): its active resources are the `Mb`
+        // stages plus trig and scheduler, fewer than `M⁻¹`'s `Mb` + `Mf`.
+        for m in [robots::iiwa(), robots::hyq(), robots::atlas()] {
+            let d = DaduRbd::configure(&m, AccelConfig::default());
+            let mut expected = resources::trig_module_usage(4) + resources::scheduler_usage(m.nv());
+            for s in d.bf_stages().iter().filter(|s| s.kind == SubmoduleKind::Mb) {
+                expected += resources::submodule_usage(s);
+            }
+            let mass = d.active_resources(FunctionKind::MassMatrix);
+            assert_eq!(mass, expected, "{}", m.name());
+            let minv = d.active_resources(FunctionKind::MassMatrixInverse);
+            assert!(mass.dsp < minv.dsp, "{}: {mass} vs {minv}", m.name());
+        }
     }
 
     #[test]

@@ -1,6 +1,11 @@
-//! The multifunction interface: the Table I functions and the outputs a
-//! functional run emits.
+//! The multifunction interface: the Table I functions, the outputs a
+//! functional run emits, and the one Fig 14 dataflow map — which
+//! submodule families each function fires ([`FunctionKind::uses`]) and
+//! how many columns it pushes through the schedule module's matrix unit
+//! ([`FunctionKind::matvec_columns`]). The timing, power and
+//! device-work models all read this table.
 
+use crate::submodule::SubmoduleKind;
 use rbd_spatial::MatN;
 use std::fmt;
 
@@ -63,6 +68,38 @@ impl FunctionKind {
             Self::DiFd => "diFD",
         }
     }
+
+    /// How many times stages of `kind` fire per task (Fig 14). `M` is
+    /// `Mb` alone, `M⁻¹` adds `Mf`; FD is `C` through `Rf`/`Rb` plus
+    /// `M⁻¹`; ΔFD's feedback re-enters the Forward-Backward module, so
+    /// its `Rf`/`Rb` fire twice (Fig 14f).
+    pub fn uses(self, kind: SubmoduleKind) -> usize {
+        use FunctionKind::*;
+        use SubmoduleKind::*;
+        match (self, kind) {
+            (Id, Rf | Rb) => 1,
+            (DId, Rf | Rb | Df | Db) => 1,
+            (DiFd, Rf | Rb | Df | Db) => 1,
+            (MassMatrix | MassMatrixInverse, Mb) => 1,
+            (MassMatrixInverse, Mf) => 1,
+            (Fd, Rf | Rb | Mb | Mf) => 1,
+            (DFd, Rf | Rb) => 2,
+            (DFd, Df | Db | Mb | Mf) => 1,
+            _ => 0,
+        }
+    }
+
+    /// Columns pushed through the schedule module's symmetric matrix
+    /// unit per task on a robot with `nv` DOF (Fig 9c): FD's `M⁻¹(τ − C)`,
+    /// the `2nv` columns of `−M⁻¹ ∂τ`, or both for ΔFD.
+    pub fn matvec_columns(self, nv: usize) -> usize {
+        match self {
+            Self::Fd => 1,
+            Self::DiFd => 2 * nv,
+            Self::DFd => 1 + 2 * nv,
+            _ => 0,
+        }
+    }
 }
 
 impl fmt::Display for FunctionKind {
@@ -100,5 +137,20 @@ mod tests {
         assert_eq!(FunctionKind::MassMatrixInverse.to_string(), "Minv");
         assert_eq!(FunctionKind::all().len(), 7);
         assert_eq!(FunctionKind::fig15().len(), 6);
+    }
+
+    #[test]
+    fn dfd_fires_every_family() {
+        // ΔFD's feedback runs the RNEA pair twice and every other
+        // family once.
+        for kind in SubmoduleKind::ALL {
+            let expected = match kind {
+                SubmoduleKind::Rf | SubmoduleKind::Rb => 2,
+                _ => 1,
+            };
+            assert_eq!(FunctionKind::DFd.uses(kind), expected, "{kind}");
+        }
+        assert_eq!(FunctionKind::MassMatrix.uses(SubmoduleKind::Mf), 0);
+        assert_eq!(FunctionKind::DFd.matvec_columns(7), 15);
     }
 }

@@ -16,14 +16,21 @@
 //!   Fig 7) are `rnea_derivatives` and `fd_derivatives`; the `Df`/`Db`
 //!   column structure of §IV-A4 lives on in the timing model's `Df`/`Db`
 //!   submodules. Outputs are asserted equal to the `rbd-dynamics`
-//!   reference in the integration tests (ID with libm, `M`, `M⁻¹`, ΔID
-//!   and ΔFD bit for bit).
+//!   reference in the integration tests (ID and FD with libm, `M`,
+//!   `M⁻¹`, ΔID and ΔFD bit for bit).
 //! * **Timing/resources** ([`ops`], [`pipeline`], [`timing`],
-//!   [`resources`], [`power`]) — per-submodule operation counts from the
-//!   paper's sparsity analysis (`ops` is `rbd_dynamics::ops`, the same
-//!   model that gates `BatchEval`) drive initiation intervals, pipeline
-//!   latencies, DSP/FF/LUT usage and power, with a cycle-stepped FIFO
-//!   simulation cross-checking the closed-form model.
+//!   [`resources`], [`power`]) — the Fig 14 dataflow is written once:
+//!   [`FunctionKind::uses`] says which submodule families a function
+//!   fires and how often, [`FunctionKind::matvec_columns`] what it pushes
+//!   through the schedule module's matrix unit. The timing model, the
+//!   active resources behind the power model and
+//!   `rbd_baselines::function_work` all read that table, and each
+//!   family's per-joint cost is [`SubmoduleKind::cost`], over the
+//!   operation counts of the paper's sparsity analysis (`ops` is
+//!   `rbd_dynamics::ops`, the same model that gates `BatchEval`). They
+//!   drive initiation intervals, pipeline latencies, DSP/FF/LUT usage
+//!   and power, with a cycle-stepped FIFO simulation cross-checking the
+//!   closed-form model.
 //!
 //! The entry point is [`DaduRbd`]:
 //!

@@ -166,7 +166,6 @@ pub fn scheduler_usage(nv: usize) -> ResourceUsage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops;
     use crate::submodule::SubmoduleKind;
     use rbd_model::JointType;
 
@@ -197,7 +196,7 @@ mod tests {
             body: 0,
             level: 1,
             mult: 1,
-            ops: ops::rf_cost(&jt),
+            ops: SubmoduleKind::Rf.cost(&jt, 1, 1, 1),
             lanes,
         };
         assert!(submodule_usage(&mk(32)).dsp > submodule_usage(&mk(8)).dsp);
@@ -211,7 +210,7 @@ mod tests {
             body: 0,
             level: 1,
             mult: 1,
-            ops: ops::mb_cost(&jt, 3),
+            ops: SubmoduleKind::Mb.cost(&jt, 3, 3, 3),
             lanes: 8,
         };
         let without = Submodule {
@@ -219,7 +218,7 @@ mod tests {
             body: 0,
             level: 1,
             mult: 1,
-            ops: ops::rb_cost(&jt),
+            ops: SubmoduleKind::Rb.cost(&jt, 3, 3, 3),
             lanes: 8,
         };
         assert!(submodule_usage(&with).dsp > submodule_usage(&without).dsp);

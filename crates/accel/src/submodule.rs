@@ -1,6 +1,7 @@
 //! Pipeline submodules: the per-joint hardware stages of the RTP.
 
-use crate::ops::OpCount;
+use crate::ops::{self, OpCount};
+use rbd_model::JointType;
 use std::fmt;
 
 /// The six submodule families of the two dataflow engines (§V-B4):
@@ -20,6 +21,28 @@ pub enum SubmoduleKind {
     Mb,
     /// MMinvGen forward (`P` propagation, `M⁻¹` completion).
     Mf,
+}
+
+impl SubmoduleKind {
+    /// Every family, in Forward-Backward then Backward-Forward order.
+    pub const ALL: [SubmoduleKind; 6] =
+        [Self::Rf, Self::Rb, Self::Df, Self::Db, Self::Mb, Self::Mf];
+
+    /// Operation count of one activation serving a joint of type `jt`
+    /// whose chain holds `chain` DOFs (own plus ancestors', the `Df`/`Db`
+    /// columns), whose subtree holds `subtree` DOFs (the `Mb` columns)
+    /// and which has `trailing` DOFs from its own onwards (`nv` minus its
+    /// ancestors', the `Mf` columns).
+    pub fn cost(self, jt: &JointType, chain: usize, subtree: usize, trailing: usize) -> OpCount {
+        match self {
+            Self::Rf => ops::rf_cost(jt),
+            Self::Rb => ops::rb_cost(jt),
+            Self::Df => ops::df_cost(jt, chain),
+            Self::Db => ops::db_cost(jt, chain),
+            Self::Mb => ops::mb_cost(jt, subtree),
+            Self::Mf => ops::mf_cost(jt, trailing),
+        }
+    }
 }
 
 impl fmt::Display for SubmoduleKind {
@@ -88,8 +111,6 @@ pub const ADDER_TREE_DEPTH: usize = 3;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops;
-    use rbd_model::JointType;
 
     fn sub(lanes: usize, mult: usize) -> Submodule {
         Submodule {
@@ -97,7 +118,7 @@ mod tests {
             body: 0,
             level: 1,
             mult,
-            ops: ops::rf_cost(&JointType::revolute_z()),
+            ops: SubmoduleKind::Rf.cost(&JointType::revolute_z(), 1, 1, 1),
             lanes,
         }
     }

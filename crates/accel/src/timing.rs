@@ -49,38 +49,9 @@ pub fn io_bytes_per_task(accel: &DaduRbd, f: FunctionKind) -> usize {
     (input_scalars + output_scalars) * w
 }
 
-/// How many times each stage kind fires per task for a function
-/// (the ΔFD feedback re-enters the FB module, Fig 14f).
-fn kind_uses(f: FunctionKind, kind: SubmoduleKind) -> usize {
-    use FunctionKind::*;
-    use SubmoduleKind::*;
-    match (f, kind) {
-        (Id, Rf | Rb) => 1,
-        (DId, Rf | Rb | Df | Db) => 1,
-        (DiFd, Rf | Rb | Df | Db) => 1,
-        (MassMatrix | MassMatrixInverse, Mb) => 1,
-        (MassMatrixInverse, Mf) => 1,
-        (Fd, Rf | Rb | Mb | Mf) => 1,
-        (DFd, Rf | Rb) => 2,
-        (DFd, Df | Db | Mb | Mf) => 1,
-        _ => 0,
-    }
-}
-
-/// Columns pushed through the schedule-module matrix unit per task.
-fn matvec_columns(f: FunctionKind, nv: usize) -> usize {
-    match f {
-        FunctionKind::Fd => 1,
-        FunctionKind::DiFd => 2 * nv,
-        FunctionKind::DFd => 1 + 2 * nv,
-        _ => 0,
-    }
-}
-
 /// The matvec unit's initiation interval per task.
 fn matvec_ii(accel: &DaduRbd, f: FunctionKind) -> usize {
-    let nv = accel.model().nv();
-    let cols = matvec_columns(f, nv);
+    let cols = f.matvec_columns(accel.model().nv());
     if cols == 0 {
         return 0;
     }
@@ -211,18 +182,23 @@ pub fn representative_pipeline(accel: &DaduRbd, f: FunctionKind) -> PipelineSim 
     PipelineSim::new(stages, accel.config().fifo_capacity)
 }
 
-/// The steady-state initiation interval: the maximum over all active
-/// stages of `task_ii × uses`, the matvec unit and the stream interface.
-pub fn bottleneck_ii(accel: &DaduRbd, f: FunctionKind) -> u64 {
+/// The compute initiation interval of one SAP instance: the maximum
+/// over all active stages of `task_ii × uses` and the matvec unit.
+fn compute_ii(accel: &DaduRbd, f: FunctionKind) -> u64 {
     let mut worst = 1u64;
     for s in accel.fb_stages().iter().chain(accel.bf_stages()) {
-        let uses = kind_uses(f, s.kind);
+        let uses = f.uses(s.kind);
         if uses > 0 {
             worst = worst.max((s.task_ii_cycles() * uses) as u64);
         }
     }
-    worst = worst.max(matvec_ii(accel, f) as u64);
-    worst.max(io_cycles_per_task(accel, f))
+    worst.max(matvec_ii(accel, f) as u64)
+}
+
+/// The steady-state initiation interval: the compute interval or the
+/// stream interface, whichever is slower.
+pub fn bottleneck_ii(accel: &DaduRbd, f: FunctionKind) -> u64 {
+    compute_ii(accel, f).max(io_cycles_per_task(accel, f))
 }
 
 /// Stream-interface cycles per task at the configured bandwidth.
@@ -240,16 +216,7 @@ pub fn estimate(accel: &DaduRbd, f: FunctionKind, batch: usize) -> TimingEstimat
     let instances = accel.config().instances.max(1) as u64;
     let pipe = representative_pipeline(accel, f);
     let latency_cycles = pipe.critical_path_latency() as u64;
-    let compute_ii = {
-        let mut worst = 1u64;
-        for s in accel.fb_stages().iter().chain(accel.bf_stages()) {
-            let uses = kind_uses(f, s.kind);
-            if uses > 0 {
-                worst = worst.max((s.task_ii_cycles() * uses) as u64);
-            }
-        }
-        worst.max(matvec_ii(accel, f) as u64)
-    };
+    let compute_ii = compute_ii(accel, f);
     let io = io_cycles_per_task(accel, f); // the DRAM interface is shared
     let effective_ii = (compute_ii.div_ceil(instances)).max(io).max(1);
     let per_instance_batch = (batch as u64).div_ceil(instances);

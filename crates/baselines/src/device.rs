@@ -2,11 +2,13 @@
 //! function on a CPU, a GPU, or the Robomorphic FPGA.
 //!
 //! The models consume the same operation counts as the accelerator's
-//! timing model ([`function_work`]), so relative results across
+//! timing model ([`function_work`] reads the accelerator's Fig 14
+//! dataflow table, `FunctionKind::uses`, and its per-joint submodule
+//! costs, `SubmoduleKind::cost`), so relative results across
 //! functions/robots emerge from the workload, while absolute rates are
 //! calibrated per device (see [`crate::calibration`]).
 
-use rbd_accel::{ops, FunctionKind};
+use rbd_accel::{ops, FunctionKind, OpCount, SubmoduleKind};
 use rbd_model::RobotModel;
 
 /// Arithmetic work of one function call on one robot.
@@ -14,103 +16,31 @@ use rbd_model::RobotModel;
 pub struct WorkEstimate {
     /// Multiply + add operations.
     pub ops: usize,
-    /// Touched state bytes (drives the memory-bottleneck ceiling).
-    pub bytes: usize,
 }
 
-/// Total arithmetic work of `f` on `model` (sum of the per-joint
-/// submodule costs over the physical tree — a CPU runs every joint, it
-/// cannot time-multiplex symmetric limbs away).
+/// Total arithmetic work of `f` on `model`: every submodule family the
+/// function fires, as often as it fires, summed over the physical tree
+/// (a CPU runs every joint, it cannot time-multiplex symmetric limbs
+/// away), plus one trig evaluation per `Rf` pass and the schedule
+/// module's matrix-vector columns.
 pub fn function_work(model: &RobotModel, f: FunctionKind) -> WorkEstimate {
     let nv = model.nv();
-    let mut mul = 0usize;
-    let mut add = 0usize;
-    let mut acc = |c: ops::OpCount, times: usize| {
-        mul += c.mul * times;
-        add += c.add * times;
-    };
-    let chain_dofs = |i: usize| -> usize {
-        let mut n = model.joint(i).jtype.nv();
-        for a in model.topology().ancestors(i) {
-            n += model.joint(a).jtype.nv();
+    let topo = model.topology();
+    let dofs = |b: usize| model.joint(b).jtype.nv();
+    let mut total = OpCount::default();
+    for i in 0..model.num_bodies() {
+        let jt = &model.joint(i).jtype;
+        let ancestors: usize = topo.ancestors(i).iter().map(|&a| dofs(a)).sum();
+        let subtree: usize = topo.subtree(i).iter().map(|&b| dofs(b)).sum();
+        for kind in SubmoduleKind::ALL {
+            let cost = kind.cost(jt, ancestors + jt.nv(), subtree, nv - ancestors);
+            total = total.plus(cost.times(f.uses(kind)));
         }
-        n
-    };
-    let subtree_dofs = |i: usize| -> usize {
-        model
-            .topology()
-            .subtree(i)
-            .iter()
-            .map(|&b| model.joint(b).jtype.nv())
-            .sum()
-    };
-
-    let rnea = |acc: &mut dyn FnMut(ops::OpCount, usize)| {
-        for i in 0..model.num_bodies() {
-            let jt = &model.joint(i).jtype;
-            acc(ops::rf_cost(jt), 1);
-            acc(ops::rb_cost(jt), 1);
-            acc(ops::trig_cost(jt), 1);
-        }
-    };
-    let delta = |acc: &mut dyn FnMut(ops::OpCount, usize)| {
-        for i in 0..model.num_bodies() {
-            let jt = &model.joint(i).jtype;
-            acc(ops::df_cost(jt, chain_dofs(i)), 1);
-            acc(ops::db_cost(jt, chain_dofs(i)), 1);
-        }
-    };
-    let minv = |acc: &mut dyn FnMut(ops::OpCount, usize)| {
-        for i in 0..model.num_bodies() {
-            let jt = &model.joint(i).jtype;
-            let chain = chain_dofs(i);
-            let ni = jt.nv();
-            acc(ops::mb_cost(jt, subtree_dofs(i)), 1);
-            acc(ops::mf_cost(jt, nv - (chain - ni)), 1);
-        }
-    };
-
-    match f {
-        FunctionKind::Id => rnea(&mut acc),
-        FunctionKind::MassMatrix => {
-            for i in 0..model.num_bodies() {
-                acc(ops::mb_cost(&model.joint(i).jtype, subtree_dofs(i)), 1);
-            }
-        }
-        FunctionKind::MassMatrixInverse => minv(&mut acc),
-        FunctionKind::Fd => {
-            rnea(&mut acc);
-            minv(&mut acc);
-            acc(ops::sym_matvec_cost(nv), 1);
-        }
-        FunctionKind::DId => {
-            rnea(&mut acc);
-            delta(&mut acc);
-        }
-        FunctionKind::DiFd => {
-            rnea(&mut acc);
-            delta(&mut acc);
-            acc(ops::sym_matvec_cost(nv), 2 * nv);
-        }
-        FunctionKind::DFd => {
-            rnea(&mut acc);
-            rnea(&mut acc);
-            minv(&mut acc);
-            delta(&mut acc);
-            acc(ops::sym_matvec_cost(nv), 1 + 2 * nv);
-        }
+        total = total.plus(ops::trig_cost(jt).times(f.uses(SubmoduleKind::Rf)));
     }
-    // State traffic: forward+backward sweeps touch per-body spatial
-    // state; derivatives touch the column matrices (the cache-unfriendly
-    // part of Fig 4b).
-    let per_body_state = 6 * 4 * 8; // v, a, f, X rows as f64
-    let column_state = match f {
-        FunctionKind::DId | FunctionKind::DiFd | FunctionKind::DFd => 2 * 6 * nv * 8,
-        _ => 0,
-    };
+    total = total.plus(ops::sym_matvec_cost(nv).times(f.matvec_columns(nv)));
     WorkEstimate {
-        ops: mul + add,
-        bytes: model.num_bodies() * (per_body_state + column_state),
+        ops: total.mul + total.add,
     }
 }
 
@@ -271,10 +201,7 @@ mod tests {
                 call_overhead_s: 0.0,
             },
         };
-        let w = WorkEstimate {
-            ops: 10_000,
-            bytes: 0,
-        };
+        let w = WorkEstimate { ops: 10_000 };
         let t12 = cpu.throughput(&w, 256);
         // Effective speedup is well below 12×.
         let per_task = 10_000.0 / 1e9;
@@ -292,7 +219,7 @@ mod tests {
                 interval_s: 2e-6,
             },
         };
-        let w = WorkEstimate { ops: 1, bytes: 0 };
+        let w = WorkEstimate { ops: 1 };
         assert!((d.batch_time_s(&w, 1) - 1e-6).abs() < 1e-12);
         assert!((d.batch_time_s(&w, 11) - 21e-6).abs() < 1e-12);
     }

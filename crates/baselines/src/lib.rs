@@ -6,8 +6,9 @@
 //! * [`device`] — analytic models of the comparison hardware (Jetson AGX
 //!   Orin CPU/GPU, i9-13900HX, RTX 4090M, i7-7700, RTX 2080, and the
 //!   Robomorphic FPGA), driven by the *same* per-function operation
-//!   counts as the accelerator model and calibrated to public specs and
-//!   the paper's anchor numbers;
+//!   counts as the accelerator model ([`function_work`] reads its Fig 14
+//!   dataflow table and per-joint submodule costs) and calibrated to
+//!   public specs and the paper's anchor numbers;
 //! * [`host_cpu`] — real measurements of our own `rbd-dynamics` kernels
 //!   on the machine running the benchmarks, the live sanity check that
 //!   the relative costs between functions are real. They run on the

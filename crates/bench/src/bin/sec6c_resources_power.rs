@@ -2,8 +2,12 @@
 //! quadruped-with-arm configuration (paper: 62% DSP / 17% FF /
 //! 54% LUT), the per-function power envelope on iiwa (6.2-36.8 W) and
 //! the energy/EDP comparison against Robomorphic.
+//!
+//! Exits non-zero unless every function's active resources fit within
+//! the configuration's total and `M` (`Mb` alone, Fig 14) uses fewer
+//! DSPs than `M⁻¹` (`Mb` + `Mf`).
 
-use rbd_accel::{AccelConfig, DaduRbd, FunctionKind, PowerModel};
+use rbd_accel::{AccelConfig, DaduRbd, FunctionKind, PowerModel, ResourceUsage};
 use rbd_baselines::{function_work, robomorphic_difd};
 use rbd_bench::print_table;
 use rbd_model::robots;
@@ -54,12 +58,19 @@ fn main() {
     let iiwa = robots::iiwa();
     let accel = DaduRbd::configure(&iiwa, AccelConfig::default());
     let pm = PowerModel::default();
+    let total = accel.resource_usage();
+    let mut failures = Vec::new();
     let mut rows = Vec::new();
     let mut p_difd = 0.0;
     let mut t_difd = 0.0;
     for f in FunctionKind::all() {
         let est = accel.estimate(f, 256);
         let active = accel.active_resources(f);
+        if !within(&active, &total) {
+            failures.push(format!(
+                "{f}: active {active} exceeds the configuration's {total}"
+            ));
+        }
         let gbps = rbd_accel::timing::io_bytes_per_task(&accel, f) as f64
             * est.throughput_tasks_per_s
             / 1e9;
@@ -74,6 +85,13 @@ fn main() {
             format!("{:.2} GB/s", gbps),
             format!("{:.2} M/s", est.throughput_tasks_per_s / 1e6),
         ]);
+    }
+    let m_dsp = accel.active_resources(FunctionKind::MassMatrix).dsp;
+    let minv_dsp = accel.active_resources(FunctionKind::MassMatrixInverse).dsp;
+    if m_dsp >= minv_dsp {
+        failures.push(format!(
+            "M uses {m_dsp} DSPs, not fewer than Minv's {minv_dsp}"
+        ));
     }
     print_table(
         "§VI-C — per-function power on iiwa (paper envelope: 6.2 - 36.8 W; ΔiFD 31.2 W)",
@@ -116,4 +134,15 @@ fn main() {
             ],
         ],
     );
+    if !failures.is_empty() {
+        for f in &failures {
+            eprintln!("sec6c_resources_power: {f}");
+        }
+        std::process::exit(1);
+    }
+}
+
+/// `true` when `u` fits within `total` in every resource.
+fn within(u: &ResourceUsage, total: &ResourceUsage) -> bool {
+    u.dsp <= total.dsp && u.ff <= total.ff && u.lut <= total.lut && u.bram <= total.bram
 }

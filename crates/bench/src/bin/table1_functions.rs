@@ -1,8 +1,9 @@
 //! Table I — the rigid-body dynamics functions, exercised end-to-end on
 //! the accelerator's functional model and verified against the
-//! `rbd-dynamics` reference: ID, M, M⁻¹, ΔID and ΔFD bit for bit (the
-//! simulator runs those kernels), ΔiFD's `−M⁻¹·∂τ` equal in value to
-//! ΔFD's, and FD's `M⁻¹(τ − C)` within tolerance of ABA.
+//! `rbd-dynamics` reference: ID, FD, M, M⁻¹, ΔID and ΔFD bit for bit
+//! (the simulator runs those kernels; FD's `M⁻¹(τ − C)` takes the same
+//! products as `forward_dynamics`), and ΔiFD's `−M⁻¹·∂τ` equal in value
+//! to ΔFD's.
 
 use rbd_accel::{AccelConfig, DaduRbd};
 use rbd_bench::print_table;
@@ -57,10 +58,7 @@ fn main() {
     ok(
         "Forward Dynamics",
         "qdd = FD(q, qd, tau, fext)",
-        fd.qdd
-            .iter()
-            .zip(&fd_ref)
-            .all(|(a, b)| (a - b).abs() < 1e-8),
+        same_bits(&fd.qdd, &fd_ref),
         format!("qdd[{nv}]"),
     );
 

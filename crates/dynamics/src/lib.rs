@@ -101,7 +101,6 @@ pub mod aba;
 pub mod batch;
 pub mod crba;
 pub mod derivatives;
-pub mod energy;
 pub mod fd;
 pub mod finite_diff;
 pub mod idsva;
@@ -116,7 +115,6 @@ pub use aba::{aba, aba_in_ws};
 pub use batch::{BatchEval, SamplePoint, FLOPS_PER_WORKER};
 pub use crba::{crba, crba_into};
 pub use derivatives::{rnea_derivatives, rnea_derivatives_into, RneaDerivatives};
-pub use energy::{kinetic_energy, potential_energy, total_energy};
 pub use fd::{
     fd_derivatives, fd_derivatives_into, forward_dynamics, forward_dynamics_into, FdDerivatives,
 };

@@ -114,11 +114,6 @@ impl SpatialInertia {
         )
     }
 
-    /// Kinetic energy `½ vᵀ I v` of a body moving with spatial velocity `v`.
-    pub fn kinetic_energy(&self, v: &MotionVec) -> f64 {
-        0.5 * v.dot_force(&self.mul_motion(v))
-    }
-
     /// Expresses this inertia (given in frame B) in frame A, where
     /// `x = ^B X_A`: `^A I = (^B X_A)ᵀ ^B I ^B X_A` evaluated analytically.
     pub fn transform_to_parent(&self, x: &Xform) -> SpatialInertia {
@@ -333,8 +328,10 @@ mod tests {
     fn kinetic_energy_positive() {
         let i = sample();
         let v = MotionVec::from_slice(&[0.3, 0.4, 0.5, -0.6, 0.7, 0.8]);
-        assert!(i.kinetic_energy(&v) > 0.0);
-        assert_eq!(i.kinetic_energy(&MotionVec::zero()), 0.0);
+        // ½ vᵀ I v
+        assert!(0.5 * v.dot_force(&i.mul_motion(&v)) > 0.0);
+        let zero = MotionVec::zero();
+        assert_eq!(0.5 * zero.dot_force(&i.mul_motion(&zero)), 0.0);
     }
 
     #[test]

@@ -53,3 +53,16 @@ pub use quat::Quat;
 pub use spatial_vec::{ForceVec, MotionVec};
 pub use vec3::Vec3;
 pub use xform::Xform;
+
+/// Largest absolute entry of `xs` (0 when empty), NaN as soon as any
+/// entry is NaN: a fold with `f64::max` would drop it and read 0, so a
+/// `max_abs() < tol` check would pass on NaN.
+pub(crate) fn max_abs_of(xs: &[f64]) -> f64 {
+    xs.iter().fold(0.0, |m: f64, &x| {
+        if m.is_nan() || x.is_nan() {
+            f64::NAN
+        } else {
+            m.max(x.abs())
+        }
+    })
+}

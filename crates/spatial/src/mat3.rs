@@ -214,9 +214,9 @@ impl Mat3 {
         )
     }
 
-    /// Maximum absolute entry.
+    /// Maximum absolute entry (NaN if any entry is NaN).
     pub fn max_abs(&self) -> f64 {
-        self.m.iter().fold(0.0_f64, |acc, &x| acc.max(x.abs()))
+        crate::max_abs_of(&self.m)
     }
 
     /// `true` when `‖self - selfᵀ‖∞ ≤ tol`.

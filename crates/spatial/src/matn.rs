@@ -62,9 +62,10 @@ impl VecN {
         self.data.iter().zip(&rhs.data).map(|(a, b)| a * b).sum()
     }
 
-    /// Largest absolute entry (0 for the empty vector).
+    /// Largest absolute entry (0 for the empty vector, NaN if any entry
+    /// is NaN).
     pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
+        crate::max_abs_of(&self.data)
     }
 
     /// Sets every entry to `v`.
@@ -429,9 +430,9 @@ impl MatN {
         }
     }
 
-    /// Maximum absolute entry.
+    /// Maximum absolute entry (NaN if any entry is NaN).
     pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
+        crate::max_abs_of(&self.data)
     }
 
     /// `true` when square and `‖self - selfᵀ‖∞ ≤ tol`.
@@ -441,7 +442,8 @@ impl MatN {
         }
         for i in 0..self.rows {
             for j in (i + 1)..self.cols {
-                if (self[(i, j)] - self[(j, i)]).abs() > tol {
+                let d = (self[(i, j)] - self[(j, i)]).abs();
+                if d.is_nan() || d > tol {
                     return false;
                 }
             }
@@ -759,6 +761,33 @@ impl fmt::Display for MatN {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn max_abs_sees_nan() {
+        // `[0, NaN, 0]`: a fold with `f64::max` drops the NaN and reads 0.
+        let row = [0.0, f64::NAN, 0.0];
+        assert!(VecN::from_vec(row.to_vec()).max_abs().is_nan());
+        assert!(MatN::from_fn(1, 3, |_, j| row[j]).max_abs().is_nan());
+        assert!(crate::Vec3::from_slice(&row).max_abs().is_nan());
+        let mut v6 = [0.0; 6];
+        v6[1] = f64::NAN;
+        assert!(crate::MotionVec::from_array(v6).max_abs().is_nan());
+        // NaN stays once a larger entry follows; finite input is unchanged.
+        assert!(VecN::from_vec(vec![f64::NAN, 5.0]).max_abs().is_nan());
+        assert_eq!(VecN::from_vec(vec![0.0, -2.0, 1.0]).max_abs(), 2.0);
+        // A NaN off-diagonal entry is not symmetric at any tolerance.
+        let mut m3 = crate::Mat3::zero();
+        m3[(0, 1)] = f64::NAN;
+        assert!(m3.max_abs().is_nan());
+        assert!(!m3.is_symmetric(1.0));
+        let mut m6 = crate::Mat6::zero();
+        m6[(2, 4)] = f64::NAN;
+        assert!(m6.max_abs().is_nan());
+        assert!(!m6.is_symmetric(1.0));
+        let mut mn = MatN::zeros(3, 3);
+        mn[(0, 1)] = f64::NAN;
+        assert!(!mn.is_symmetric(1.0));
+    }
 
     fn spd(n: usize) -> MatN {
         // A = B Bᵀ + n·I is symmetric positive definite.

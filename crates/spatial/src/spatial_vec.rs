@@ -94,9 +94,9 @@ macro_rules! impl_spatial_common {
                 &self.d
             }
 
-            /// Largest absolute coordinate.
+            /// Largest absolute coordinate (NaN if any is NaN).
             pub fn max_abs(&self) -> f64 {
-                self.d.iter().fold(0.0_f64, |m, x| m.max(x.abs()))
+                crate::max_abs_of(&self.d)
             }
 
             /// Euclidean norm of the stacked 6-vector.

@@ -121,10 +121,10 @@ impl Vec3 {
         *self / n
     }
 
-    /// Largest absolute coordinate.
+    /// Largest absolute coordinate (NaN if any is NaN).
     #[inline]
     pub fn max_abs(&self) -> f64 {
-        self.a[0].abs().max(self.a[1].abs()).max(self.a[2].abs())
+        crate::max_abs_of(&self.a)
     }
 
     /// Component-wise map.

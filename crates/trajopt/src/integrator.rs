@@ -290,9 +290,14 @@ pub fn rk4_step_with_sensitivity_into(
 }
 
 #[cfg(test)]
+#[path = "../../dynamics/tests/support/energy.rs"]
+mod energy;
+
+#[cfg(test)]
 mod tests {
+    use super::energy::total_energy;
     use super::*;
-    use rbd_dynamics::{forward_dynamics_into, total_energy};
+    use rbd_dynamics::forward_dynamics_into;
     use rbd_model::{integrate_config, random_state, robots};
 
     /// The six lane-test models, floating base included.

@@ -70,22 +70,36 @@ fn id_matches_reference_everywhere() {
 
 #[test]
 fn fd_matches_reference_everywhere() {
+    // `run_fd` is `M⁻¹(τ − C)` with `C` from `rnea_sweeps_in_ws` and
+    // `M⁻¹` from `mminv_gen`, the same products `forward_dynamics`
+    // takes, so `q̈` is its bits.
     for model in all_models() {
         let accel = DaduRbd::configure(&model, AccelConfig::default());
         let mut ws = DynamicsWorkspace::new(&model);
-        let s = random_state(&model, 7);
         let tau: Vec<f64> = (0..model.nv()).map(|k| 1.0 - 0.1 * k as f64).collect();
-        let fext = fext_for(&model, 1.0);
-        let out = accel.run_fd(&s.q, &s.qd, &tau, Some(&fext));
-        let expect = forward_dynamics(&model, &mut ws, &s.q, &s.qd, &tau, Some(&fext)).unwrap();
-        for k in 0..model.nv() {
-            assert!(
-                (out.qdd[k] - expect[k]).abs() < 1e-7 * (1.0 + expect[k].abs()),
-                "{} dof {k}: {} vs {}",
-                model.name(),
-                out.qdd[k],
-                expect[k]
-            );
+        for seed in [0, 1, 2, 3, 4, 7] {
+            let s = random_state(&model, seed);
+            let fext = fext_for(&model, seed as f64);
+            for fx in [Some(&fext[..]), None] {
+                let out = accel.run_fd(&s.q, &s.qd, &tau, fx);
+                let expect = forward_dynamics(&model, &mut ws, &s.q, &s.qd, &tau, fx).unwrap();
+                for k in 0..model.nv() {
+                    assert!(
+                        (out.qdd[k] - expect[k]).abs() < 1e-7 * (1.0 + expect[k].abs()),
+                        "{} seed {seed} dof {k}: {} vs {}",
+                        model.name(),
+                        out.qdd[k],
+                        expect[k]
+                    );
+                }
+                assert_eq!(
+                    bits(&out.qdd),
+                    bits(&expect),
+                    "{} seed {seed} fext {}",
+                    model.name(),
+                    fx.is_some()
+                );
+            }
         }
     }
 }

@@ -9,13 +9,14 @@
 
 #[path = "support/cases.rs"]
 mod cases;
+#[path = "../crates/dynamics/tests/support/energy.rs"]
+mod energy;
 
 use cases::{draw, for_each_case, uniform};
-use dadu_rbd::dynamics::{
-    aba, crba, forward_dynamics, kinetic_energy, mminv_gen, rnea, DynamicsWorkspace,
-};
+use dadu_rbd::dynamics::{aba, crba, forward_dynamics, mminv_gen, rnea, DynamicsWorkspace};
 use dadu_rbd::model::{integrate_config, random_state, robots, RobotModel, SplitMix64};
 use dadu_rbd::spatial::{ForceVec, MatN, MotionVec, Vec3, VecN};
+use energy::{kinetic_energy, total_energy};
 
 /// Cases per property.
 const CASES: u64 = 24;
@@ -206,11 +207,11 @@ fn power_balance_along_trajectory() {
     let tau: Vec<f64> = (0..model.nv()).map(|k| 0.5 - 0.1 * k as f64).collect();
     let dt = 1e-5;
     for _ in 0..50 {
-        let e0 = dadu_rbd::dynamics::total_energy(&model, &mut ws, &q, &qd);
+        let e0 = total_energy(&model, &mut ws, &q, &qd);
         let qdd = aba(&model, &mut ws, &q, &qd, &tau, None).unwrap();
         let qd_new: Vec<f64> = qd.iter().zip(&qdd).map(|(v, a)| v + dt * a).collect();
         let q_new = integrate_config(&model, &q, &qd, dt);
-        let e1 = dadu_rbd::dynamics::total_energy(&model, &mut ws, &q_new, &qd_new);
+        let e1 = total_energy(&model, &mut ws, &q_new, &qd_new);
         // Work done by the actuators over the step.
         let work: f64 = qd.iter().zip(&tau).map(|(v, t)| v * t * dt).sum();
         assert!(

@@ -4,8 +4,13 @@
 
 use dadu_rbd::accel::stream::{decode_task, encode_task, stream_epsilon, TaskPacket};
 use dadu_rbd::accel::{AccelConfig, DaduRbd, FunctionKind};
-use dadu_rbd::dynamics::{forward_dynamics, rnea, total_energy, DynamicsWorkspace};
+use dadu_rbd::dynamics::{forward_dynamics, rnea, DynamicsWorkspace};
 use dadu_rbd::model::{random_state, robots};
+
+#[path = "../crates/dynamics/tests/support/energy.rs"]
+mod energy;
+
+use energy::total_energy;
 
 #[test]
 fn hexapod_and_dual_arm_through_the_full_stack() {

@@ -112,11 +112,11 @@ fn inertia_energy_invariant_under_frame_change_case(seed: u64) {
     let x = xform(&mut rng);
     let v = motion(&mut rng);
     // ½ vᵀIv computed in either frame must agree.
-    let e_b = i.kinetic_energy(&v);
+    let e_b = 0.5 * v.dot_force(&i.mul_motion(&v));
     // v expressed in frame B; transform both to A (x = ^B X_A).
     let v_a = x.inv_apply_motion(&v);
     let i_a = i.transform_to_parent(&x);
-    let e_a = i_a.kinetic_energy(&v_a);
+    let e_a = 0.5 * v_a.dot_force(&i_a.mul_motion(&v_a));
     assert!(
         (e_a - e_b).abs() < 1e-8 * (1.0 + e_b.abs()),
         "case seed {seed}: {e_a} vs {e_b}"
@@ -137,7 +137,7 @@ fn inertia_is_positive_semidefinite_case(seed: u64) {
     let mut rng = SplitMix64::new(seed);
     let i = inertia(&mut rng);
     let v = motion(&mut rng);
-    let e = i.kinetic_energy(&v);
+    let e = 0.5 * v.dot_force(&i.mul_motion(&v)); // ½ vᵀ I v
     assert!(e >= -1e-12, "case seed {seed}: energy {e}");
 }
 
