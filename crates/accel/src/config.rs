@@ -251,33 +251,6 @@ impl DaduRbd {
         }
     }
 
-    /// Functional feedback loop (§V-B3): the Schedule Module combines
-    /// each FD result with the state into a new integration step and the
-    /// Feedback Module requeues it — `steps` semi-implicit Euler steps
-    /// entirely on-accelerator. Returns the final `(q, q̇)`.
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch or singular dynamics.
-    pub fn run_fd_integrate(
-        &self,
-        q: &[f64],
-        qd: &[f64],
-        tau: &[f64],
-        dt: f64,
-        steps: usize,
-    ) -> (Vec<f64>, Vec<f64>) {
-        let mut q = q.to_vec();
-        let mut qd = qd.to_vec();
-        for _ in 0..steps {
-            let out = self.run_fd(&q, &qd, tau, None);
-            for (v, a) in qd.iter_mut().zip(&out.qdd) {
-                *v += dt * a;
-            }
-            q = rbd_model::integrate_config(&self.model, &q, &qd, dt);
-        }
-        (q, qd)
-    }
-
     /// Resources active for one function's dataflow (drives the power
     /// model): the stages of every family the function fires
     /// ([`FunctionKind::uses`]), plus the trig module and the scheduler.
@@ -567,7 +540,16 @@ mod tests {
         let qd0 = vec![0.1; m.nv()];
         let tau = vec![0.2; m.nv()];
         let dt = 1e-3;
-        let (q_acc, qd_acc) = d.run_fd_integrate(&q0, &qd0, &tau, dt, 20);
+        // The Feedback Module's loop (§V-B3): each FD result becomes a
+        // semi-implicit Euler step.
+        let (mut q_acc, mut qd_acc) = (q0.clone(), qd0.clone());
+        for _ in 0..20 {
+            let out = d.run_fd(&q_acc, &qd_acc, &tau, None);
+            for (v, a) in qd_acc.iter_mut().zip(&out.qdd) {
+                *v += dt * a;
+            }
+            q_acc = rbd_model::integrate_config(&m, &q_acc, &qd_acc, dt);
+        }
 
         let mut ws = DynamicsWorkspace::new(&m);
         let (mut q, mut qd) = (q0, qd0);

@@ -291,7 +291,9 @@ mod tests {
         assert_eq!(l.chain_dofs(&m, root_new), 6);
         assert_eq!(l.subtree_dofs(&m, root_new), 18);
         // A foot body: chain = 6 + 3 = 9, subtree = 1.
-        let foot_old = m.body_id("lf_kfe").unwrap();
+        let foot_old = (0..m.num_bodies())
+            .position(|i| m.body_name(i) == "lf_kfe")
+            .unwrap();
         let foot_new = l.new_id_of(foot_old);
         assert_eq!(l.chain_dofs(&m, foot_new), 9);
         assert_eq!(l.subtree_dofs(&m, foot_new), 1);

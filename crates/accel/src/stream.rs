@@ -18,11 +18,6 @@ use std::fmt;
 /// comfortably covers joint states, torques and accelerations.
 type Word = Fx<20>;
 
-/// Quantization step of the stream encoding.
-pub fn stream_epsilon() -> f64 {
-    Word::epsilon()
-}
-
 /// A decoded task: what the Input Stream Module hands to the pipelines.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskPacket {
@@ -195,7 +190,7 @@ mod tests {
         let words = encode_task(&model, &task);
         let back = decode_task(&model, &words).unwrap();
         assert_eq!(back.function, FunctionKind::Fd);
-        let eps = stream_epsilon();
+        let eps = Word::epsilon();
         for (a, b) in task.q.iter().zip(&back.q) {
             assert!((a - b).abs() <= eps);
         }
@@ -221,7 +216,7 @@ mod tests {
         let back = decode_task(&model, &words).unwrap();
         let got = back.minv_tri.unwrap();
         assert_eq!(got.len(), tri);
-        assert!((got[tri - 1] - 0.01 * (tri - 1) as f64).abs() <= stream_epsilon());
+        assert!((got[tri - 1] - 0.01 * (tri - 1) as f64).abs() <= Word::epsilon());
     }
 
     #[test]
@@ -282,7 +277,7 @@ mod tests {
             .flatten()
             .zip([back.q, back.qd, back.u].iter().flatten())
         {
-            assert!((a - b).abs() <= stream_epsilon(), "{a} vs {b}");
+            assert!((a - b).abs() <= Word::epsilon(), "{a} vs {b}");
         }
     }
 }

@@ -4,8 +4,8 @@
 
 use rbd_bench::harness::Bench;
 use rbd_dynamics::{
-    aba, crba, fd_derivatives, forward_dynamics, mminv_gen, rnea, rnea_derivatives,
-    DynamicsWorkspace, FdDerivatives, RneaDerivatives,
+    aba, fd_derivatives, forward_dynamics, mminv_gen, rnea, rnea_derivatives, DynamicsWorkspace,
+    FdDerivatives, RneaDerivatives,
 };
 use rbd_model::{random_state, robots};
 
@@ -27,7 +27,6 @@ fn main() {
         group.bench("FD_aba", || {
             aba(&model, &mut ws, &s.q, &s.qd, &tau, None).unwrap()
         });
-        group.bench("M_crba", || crba(&model, &mut ws, &s.q));
         group.bench("Minv_mminvgen", || {
             mminv_gen(&model, &mut ws, &s.q, false, true).unwrap()
         });

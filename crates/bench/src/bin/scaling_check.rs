@@ -317,8 +317,8 @@ fn lane_rollout_median<const K: usize>(model: &RobotModel) -> f64 {
 /// Verifies the lane rollouts against lane width 1, bitwise: the direct
 /// sweep at width 4, and the lane-group `BatchEval` dispatch at 1 and
 /// `threads` workers with its short last group padded the way MPPI pads
-/// it. (The lane kernels against the scalar ABA are pinned by the
-/// dynamics crate's `lane_equivalence` tests.)
+/// it. (The lane kernels against the scalar ABA oracle are pinned by
+/// the dynamics crate's `lane_equivalence` tests.)
 fn lane_correctness(model: &RobotModel, threads: usize) -> Result<(), ExitCode> {
     let (nq, nv) = (model.nq(), model.nv());
     let horizon = LANE_HORIZON;

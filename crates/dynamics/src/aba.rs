@@ -1,20 +1,21 @@
 //! Articulated Body Algorithm (forward dynamics), the software baseline
 //! the paper deliberately does *not* instantiate in hardware (§III-A). It
-//! steps every rollout (the controllers' lane kernel, the plant's scalar
+//! steps every rollout (the controllers' lane kernel, the plant's
 //! `rk4_step`) and is the reference for the `FD = M⁻¹·(τ - C)` path.
 //!
-//! There is one sweep, [`aba_in_ws`]; [`aba`] allocates the output and
-//! calls it, the way `forward_dynamics` wraps `forward_dynamics_into`.
-//! The sweep stays scalar rather than a width-1 call of the lane kernel
-//! ([`crate::lanes::forward_dynamics_aba_lanes_in_ws`]): it takes
-//! external forces, which the lane kernels do not, and it is the
-//! reference that pins the lane kernel bit for bit.
+//! There is one ABA body, the lane sweep of
+//! [`crate::lanes::forward_dynamics_aba_lanes_in_ws`]. [`aba_in_ws`] is
+//! its width-1 call (external forces included) in the workspace's own
+//! `LaneWorkspace<1>`, and [`aba`] allocates the output and calls it,
+//! the way `forward_dynamics` wraps `forward_dynamics_into`. The scalar
+//! three-pass sweep survives as the test oracle the lane body is pinned
+//! to bit for bit (`tests/support/aba.rs`).
 
-use crate::mminv::invert_spd_small;
+use crate::lanes::aba_lanes_in_ws;
 use crate::workspace::DynamicsWorkspace;
 use crate::DynamicsError;
 use rbd_model::RobotModel;
-use rbd_spatial::{ForceVec, MotionVec};
+use rbd_spatial::ForceVec;
 
 /// Forward dynamics `q̈ = ABA(q, q̇, τ, f_ext)` — O(N) articulated-body
 /// algorithm with multi-DOF joint support; allocates the returned `q̈`
@@ -43,18 +44,13 @@ pub fn aba(
 }
 
 /// The ABA sweep, writing `q̈` into a caller-provided output with
-/// **zero steady-state heap allocation**: every per-joint factor lives in the workspace
-/// ([`DynamicsWorkspace::u_cols`] for `U = I^A S`,
-/// [`DynamicsWorkspace::d_inv`] for the joint-space inverses,
-/// [`DynamicsWorkspace::aba_ub`] for the joint-space bias), and the
-/// joint-space blocks are inverted on the stack through the same
-/// unpivoted-LDLᵀ routine MMinvGen uses.
+/// **zero steady-state heap allocation**: the width-1 call of the lane
+/// ABA in the workspace's `LaneWorkspace<1>` (an AVX2-compiled clone on
+/// AVX2 hosts), with the result copied out. It touches no other
+/// workspace buffer, so `xup`, `xworld`, `v` and `a` keep what the last
+/// kinematics or RNEA call left there.
 ///
-/// This is the scalar **op-sequence reference for the K-lane kernels**
-/// (`crate::lanes::forward_dynamics_aba_lanes_in_ws` performs exactly
-/// this sequence per lane, and the lane tests pin it bit-identically)
-/// and the stage dynamics of the test-local RK4 reference the lane
-/// rollout is pinned to.
+/// `fext` entries are world-frame spatial forces per body.
 ///
 /// # Errors
 /// Returns [`DynamicsError::SingularMassMatrix`] when a joint-space
@@ -71,120 +67,8 @@ pub fn aba_in_ws(
     fext: Option<&[ForceVec]>,
     qdd_out: &mut [f64],
 ) -> Result<(), DynamicsError> {
-    let nb = model.num_bodies();
-    assert_eq!(q.len(), model.nq(), "q dimension");
-    assert_eq!(qd.len(), model.nv(), "qd dimension");
-    assert_eq!(tau.len(), model.nv(), "tau dimension");
-    assert_eq!(qdd_out.len(), model.nv(), "qdd output dimension");
-    if let Some(f) = fext {
-        assert_eq!(f.len(), nb, "fext dimension");
-    }
-
-    ws.update_kinematics(model, q);
-    let a0 = MotionVec::new(rbd_spatial::Vec3::zero(), -model.gravity);
-
-    // Field-disjoint borrows of the workspace buffers for the sweeps.
-    let DynamicsWorkspace {
-        s,
-        s_off,
-        xup,
-        xworld,
-        v,
-        a,
-        c_bias,
-        ia,
-        pa,
-        u_cols,
-        d_inv,
-        aba_ub,
-        ..
-    } = ws;
-
-    // Pass 1: velocities, bias accelerations, articulated quantities init.
-    for i in 0..nb {
-        let vo = model.v_offset(i);
-        let ni = s_off[i + 1] - s_off[i];
-        let vj = MotionVec::weighted_sum(&s[vo..vo + ni], &qd[vo..vo + ni]);
-        let vi = match model.topology().parent(i) {
-            Some(p) => xup[i].apply_motion(&v[p]) + vj,
-            None => vj,
-        };
-        v[i] = vi;
-        c_bias[i] = vi.cross_motion(&vj);
-        let inertia = model.link_inertia(i);
-        ia[i] = inertia.to_mat6();
-        let mut pai = vi.cross_force(&inertia.mul_motion(&vi));
-        if let Some(fx) = fext {
-            pai -= xworld[i].apply_force(&fx[i]);
-        }
-        pa[i] = pai;
-    }
-
-    // Pass 2: articulated inertia backward sweep; factors stay in the
-    // workspace (`u_cols`, `d_inv`, `aba_ub`) for pass 3.
-    for i in (0..nb).rev() {
-        let vo = model.v_offset(i);
-        let ni = s_off[i + 1] - s_off[i];
-        let cols = &s[vo..vo + ni];
-        ia[i].mul_motion_to_force_batch(cols, &mut u_cols[vo..vo + ni]);
-        let mut d = [[0.0; 6]; 6];
-        for (ar, drow) in cols.iter().zip(d.iter_mut()) {
-            for (b, db) in drow.iter_mut().enumerate().take(ni) {
-                *db = ar.dot_force(&u_cols[vo + b]);
-            }
-        }
-        d_inv[i] = invert_spd_small(&d, ni)?;
-        for k in 0..ni {
-            aba_ub[vo + k] = tau[vo + k] - cols[k].dot_force(&pa[i]);
-        }
-
-        if let Some(p) = model.topology().parent(i) {
-            // Ia = IA - U D⁻¹ Uᵀ
-            let mut ia_i = ia[i];
-            let dinv = &d_inv[i];
-            ia_i.sub_outer_weighted(&u_cols[vo..vo + ni], |ar, b| dinv[ar][b]);
-            // pa' = pA + Ia c + U D⁻¹ u
-            let mut pai = pa[i] + ia_i.mul_motion_to_force(&c_bias[i]);
-            for ar in 0..ni {
-                let mut coeff = 0.0;
-                for b in 0..ni {
-                    coeff += dinv[ar][b] * aba_ub[vo + b];
-                }
-                pai += u_cols[vo + ar] * coeff;
-            }
-            ia_i.add_congruence_xform_sym(&xup[i], &mut ia[p]);
-            pa[p] += xup[i].inv_apply_force(&pai);
-        }
-    }
-
-    // Pass 3: accelerations forward sweep.
-    for i in 0..nb {
-        let vo = model.v_offset(i);
-        let ni = s_off[i + 1] - s_off[i];
-        let a_par = match model.topology().parent(i) {
-            Some(p) => xup[i].apply_motion(&a[p]),
-            None => xup[i].apply_motion(&a0),
-        };
-        let a_prime = a_par + c_bias[i];
-        let mut rhs = [0.0; 6];
-        for (k, r) in rhs.iter_mut().enumerate().take(ni) {
-            *r = aba_ub[vo + k] - u_cols[vo + k].dot_motion(&a_prime);
-        }
-        // qdd_i = D⁻¹ (u - Uᵀ a')
-        let mut out = [0.0; 6];
-        let dinv = &d_inv[i];
-        for (ar, o) in out.iter_mut().enumerate().take(ni) {
-            for (b, r) in rhs.iter().enumerate().take(ni) {
-                *o += dinv[ar][b] * r;
-            }
-        }
-        let mut a_i = a_prime;
-        for (k, sc) in s[vo..vo + ni].iter().enumerate() {
-            qdd_out[vo + k] = out[k];
-            a_i += *sc * out[k];
-        }
-        a[i] = a_i;
-    }
+    aba_lanes_in_ws(model, &mut ws.aba_lanes, q, qd, tau, fext)?;
+    ws.aba_lanes.scatter_qdd(qdd_out);
     Ok(())
 }
 

@@ -12,23 +12,24 @@
 //! # Bit-identity contract
 //!
 //! Every lane kernel performs the identical op sequence as its scalar
-//! counterpart, lane by lane:
+//! reference, lane by lane:
 //!
-//! * [`forward_dynamics_aba_lanes_in_ws`] mirrors [`crate::aba_in_ws`]
-//!   (without external forces);
-//! * [`rk4_rollout_lanes_into`] mirrors a scalar RK4 step over
-//!   [`crate::aba_in_ws`], run per sample — both are [`Rk4Stages`]
-//!   steps, whose arithmetic is element by element and so the same at
-//!   any lane count;
+//! * the lane ABA ([`forward_dynamics_aba_lanes_in_ws`]) is the one ABA
+//!   body: [`crate::aba_in_ws`] is its width-1 call, external forces
+//!   included. Its scalar reference is Featherstone's three-pass sweep,
+//!   kept as a test oracle (`tests/support/aba.rs`);
+//! * [`rk4_rollout_lanes_into`] mirrors a scalar RK4 step over that
+//!   oracle, run per sample — both are [`Rk4Stages`] steps, whose
+//!   arithmetic is element by element and so the same at any lane count;
 //! * [`fd_derivatives_lanes_into`] mirrors [`crate::fd_derivatives_into`]
 //!   (without external forces): MMinvGen, the bias force, IDSVA and the
 //!   `−M⁻¹·∂τ` gather, each sweep lane by lane.
 //!
 //! Lane `l` of any output is therefore **bit-identical** to running
-//! the scalar kernel on lane `l`'s inputs, and no lane reads another
+//! the scalar reference on lane `l`'s inputs, and no lane reads another
 //! lane's inputs. `tests/lane_equivalence.rs` pins this per model
-//! (floating base included) against [`crate::aba_in_ws`], a test-local
-//! scalar RK4 reference and [`crate::fd_derivatives_into`], and
+//! (floating base included) against the ABA oracle, a test-local
+//! scalar RK4 over it and [`crate::fd_derivatives_into`], and
 //! `tests/lane_properties.rs` at seeded random states. The lane
 //! kernels are MPPI's rollout path and the batched-ΔFD path: batch
 //! consumers cut a sample batch into lane groups
@@ -58,7 +59,7 @@
 //! }
 //! let tau = vec![0.1; 4 * nv];
 //! lanes::forward_dynamics_aba_lanes_in_ws(&model, &mut lws, &q, &qd, &tau).unwrap();
-//! // Lane 2's acceleration equals the scalar ABA at lane 2's state.
+//! // Lane 2's acceleration equals the width-1 call at lane 2's state.
 //! let mut ws = DynamicsWorkspace::new(&model);
 //! let s2 = random_state(&model, 2);
 //! let qdd2 = rbd_dynamics::aba(&model, &mut ws, &s2.q, &s2.qd, &vec![0.1; nv], None).unwrap();
@@ -69,7 +70,7 @@
 
 use crate::DynamicsError;
 use rbd_model::{integrate_config_into, RobotModel};
-use rbd_spatial::{LaneForceVec, LaneMat6, LaneMotionVec, LaneXform, MotionVec, Xform};
+use rbd_spatial::{ForceVec, LaneForceVec, LaneMat6, LaneMotionVec, LaneXform, MotionVec, Xform};
 
 /// Default lane width of the dynamics sweeps (re-exported from
 /// `rbd_spatial`): four samples per lockstep traversal.
@@ -88,6 +89,9 @@ pub struct LaneWorkspace<const K: usize> {
     s_off: Vec<usize>,
     /// Parent→child transforms per body, one lane per state.
     xup: Vec<LaneXform<K>>,
+    /// World→body transforms per body, filled by [`Self::update_xworld`]
+    /// for the kernels that read them.
+    xworld: Vec<LaneXform<K>>,
     /// Spatial velocities per body.
     v: Vec<LaneMotionVec<K>>,
     /// Spatial accelerations per body.
@@ -161,6 +165,7 @@ impl<const K: usize> LaneWorkspace<K> {
             s,
             s_off,
             xup: vec![LaneXform::identity(); nb],
+            xworld: vec![LaneXform::identity(); nb],
             v: vec![LaneMotionVec::zero(); nb],
             a: vec![LaneMotionVec::zero(); nb],
             c_bias: vec![LaneMotionVec::zero(); nb],
@@ -285,6 +290,20 @@ impl<const K: usize> LaneWorkspace<K> {
                 }
                 self.xup[i] = LaneXform::gather(&self.xf_stage);
             }
+        }
+    }
+
+    /// World→body transforms from the current `xup`, composed root to
+    /// leaf as [`crate::DynamicsWorkspace::update_kinematics`] does, bit
+    /// for bit (`LaneXform::compose` mirrors `Xform::compose`). Inlined
+    /// so the AVX2 clones of the kernels compile it with AVX2.
+    #[inline(always)]
+    fn update_xworld(&mut self, model: &RobotModel) {
+        for i in 0..model.num_bodies() {
+            self.xworld[i] = match model.topology().parent(i) {
+                Some(p) => self.xup[i].compose(&self.xworld[p]),
+                None => self.xup[i],
+            };
         }
     }
 
@@ -422,7 +441,7 @@ fn invert_block_lanes<const K: usize>(
 macro_rules! avx2_dispatch {
     (
         $(#[$attr:meta])*
-        pub fn $name:ident<const $k:ident: usize>($($arg:ident: $ty:ty),* $(,)?)
+        $vis:vis fn $name:ident<const $k:ident: usize>($($arg:ident: $ty:ty),* $(,)?)
             $(-> $ret:ty)? => $body:ident, $avx2:ident
     ) => {
         /// AVX2-compiled clone of the body.
@@ -437,7 +456,7 @@ macro_rules! avx2_dispatch {
         }
 
         $(#[$attr])*
-        pub fn $name<const $k: usize>($($arg: $ty),*) $(-> $ret)? {
+        $vis fn $name<const $k: usize>($($arg: $ty),*) $(-> $ret)? {
             #[cfg(target_arch = "x86_64")]
             if std::arch::is_x86_feature_detected!("avx2") {
                 // SAFETY: AVX2 presence was just verified at runtime.
@@ -448,12 +467,12 @@ macro_rules! avx2_dispatch {
     };
 }
 
-avx2_dispatch! {
 /// Lane-batched O(n) forward dynamics: `K` articulated-body sweeps in
-/// lockstep (mirror of [`crate::aba_in_ws`] without external forces).
-/// Inputs are flat lane-major slices; the accelerations land in
-/// [`LaneWorkspace::qdd_lanes`]. Zero steady-state allocation. AVX2
-/// hosts run an AVX2-compiled clone with bit-identical outputs.
+/// lockstep, without external forces. Inputs are flat lane-major
+/// slices; the accelerations land in [`LaneWorkspace::qdd_lanes`]. Zero
+/// steady-state allocation. AVX2 hosts run an AVX2-compiled clone with
+/// bit-identical outputs. At `K = 1` this is [`crate::aba_in_ws`]'s
+/// sweep.
 ///
 /// # Errors
 /// Returns [`DynamicsError::SingularMassMatrix`] when any lane's
@@ -467,6 +486,22 @@ pub fn forward_dynamics_aba_lanes_in_ws<const K: usize>(
     q: &[f64],
     qd: &[f64],
     tau: &[f64],
+) -> Result<(), DynamicsError> {
+    aba_lanes_in_ws(model, lws, q, qd, tau, None)
+}
+
+avx2_dispatch! {
+/// The lane ABA with optional external forces: `fext` is lane-major,
+/// `K·nb` world-frame forces with lane `l`'s force on body `i` at
+/// `l·nb + i` (at `K = 1`, [`crate::aba_in_ws`]'s layout). Errors and
+/// panics as [`forward_dynamics_aba_lanes_in_ws`].
+pub(crate) fn aba_lanes_in_ws<const K: usize>(
+    model: &RobotModel,
+    lws: &mut LaneWorkspace<K>,
+    q: &[f64],
+    qd: &[f64],
+    tau: &[f64],
+    fext: Option<&[ForceVec]>,
 ) -> Result<(), DynamicsError> => fd_aba_lanes_impl, fd_aba_lanes_avx2
 }
 
@@ -477,9 +512,14 @@ fn fd_aba_lanes_impl<const K: usize>(
     q: &[f64],
     qd: &[f64],
     tau: &[f64],
+    fext: Option<&[ForceVec]>,
 ) -> Result<(), DynamicsError> {
     let nb = model.num_bodies();
     lws.update_kinematics(model, q);
+    if let Some(f) = fext {
+        assert_eq!(f.len(), K * nb, "fext dimension");
+        lws.update_xworld(model);
+    }
     LaneWorkspace::pack_dof(qd, &mut lws.qd_l);
     LaneWorkspace::pack_dof(tau, &mut lws.tau_l);
     let a0 = LaneMotionVec::broadcast(MotionVec::new(rbd_spatial::Vec3::zero(), -model.gravity));
@@ -496,7 +536,12 @@ fn fd_aba_lanes_impl<const K: usize>(
         lws.c_bias[i] = v.cross_motion(&vj);
         let inertia = model.link_inertia(i);
         lws.ia[i] = lws.ia_init[i];
-        lws.pa[i] = v.cross_force(&inertia.mul_motion_lanes(&v));
+        let mut pa = v.cross_force(&inertia.mul_motion_lanes(&v));
+        if let Some(fx) = fext {
+            let f = LaneForceVec::gather(&std::array::from_fn::<_, K, _>(|l| fx[l * nb + i]));
+            pa = pa.sub(&lws.xworld[i].apply_force(&f));
+        }
+        lws.pa[i] = pa;
         lws.v[i] = v;
     }
 
@@ -767,9 +812,10 @@ avx2_dispatch! {
 ///
 /// Each step is one [`Rk4Stages`] step whose four stages run the
 /// lockstep lane ABA sweep. Lane `l`'s trajectory is bit-identical to
-/// the same RK4 run per sample over the scalar [`crate::aba_in_ws`],
-/// and it depends only on lane `l`'s inputs — which is what lets a
-/// batch pad its last, short group with copies of a real sample. Zero
+/// the same RK4 run per sample over its width-1 call
+/// [`crate::aba_in_ws`], and it depends only on lane `l`'s inputs —
+/// which is what lets a batch pad its last, short group with copies of
+/// a real sample. Zero
 /// steady-state allocation; AVX2 hosts run an AVX2-compiled clone of
 /// the whole rollout (the stages and the lane ABA sweeps inlined), so
 /// the feature check runs once per rollout.
@@ -851,7 +897,7 @@ fn rk4_rollout_lanes_impl<const K: usize>(
         }
         for s in 0..4 {
             let (q_s, qd_s, k_s) = stages.point(model, s, q_cur, qd_cur, dt);
-            fd_aba_lanes_impl(model, lws, q_s, qd_s, tau_cur)?;
+            fd_aba_lanes_impl(model, lws, q_s, qd_s, tau_cur, None)?;
             lws.scatter_qdd(k_s);
         }
         stages.finish(model, q_cur, qd_cur, dt, q_next, qd_next);
@@ -860,6 +906,10 @@ fn rk4_rollout_lanes_impl<const K: usize>(
     }
     Ok(())
 }
+
+#[cfg(test)]
+#[path = "../tests/support/aba.rs"]
+mod aba_oracle;
 
 #[cfg(test)]
 mod tests {
@@ -884,7 +934,9 @@ mod tests {
     /// Stress test of the `avx2_dispatch!` `unsafe` blocks: every
     /// dispatched body runs through its AVX2 clone (when the host has
     /// AVX2) and through the baseline build, on seeded states of the six
-    /// lane-test models, and the two must agree bit for bit.
+    /// lane-test models, and the two must agree bit for bit. The ABA
+    /// also runs with lane-major external forces, a different set per
+    /// lane, and each lane must equal the scalar oracle's bits.
     #[test]
     fn avx2_clones_match_baseline_bodies() {
         const K: usize = 4;
@@ -913,7 +965,14 @@ mod tests {
                     LaneRolloutScratch::for_model(model, K),
                 ),
             ];
-            let ws = DynamicsWorkspace::new(model);
+            let mut ws = DynamicsWorkspace::new(model);
+            let nb = model.num_bodies();
+            let fext: Vec<ForceVec> = (0..K * nb)
+                .map(|n| {
+                    let (l, i) = ((n / nb) as f64, (n % nb) as f64);
+                    ForceVec::from_slice(&[0.1 * i, -0.2, 0.3 + 0.1 * l, 5.0, -2.0 - l, 1.0 + i])
+                })
+                .collect();
             let mut fd_scratch = [
                 LaneFdScratch::<K>::new(model),
                 LaneFdScratch::<K>::new(model),
@@ -931,6 +990,7 @@ mod tests {
                     .map(|i| 0.1 - 0.002 * i as f64)
                     .collect();
                 let mut qdd = [vec![], vec![]];
+                let mut qdd_fext = [vec![], vec![]];
                 let mut traj = [(vec![], vec![]), (vec![], vec![])];
                 let mut dfd = [
                     vec![FdDerivatives::default(); K],
@@ -943,8 +1003,10 @@ mod tests {
                     let sc = &mut fd_scratch[r];
                     let outs = &mut dfd[r];
                     if r == 0 || !avx2 {
-                        fd_aba_lanes_impl(model, lws, &q, &qd, &tau).unwrap();
+                        fd_aba_lanes_impl(model, lws, &q, &qd, &tau, None).unwrap();
                         qdd[r] = bits(lws.qdd_lanes().iter().flatten());
+                        fd_aba_lanes_impl(model, lws, &q, &qd, &tau, Some(&fext)).unwrap();
+                        qdd_fext[r] = bits(lws.qdd_lanes().iter().flatten());
                         rk4_rollout_lanes_impl(
                             model, lws, rs, &q, &qd, &us, horizon, 0.01, qt, qdt,
                         )
@@ -955,8 +1017,10 @@ mod tests {
                     #[cfg(target_arch = "x86_64")]
                     // SAFETY: AVX2 support was detected above.
                     unsafe {
-                        fd_aba_lanes_avx2(model, lws, &q, &qd, &tau).unwrap();
+                        fd_aba_lanes_avx2(model, lws, &q, &qd, &tau, None).unwrap();
                         qdd[r] = bits(lws.qdd_lanes().iter().flatten());
+                        fd_aba_lanes_avx2(model, lws, &q, &qd, &tau, Some(&fext)).unwrap();
+                        qdd_fext[r] = bits(lws.qdd_lanes().iter().flatten());
                         rk4_rollout_lanes_avx2(
                             model, lws, rs, &q, &qd, &us, horizon, 0.01, qt, qdt,
                         )
@@ -966,6 +1030,27 @@ mod tests {
                 }
                 let what = format!("{} seed {seed} (AVX2 {avx2})", model.name());
                 assert_eq!(qdd[0], qdd[1], "{what}: ABA");
+                assert_eq!(qdd_fext[0], qdd_fext[1], "{what}: ABA with fext");
+                let mut qdd_oracle = vec![0.0; nv];
+                for l in 0..K {
+                    super::aba_oracle::aba_in_ws(
+                        model,
+                        &mut ws,
+                        &q[l * nq..(l + 1) * nq],
+                        &qd[l * nv..(l + 1) * nv],
+                        &tau[l * nv..(l + 1) * nv],
+                        Some(&fext[l * nb..(l + 1) * nb]),
+                        &mut qdd_oracle,
+                    )
+                    .unwrap();
+                    for d in 0..nv {
+                        assert_eq!(
+                            qdd_fext[0][d * K + l],
+                            qdd_oracle[d].to_bits(),
+                            "{what}: ABA with fext lane {l} dof {d} vs oracle"
+                        );
+                    }
+                }
                 assert_eq!(bits(&traj[0].0), bits(&traj[1].0), "{what}: rollout q");
                 assert_eq!(bits(&traj[0].1), bits(&traj[1].1), "{what}: rollout q̇");
                 for l in 0..K {

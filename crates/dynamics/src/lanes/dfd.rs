@@ -21,13 +21,12 @@ use rbd_spatial::{
 };
 
 /// Lane-major scratch of [`fd_derivatives_lanes_into`], on top of the
-/// [`LaneWorkspace`] whose kinematics, articulated inertias, `U` columns
-/// and `D⁻¹` blocks it reuses. About 0.6 MB for Atlas at `K = 4`;
-/// allocate once per (model, executor) and reuse.
+/// [`LaneWorkspace`] whose kinematics (world transforms included),
+/// articulated inertias, `U` columns and `D⁻¹` blocks it reuses. About
+/// 0.6 MB for Atlas at `K = 4`; allocate once per (model, executor) and
+/// reuse.
 #[derive(Debug, Clone)]
 pub struct LaneFdScratch<const K: usize> {
-    /// World→body transforms per body.
-    xworld: Vec<LaneXform<K>>,
     /// MMinvGen force accumulators, `nb × nv` flat.
     f_minv: Vec<LaneForceVec<K>>,
     /// MMinvGen forward-sweep motion columns, `nb × nv` flat.
@@ -68,7 +67,6 @@ impl<const K: usize> LaneFdScratch<K> {
     pub fn new(model: &RobotModel) -> Self {
         let (nb, nv) = (model.num_bodies(), model.nv());
         Self {
-            xworld: vec![LaneXform::identity(); nb],
             f_minv: vec![LaneForceVec::zero(); nb * nv],
             p_cols: vec![LaneMotionVec::zero(); nb * nv],
             tp_cols: vec![LaneMotionVec::zero(); nv],
@@ -138,6 +136,7 @@ pub(super) fn fd_lanes_impl<const K: usize>(
     let nv = model.nv();
     assert!(outs.len() <= K, "more outputs than lanes");
     lws.update_kinematics(model, q);
+    lws.update_xworld(model);
     LaneWorkspace::pack_dof(qd, &mut lws.qd_l);
     LaneWorkspace::pack_dof(tau, &mut lws.tau_l);
     // Every sweep gets its buffers as separate slices: slice arguments
@@ -147,6 +146,7 @@ pub(super) fn fd_lanes_impl<const K: usize>(
         s,
         s_off,
         xup,
+        xworld,
         v,
         a,
         ia,
@@ -170,7 +170,6 @@ pub(super) fn fd_lanes_impl<const K: usize>(
         ..
     } = ws;
     let LaneFdScratch {
-        xworld,
         f_minv,
         p_cols,
         tp_cols,
@@ -201,13 +200,6 @@ pub(super) fn fd_lanes_impl<const K: usize>(
         desc_dofs,
         first_child_v,
     };
-    for i in 0..model.num_bodies() {
-        xworld[i] = match model.topology().parent(i) {
-            Some(p) => xup[i].compose(&xworld[p]),
-            None => xup[i],
-        };
-    }
-
     // Steps ①-③ (Fig 9a): M⁻¹, C, q̈ = M⁻¹ (τ − C).
     minv_lanes(
         model, tree, ia_init, ia, u, d_inv, f_minv, p_cols, tp_cols, minv,

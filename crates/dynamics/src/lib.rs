@@ -5,7 +5,7 @@
 //! |----------|------------|-------------|
 //! | Inverse dynamics | `τ = ID(q, q̇, q̈, f_ext)` | [`rnea()`] |
 //! | Forward dynamics | `q̈ = FD(q, q̇, τ, f_ext)` | [`forward_dynamics`], [`aba()`] |
-//! | Mass matrix | `M = M(q)` | [`crba()`], [`mminv_gen`] |
+//! | Mass matrix | `M = M(q)` | [`mminv_gen`] |
 //! | Inverse mass matrix | `M⁻¹ = Minv(q)` | [`mminv_gen`] |
 //! | Derivatives of ID | `∂_u τ = ΔID(…)` | [`rnea_derivatives`] |
 //! | Derivatives of FD | `∂_u q̈ = ΔFD(…)` | [`fd_derivatives`] |
@@ -34,7 +34,7 @@
 //! precomputed at construction. Each kernel comes in two forms:
 //!
 //! * the value-returning form (`rnea_derivatives`, `fd_derivatives`,
-//!   `mminv_gen`, `crba`, `forward_dynamics`) allocates exactly its
+//!   `mminv_gen`, `forward_dynamics`) allocates exactly its
 //!   output per call;
 //! * the `*_into` form writes into caller-reused outputs and performs
 //!   **zero heap allocation in steady state** — enforced by a
@@ -64,11 +64,13 @@
 //! MPPI rolls out `K = 4` samples in lockstep ([`rk4_rollout_lanes_into`]);
 //! a batch whose size is not a multiple of [`LANE_WIDTH`] pads its last
 //! group with copies of a real sample. Lane kernels exist for ABA, RK4 and
-//! ΔFD, each lane bit-identical to the scalar kernel on its inputs. Every
-//! RK4 step — the lane rollout, the plant's `rk4_step`, iLQR's forward
-//! pass (width-1 lane ABA) and the RK4 sensitivity — is an [`Rk4Stages`]
-//! step. [`aba_in_ws`] and [`rnea_in_ws`] stay scalar because they
-//! take external forces; [`rnea_in_ws`] is on the ΔFD hot path (through
+//! ΔFD, each lane bit-identical to the scalar reference on its inputs.
+//! The lane ABA is the only ABA: [`aba_in_ws`] is its width-1 call,
+//! external forces included, and the scalar sweep it is pinned to is a
+//! test oracle. Every RK4 step — the lane rollout, the plant's
+//! `rk4_step`, iLQR's forward pass and the RK4 sensitivity — is an
+//! [`Rk4Stages`] step. [`rnea_in_ws`] stays scalar because it takes
+//! external forces; it is on the ΔFD hot path (through
 //! [`bias_force_in_ws`]).
 //!
 //! # One RNEA
@@ -97,9 +99,13 @@
 //! }
 //! ```
 
+// In-crate unit tests include the test-support oracles
+// (`tests/support/*.rs`), which name this crate `rbd_dynamics`.
+#[cfg(test)]
+extern crate self as rbd_dynamics;
+
 pub mod aba;
 pub mod batch;
-pub mod crba;
 pub mod derivatives;
 pub mod fd;
 pub mod finite_diff;
@@ -113,7 +119,6 @@ pub mod workspace;
 
 pub use aba::{aba, aba_in_ws};
 pub use batch::{BatchEval, SamplePoint, FLOPS_PER_WORKER};
-pub use crba::{crba, crba_into};
 pub use derivatives::{rnea_derivatives, rnea_derivatives_into, RneaDerivatives};
 pub use fd::{
     fd_derivatives, fd_derivatives_into, forward_dynamics, forward_dynamics_into, FdDerivatives,

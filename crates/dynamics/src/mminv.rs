@@ -384,9 +384,14 @@ pub fn mminv_gen_into(
 }
 
 #[cfg(test)]
+#[path = "../tests/support/crba.rs"]
+mod crba_oracle;
+
+#[cfg(test)]
 mod tests {
+    use super::crba_oracle::crba;
     use super::*;
-    use crate::crba::crba;
+    use crate::rnea::rnea;
     use rbd_model::{random_state, robots, RobotModel};
 
     fn check_model(model: &RobotModel, seed: u64, tol: f64) {
@@ -503,5 +508,94 @@ mod tests {
         let model = robots::iiwa();
         let mut ws = DynamicsWorkspace::new(&model);
         let _ = mminv_gen(&model, &mut ws, &model.neutral_config(), false, false);
+    }
+
+    // The CRBA oracle's own checks.
+
+    /// M columns can be generated one at a time by ID with unit q̈ and zero
+    /// velocity, less the gravity torque `ID(q, 0, 0)` — the classical
+    /// cross-check.
+    fn check_against_rnea_columns(model: &rbd_model::RobotModel, seed: u64, tol: f64) {
+        let mut ws = DynamicsWorkspace::new(model);
+        let s = random_state(model, seed);
+        let nv = model.nv();
+        let m = crba(model, &mut ws, &s.q);
+        let zero = vec![0.0; nv];
+        let g = rnea(model, &mut ws, &s.q, &zero, &zero, None);
+        for j in 0..nv {
+            let mut e = vec![0.0; nv];
+            e[j] = 1.0;
+            let col = rnea(model, &mut ws, &s.q, &zero, &e, None);
+            for i in 0..nv {
+                let col_i = col[i] - g[i];
+                assert!(
+                    (m[(i, j)] - col_i).abs() < tol,
+                    "{} M[{i},{j}] = {} vs ID column {}",
+                    model.name(),
+                    m[(i, j)],
+                    col_i
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn matches_rnea_columns_iiwa() {
+        check_against_rnea_columns(&robots::iiwa(), 2, 1e-9);
+    }
+
+    #[test]
+    fn matches_rnea_columns_hyq() {
+        check_against_rnea_columns(&robots::hyq(), 4, 1e-8);
+    }
+
+    #[test]
+    fn matches_rnea_columns_atlas() {
+        check_against_rnea_columns(&robots::atlas(), 6, 1e-8);
+    }
+
+    #[test]
+    fn matches_rnea_columns_random_trees() {
+        for seed in 0..4 {
+            check_against_rnea_columns(&robots::random_tree(10, seed), seed, 1e-8);
+        }
+    }
+
+    #[test]
+    fn symmetric_positive_definite() {
+        let model = robots::atlas();
+        let mut ws = DynamicsWorkspace::new(&model);
+        let s = random_state(&model, 1);
+        let m = crba(&model, &mut ws, &s.q);
+        assert!(m.is_symmetric(1e-9));
+        assert!(m.cholesky().is_ok(), "mass matrix must be SPD");
+    }
+
+    #[test]
+    fn branch_induced_sparsity() {
+        // M[i,j] = 0 when i and j are on different branches (Fig 5).
+        let model = robots::hyq();
+        let mut ws = DynamicsWorkspace::new(&model);
+        let s = random_state(&model, 9);
+        let m = crba(&model, &mut ws, &s.q);
+        // Legs occupy bodies 1-3, 4-6, 7-9, 10-12 → dofs 6.., blocks of 3.
+        for leg_a in 0..4 {
+            for leg_b in 0..4 {
+                if leg_a == leg_b {
+                    continue;
+                }
+                for a in 0..3 {
+                    for b in 0..3 {
+                        let i = 6 + leg_a * 3 + a;
+                        let j = 6 + leg_b * 3 + b;
+                        assert!(
+                            m[(i, j)].abs() < 1e-12,
+                            "cross-leg coupling M[{i},{j}] = {}",
+                            m[(i, j)]
+                        );
+                    }
+                }
+            }
+        }
     }
 }

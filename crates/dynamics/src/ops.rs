@@ -365,8 +365,8 @@ fn aba_body_cost(jt: &JointType) -> OpCount {
 
 /// Estimated total flop count (muls + adds) of one O(n) ABA forward
 /// dynamics evaluation on `model` — the per-stage unit of the rollout
-/// workloads ([`aba_in_ws`](crate::aba_in_ws) and its K-lane lockstep
-/// mirror evaluate exactly this sweep).
+/// workloads (the lane ABA evaluates exactly this sweep per lane, and
+/// [`aba_in_ws`](crate::aba_in_ws) is its width-1 call).
 pub fn aba_flops(model: &RobotModel) -> f64 {
     let mut total = OpCount::default();
     for i in 0..model.num_bodies() {

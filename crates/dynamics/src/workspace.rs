@@ -1,6 +1,7 @@
 //! Shared per-model scratch buffers (the "data" of a model/data split).
 
 use crate::derivatives::RneaDerivatives;
+use crate::lanes::LaneWorkspace;
 use rbd_model::RobotModel;
 use rbd_spatial::{ForceVec, InertiaRate, Mat6, MatN, MotionVec, SpatialInertia, Xform};
 
@@ -38,12 +39,8 @@ pub struct DynamicsWorkspace {
     pub f: Vec<ForceVec>,
     /// Output joint torques.
     pub tau: Vec<f64>,
-    /// Composite / articulated inertia scratch (CRBA, ABA, MMinvGen).
+    /// Articulated inertia scratch (MMinvGen).
     pub ia: Vec<Mat6>,
-    /// ABA bias forces.
-    pub pa: Vec<ForceVec>,
-    /// ABA velocity-product accelerations `c_i = v_i × vJ_i`.
-    pub c_bias: Vec<MotionVec>,
     /// World-frame motion-subspace columns per DOF (derivatives).
     pub s_world: Vec<MotionVec>,
     /// World-frame velocity per body (derivatives).
@@ -144,14 +141,13 @@ pub struct DynamicsWorkspace {
     pub mat_scratch_b: MatN,
     /// Right-hand-side / generalized-force scratch, length `nv`.
     pub rhs_scratch: Vec<f64>,
-    /// ABA joint-space bias `u = τ − Sᵀ p^A`, length `nv` (the
-    /// zero-allocation [`crate::aba_in_ws`] keeps its per-joint factors
-    /// in [`Self::u_cols`] / [`Self::d_inv`] and this buffer).
-    pub aba_ub: Vec<f64>,
     /// Constant zero `q̈` used by the bias-force path, length `nv`.
     pub zero_qdd: Vec<f64>,
     /// ΔRNEA output scratch for the ΔFD chain (Eq. 3).
     pub did_scratch: RneaDerivatives,
+    /// The width-1 lane workspace [`crate::aba_in_ws`] runs the lane ABA
+    /// in; the ABA reads and writes no other buffer of this workspace.
+    pub(crate) aba_lanes: LaneWorkspace<1>,
     /// The configuration `xup`/`xworld` were last computed for — lets
     /// [`Self::update_kinematics`] skip the trig-heavy recompute when a
     /// fused pipeline (e.g. ΔFD = MMinvGen + RNEA + ΔRNEA) re-enters with
@@ -254,8 +250,6 @@ impl DynamicsWorkspace {
             f: vec![ForceVec::zero(); nb],
             tau: vec![0.0; nv],
             ia: vec![Mat6::zero(); nb],
-            pa: vec![ForceVec::zero(); nb],
-            c_bias: vec![MotionVec::zero(); nb],
             s_world: vec![MotionVec::zero(); nv],
             v_world: vec![MotionVec::zero(); nb],
             a_world: vec![MotionVec::zero(); nb],
@@ -290,9 +284,9 @@ impl DynamicsWorkspace {
             mat_scratch_a: MatN::zeros(nv, nv),
             mat_scratch_b: MatN::zeros(nv, nv),
             rhs_scratch: vec![0.0; nv],
-            aba_ub: vec![0.0; nv],
             zero_qdd: vec![0.0; nv],
             did_scratch: RneaDerivatives::zeros(nv),
+            aba_lanes: LaneWorkspace::new(model),
             kin_q: Vec::with_capacity(model.nq()),
         }
     }

@@ -1,11 +1,14 @@
 //! The test-support energy helpers (`support/energy.rs`) against the
 //! mass matrix, an unactuated RK4 rollout and a raised base.
 
+#[path = "support/crba.rs"]
+mod crba;
 #[path = "support/energy.rs"]
 mod energy;
 
+use crba::crba;
 use energy::{kinetic_energy, potential_energy, total_energy};
-use rbd_dynamics::{aba_in_ws, crba, DynamicsWorkspace, Rk4Stages};
+use rbd_dynamics::{aba_in_ws, DynamicsWorkspace, Rk4Stages};
 use rbd_model::{integrate_config, random_state, robots};
 use rbd_spatial::VecN;
 

@@ -3,20 +3,23 @@
 //! model (floating base included), at lane widths 1, 2 and 4, across
 //! randomized states: lane `l` of any lane kernel output must equal the
 //! scalar kernel run on lane `l`'s inputs with `==`, not a tolerance.
-//! The lane rollout's scalar counterpart is the test-local RK4 over
-//! `aba_in_ws` in `support/rk4.rs`; the lane ΔFD's is
-//! `fd_derivatives_into`.
+//! The lane ABA's scalar counterpart is the oracle in `support/aba.rs`,
+//! the lane rollout's the test-local RK4 over that oracle in
+//! `support/rk4.rs`, and the lane ΔFD's `fd_derivatives_into`.
 
+#[path = "support/aba.rs"]
+mod aba;
 #[path = "support/rk4.rs"]
 mod rk4;
 
+use aba::aba_in_ws;
 use rbd_dynamics::{
-    aba_in_ws, fd_derivatives_into, fd_derivatives_lanes_into, forward_dynamics_aba_lanes_in_ws,
+    fd_derivatives_into, fd_derivatives_lanes_into, forward_dynamics_aba_lanes_in_ws,
     lanes::LaneWorkspace, rk4_rollout_lanes_into, DynamicsError, DynamicsWorkspace, FdDerivatives,
     LaneFdScratch, LaneRolloutScratch,
 };
 use rbd_model::{random_state, robots, JointType, ModelBuilder, RobotModel};
-use rbd_spatial::{MatN, SpatialInertia, Vec3, Xform};
+use rbd_spatial::{ForceVec, MatN, SpatialInertia, Vec3, Xform};
 
 fn test_models() -> Vec<RobotModel> {
     vec![
@@ -80,6 +83,45 @@ fn check_aba<const K: usize>(model: &RobotModel) {
             );
         }
     }
+
+    // With external forces, a different set per lane: `aba_in_ws` (the
+    // width-1 lane call) against the oracle. The lane-major `fext` of
+    // wider lane groups is crate-private; `lanes::tests` pins it.
+    let nb = model.num_bodies();
+    let fext = lane_fext(model, K);
+    let mut prod_ws = DynamicsWorkspace::new(model);
+    let mut qdd_prod = vec![0.0; nv];
+    for l in 0..K {
+        let (ql, qdl, tl) = (
+            &q[l * nq..(l + 1) * nq],
+            &qd[l * nv..(l + 1) * nv],
+            &tau[l * nv..(l + 1) * nv],
+        );
+        let fl = Some(&fext[l * nb..(l + 1) * nb]);
+        rbd_dynamics::aba_in_ws(model, &mut prod_ws, ql, qdl, tl, fl, &mut qdd_prod).unwrap();
+        aba_in_ws(model, &mut ws, ql, qdl, tl, fl, &mut qdd_scalar).unwrap();
+        for d in 0..nv {
+            assert_eq!(
+                qdd_prod[d].to_bits(),
+                qdd_scalar[d].to_bits(),
+                "{} ABA with fext lane {l}/{K} dof {d}",
+                model.name()
+            );
+        }
+    }
+}
+
+/// `k` lanes of world-frame external forces, lane-major (`k·nb`
+/// entries): the forces of `aba.rs`' `inverts_rnea_with_external_forces`,
+/// shifted per lane.
+fn lane_fext(model: &RobotModel, k: usize) -> Vec<ForceVec> {
+    let nb = model.num_bodies();
+    (0..k * nb)
+        .map(|n| {
+            let (l, i) = ((n / nb) as f64, (n % nb) as f64);
+            ForceVec::from_slice(&[0.1 * i, -0.2, 0.3 + 0.1 * l, 5.0, -2.0 - l, 1.0 + i])
+        })
+        .collect()
 }
 
 fn check_rollout<const K: usize>(model: &RobotModel) {

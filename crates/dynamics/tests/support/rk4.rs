@@ -1,14 +1,17 @@
 //! Test-only scalar RK4 reference of the lane rollout
 //! (`rbd_dynamics::rk4_rollout_lanes_into`): classical RK4 on the
 //! configuration manifold, one sample at a time, with the stage
-//! dynamics as a parameter. With [`aba_stage`] (the scalar
-//! `aba_in_ws`) it performs the lane rollout's arithmetic exactly and
-//! is the bitwise reference; with `forward_dynamics` (the M⁻¹ path) it
-//! checks that the rollout integrates the right physics.
+//! dynamics as a parameter. With [`aba_stage`] (the scalar ABA oracle
+//! of `support/aba.rs`) it performs the lane rollout's arithmetic
+//! exactly and is the bitwise reference; with `forward_dynamics` (the
+//! M⁻¹ path) it checks that the rollout integrates the right physics.
 //!
-//! Include it with `#[path = "support/rk4.rs"] mod rk4;`.
+//! Include it next to that oracle:
+//! `#[path = "support/aba.rs"] mod aba;` and
+//! `#[path = "support/rk4.rs"] mod rk4;`.
 
-use rbd_dynamics::{aba_in_ws, DynamicsError, DynamicsWorkspace};
+use super::aba::aba_in_ws;
+use rbd_dynamics::{DynamicsError, DynamicsWorkspace};
 use rbd_model::{integrate_config, RobotModel};
 
 /// Stage dynamics `q̈ = FD(q, q̇, τ)`.
@@ -20,7 +23,7 @@ pub type StageFd = fn(
     &[f64],
 ) -> Result<Vec<f64>, DynamicsError>;
 
-/// The lane rollout's stage dynamics: the scalar ABA sweep.
+/// The lane rollout's stage dynamics: the scalar ABA oracle.
 pub fn aba_stage(
     model: &RobotModel,
     ws: &mut DynamicsWorkspace,

@@ -11,12 +11,12 @@
 //! thread and the pool workers are counted (see [`record_alloc`]).
 
 use rbd_dynamics::{
-    bias_force_in_ws, crba_into, fd_derivatives_into, forward_dynamics_into, mminv_gen_into,
+    bias_force_in_ws, fd_derivatives_into, forward_dynamics_into, mminv_gen_into,
     rnea_derivatives_idsva_into, rnea_derivatives_into, rnea_in_ws, BatchEval, DynamicsWorkspace,
     FdDerivatives, RneaDerivatives, SamplePoint,
 };
 use rbd_model::{random_state, robots};
-use rbd_spatial::MatN;
+use rbd_spatial::{ForceVec, MatN};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -110,14 +110,13 @@ fn steady_state_kernels_do_not_allocate() {
         // Warm-up: first calls may size output buffers.
         rnea_in_ws(&model, &mut ws, &s.q, &s.qd, &qdd, None);
         bias_force_in_ws(&model, &mut ws, &s.q, &s.qd, None);
-        crba_into(&model, &mut ws, &s.q, &mut m);
         mminv_gen_into(&model, &mut ws, &s.q, Some(&mut m), Some(&mut minv)).unwrap();
         forward_dynamics_into(&model, &mut ws, &s.q, &s.qd, &tau, None, &mut qdd_out).unwrap();
         rnea_derivatives_into(&model, &mut ws, &s.q, &s.qd, &qdd, None, &mut did);
         fd_derivatives_into(&model, &mut ws, &s.q, &s.qd, &tau, None, &mut dfd).unwrap();
 
         // Steady state: every hot-path kernel must be allocation-free.
-        let checks: [(&str, u64); 8] = [
+        let checks: [(&str, u64); 7] = [
             (
                 "rnea_derivatives_idsva_into",
                 alloc_count(|| {
@@ -131,10 +130,6 @@ fn steady_state_kernels_do_not_allocate() {
             (
                 "bias_force_in_ws",
                 alloc_count(|| bias_force_in_ws(&model, &mut ws, &s.q, &s.qd, None)),
-            ),
-            (
-                "crba_into",
-                alloc_count(|| crba_into(&model, &mut ws, &s.q, &mut m)),
             ),
             (
                 "mminv_gen_into",
@@ -203,6 +198,9 @@ fn lane_kernels_do_not_allocate_in_steady_state() {
         let mut qdd_out = vec![0.0; nv];
         let mut fd_scratch = LaneFdScratch::<K>::new(&model);
         let mut fd_outs = vec![FdDerivatives::zeros(nv); K];
+        let fext: Vec<ForceVec> = (0..model.num_bodies())
+            .map(|i| ForceVec::from_slice(&[0.1 * i as f64, -0.2, 0.3, 5.0, -2.0, 1.0 + i as f64]))
+            .collect();
 
         // Warm-up: sizes the rollout scratch and the kinematics memo.
         forward_dynamics_aba_lanes_in_ws(&model, &mut lws, &q, &qd, &tau).unwrap();
@@ -242,9 +240,10 @@ fn lane_kernels_do_not_allocate_in_steady_state() {
         )
         .unwrap();
 
-        // Steady state: the whole lane sweep family plus the scalar ABA
-        // reference must be allocation-free.
-        let checks: [(&str, u64); 4] = [
+        // Steady state: the whole lane sweep family plus `aba_in_ws`, its
+        // width-1 call, with and without external forces must be
+        // allocation-free.
+        let checks: [(&str, u64); 5] = [
             (
                 "fd_derivatives_lanes_into",
                 alloc_count(|| {
@@ -295,6 +294,21 @@ fn lane_kernels_do_not_allocate_in_steady_state() {
                         &s0.qd,
                         &tau[..nv],
                         None,
+                        &mut qdd_out,
+                    )
+                    .unwrap()
+                }),
+            ),
+            (
+                "aba_in_ws with fext",
+                alloc_count(|| {
+                    aba_in_ws(
+                        &model,
+                        &mut ws,
+                        &s0.q,
+                        &s0.qd,
+                        &tau[..nv],
+                        Some(&fext),
                         &mut qdd_out,
                     )
                     .unwrap()
@@ -359,7 +373,11 @@ fn batch_in_place_ldlt_does_not_allocate() {
     let count = alloc_count(|| {
         a.ldlt_into(&mut l, &mut d).unwrap();
         a.inverse_spd_into(&mut inv, &mut l, &mut d).unwrap();
-        a.solve_into(&v, &mut x, &mut l, &mut d).unwrap();
+        // A solve into caller storage: the factors, then the in-place
+        // substitution.
+        a.ldlt_into(&mut l, &mut d).unwrap();
+        x.copy_from(&v);
+        rbd_spatial::matn::ldlt_solve_in_place(&l, &d, x.as_mut_slice());
         a.mul_mat_into(&b, &mut out);
         a.mul_vec_into(&v, &mut x);
         a.transpose_into(&mut out);

@@ -78,11 +78,6 @@ impl RobotModel {
         &self.body_names[i]
     }
 
-    /// Body id by name, if present.
-    pub fn body_id(&self, name: &str) -> Option<usize> {
-        self.body_names.iter().position(|n| n == name)
-    }
-
     /// Offset of body `i`'s configuration variables in a `q` vector.
     pub fn q_offset(&self, i: usize) -> usize {
         self.q_index[i]
@@ -207,9 +202,14 @@ impl ModelBuilder {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rbd_spatial::Mat3;
+
+    /// Body id by name, if present.
+    pub(crate) fn body_id(m: &RobotModel, name: &str) -> Option<usize> {
+        (0..m.num_bodies()).position(|i| m.body_name(i) == name)
+    }
 
     fn two_link() -> RobotModel {
         let mut b = ModelBuilder::new("two-link");
@@ -260,7 +260,12 @@ mod tests {
             Some(arm),
             JointType::Spherical,
             Xform::identity(),
-            SpatialInertia::solid_sphere(0.5, 0.05, Vec3::zero()),
+            // A solid sphere of radius 0.05: I = 2/5·m·r².
+            SpatialInertia::from_mass_com_inertia(
+                0.5,
+                Vec3::zero(),
+                Mat3::diagonal(Vec3::new(5e-4, 5e-4, 5e-4)),
+            ),
         );
         let m = b.build();
         assert_eq!(m.nq(), 7 + 1 + 4);
@@ -268,8 +273,8 @@ mod tests {
         assert_eq!(m.q_offset(2), 8);
         assert_eq!(m.v_offset(2), 7);
         assert_eq!(m.neutral_config().len(), m.nq());
-        assert_eq!(m.body_id("arm"), Some(1));
-        assert_eq!(m.body_id("nope"), None);
+        assert_eq!(body_id(&m, "arm"), Some(1));
+        assert_eq!(body_id(&m, "nope"), None);
     }
 
     #[test]

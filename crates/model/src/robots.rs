@@ -405,6 +405,8 @@ pub fn paper_robots() -> Vec<RobotModel> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::robot::tests::body_id;
+    use crate::tree::tests::is_chain;
 
     #[test]
     fn iiwa_structure() {
@@ -412,7 +414,7 @@ mod tests {
         assert_eq!(m.num_bodies(), 7);
         assert_eq!(m.nv(), 7);
         assert_eq!(m.nq(), 7);
-        assert!(m.topology().is_chain());
+        assert!(is_chain(m.topology()));
         assert_eq!(m.topology().max_depth(), 7);
     }
 
@@ -444,7 +446,7 @@ mod tests {
     #[test]
     fn reroot_of_atlas_topology_matches_paper() {
         let m = atlas();
-        let torso2 = m.body_id("torso2").unwrap();
+        let torso2 = body_id(&m, "torso2").unwrap();
         let (r, _) = m.topology().reroot(torso2);
         assert_eq!(r.max_depth(), 9);
     }
@@ -452,7 +454,7 @@ mod tests {
     #[test]
     fn tiago_is_linear() {
         let m = tiago();
-        assert!(m.topology().is_chain());
+        assert!(is_chain(m.topology()));
         assert_eq!(m.nv(), 10);
         assert_eq!(m.num_bodies(), 8);
     }
@@ -487,7 +489,7 @@ mod tests {
             let m = serial_chain(n);
             assert_eq!(m.num_bodies(), n);
             assert_eq!(m.nv(), n);
-            assert!(m.topology().is_chain());
+            assert!(is_chain(m.topology()));
         }
     }
 

@@ -138,11 +138,6 @@ impl Topology {
             .collect()
     }
 
-    /// `true` when the tree is a single unbranched chain.
-    pub fn is_chain(&self) -> bool {
-        (0..self.num_bodies()).all(|i| self.children[i].len() <= 1)
-    }
-
     /// Decomposes the tree into maximal unbranched segments ("branches" in
     /// the SAP sense). Each segment is a path `[first..last]` where only
     /// the last body may branch or be a leaf. Segments are returned
@@ -239,8 +234,13 @@ impl Topology {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// `true` when the tree is a single unbranched chain.
+    pub(crate) fn is_chain(t: &Topology) -> bool {
+        (0..t.num_bodies()).all(|i| t.children(i).len() <= 1)
+    }
 
     fn y_tree() -> Topology {
         // 0 - 1 - 2 - 3
@@ -286,9 +286,9 @@ mod tests {
     fn leaves_and_chain() {
         let t = y_tree();
         assert_eq!(t.leaves(), vec![3, 5]);
-        assert!(!t.is_chain());
+        assert!(!is_chain(&t));
         let chain = Topology::from_parents(&[None, Some(0), Some(1)]).unwrap();
-        assert!(chain.is_chain());
+        assert!(is_chain(&chain));
     }
 
     #[test]

@@ -90,12 +90,6 @@ impl SpatialInertia {
         Self::from_mass_com_inertia(mass, c, Mat3::diagonal(Vec3::new(ixy, ixy, iz)))
     }
 
-    /// Builds a solid-sphere inertia with the centre of mass at `c`.
-    pub fn solid_sphere(mass: f64, r: f64, c: Vec3) -> Self {
-        let i = 2.0 / 5.0 * mass * r * r;
-        Self::from_mass_com_inertia(mass, c, Mat3::diagonal(Vec3::new(i, i, i)))
-    }
-
     /// The centre of mass `c = h / m` (zero for a massless body).
     pub fn com(&self) -> Vec3 {
         if self.mass > 0.0 {
@@ -291,6 +285,12 @@ impl fmt::Display for SpatialInertia {
 mod tests {
     use super::*;
 
+    /// A solid-sphere inertia with the centre of mass at `c`.
+    fn solid_sphere(mass: f64, r: f64, c: Vec3) -> SpatialInertia {
+        let i = 2.0 / 5.0 * mass * r * r;
+        SpatialInertia::from_mass_com_inertia(mass, c, Mat3::diagonal(Vec3::new(i, i, i)))
+    }
+
     fn sample() -> SpatialInertia {
         SpatialInertia::from_mass_com_inertia(
             3.0,
@@ -346,7 +346,7 @@ mod tests {
     #[test]
     fn addition_is_componentwise() {
         let a = sample();
-        let b = SpatialInertia::solid_sphere(1.0, 0.2, Vec3::unit_x());
+        let b = solid_sphere(1.0, 0.2, Vec3::unit_x());
         let s = a + b;
         assert!((s.mass - (a.mass + b.mass)).abs() < 1e-15);
         assert!((s.h - (a.h + b.h)).max_abs() < 1e-15);
@@ -363,7 +363,7 @@ mod tests {
     fn shape_constructors_reasonable() {
         let b = SpatialInertia::solid_box(12.0, 1.0, 1.0, 1.0, Vec3::zero());
         assert!((b.i_bar[(0, 0)] - 2.0).abs() < 1e-12);
-        let s = SpatialInertia::solid_sphere(5.0, 0.1, Vec3::zero());
+        let s = solid_sphere(5.0, 0.1, Vec3::zero());
         assert!((s.i_bar[(0, 0)] - 0.02).abs() < 1e-12);
         let c = SpatialInertia::solid_cylinder(2.0, 0.1, 0.5, Vec3::zero());
         assert!(c.i_bar[(2, 2)] > 0.0);

@@ -1154,8 +1154,11 @@ mod tests {
         [
             Xform::rot_axis(Vec3::new(0.3, -0.5, 0.8).normalized(), 1.234)
                 .with_translation(Vec3::new(0.7, -0.2, 1.5)),
-            Xform::rot_x(0.4).with_translation(Vec3::new(-0.3, 0.0, 0.2)),
-            Xform::rot_y(-0.9).with_translation(Vec3::new(0.1, 0.9, -0.4)),
+            Xform::new(Mat3::rotation_x(0.4).transpose(), Vec3::new(-0.3, 0.0, 0.2)),
+            Xform::new(
+                Mat3::rotation_y(-0.9).transpose(),
+                Vec3::new(0.1, 0.9, -0.4),
+            ),
             Xform::rot_z(2.1).with_translation(Vec3::new(1.2, -0.7, 0.05)),
         ]
     }

@@ -426,7 +426,7 @@ impl fmt::Display for Mat6 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Vec3;
+    use crate::{Mat3, Vec3};
 
     #[test]
     fn xform_matrix_matches_apply_motion() {
@@ -442,7 +442,7 @@ mod tests {
     #[test]
     fn xform_transpose_matches_inv_apply_force() {
         // (^B X_A)ᵀ applied to a force-layout vector equals ^A X_B^* f.
-        let x = Xform::rot_y(0.4).with_translation(Vec3::new(0.3, -0.2, 0.7));
+        let x = Xform::new(Mat3::rotation_y(0.4).transpose(), Vec3::new(0.3, -0.2, 0.7));
         let m6 = Mat6::from_xform_motion(&x).transpose();
         let f = ForceVec::from_slice(&[0.1, 0.9, -0.4, 2.0, 0.3, 0.6]);
         let lhs = {
@@ -515,7 +515,7 @@ mod tests {
 
     #[test]
     fn batched_apply_matches_scalar() {
-        let x = Xform::rot_x(0.3).with_translation(Vec3::new(1.0, 2.0, 3.0));
+        let x = Xform::new(Mat3::rotation_x(0.3).transpose(), Vec3::new(1.0, 2.0, 3.0));
         let m6 = Mat6::from_xform_motion(&x);
         let vs: Vec<MotionVec> = (0..5)
             .map(|k| MotionVec::from_slice(&[0.1 * k as f64, -0.2, 0.3, 0.4, 0.5 - k as f64, 0.6]))
@@ -529,8 +529,10 @@ mod tests {
 
     #[test]
     fn mul_associates_with_identity() {
-        let x =
-            Mat6::from_xform_motion(&Xform::rot_x(0.3).with_translation(Vec3::new(1.0, 2.0, 3.0)));
+        let x = Mat6::from_xform_motion(&Xform::new(
+            Mat3::rotation_x(0.3).transpose(),
+            Vec3::new(1.0, 2.0, 3.0),
+        ));
         let p = x * Mat6::identity();
         assert!((p - x).max_abs() < 1e-15);
     }

@@ -546,27 +546,6 @@ impl MatN {
         Ok(ldlt_solve(&l, &d, b))
     }
 
-    /// Solves `self · x = b` into caller-provided storage (no allocation).
-    /// `l` and `d` receive the LDLᵀ factors as a side effect.
-    ///
-    /// # Errors
-    /// Propagates factorization failure.
-    ///
-    /// # Panics
-    /// Panics on shape mismatches.
-    pub fn solve_into(
-        &self,
-        b: &VecN,
-        x: &mut VecN,
-        l: &mut MatN,
-        d: &mut VecN,
-    ) -> Result<(), FactorizationError> {
-        self.ldlt_into(l, d)?;
-        x.copy_from(b);
-        ldlt_solve_in_place(l, d, x.as_mut_slice());
-        Ok(())
-    }
-
     /// Inverse of a symmetric positive-definite matrix via LDLᵀ.
     ///
     /// # Errors

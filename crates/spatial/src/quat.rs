@@ -112,46 +112,6 @@ impl Quat {
             ],
         ])
     }
-
-    /// Builds a unit quaternion from an active rotation matrix.
-    pub fn from_rotation_matrix(r: &Mat3) -> Self {
-        let m = |i: usize, j: usize| r[(i, j)];
-        let tr = r.trace();
-        let q = if tr > 0.0 {
-            let s = (tr + 1.0).sqrt() * 2.0;
-            Self::new(
-                0.25 * s,
-                (m(2, 1) - m(1, 2)) / s,
-                (m(0, 2) - m(2, 0)) / s,
-                (m(1, 0) - m(0, 1)) / s,
-            )
-        } else if m(0, 0) > m(1, 1) && m(0, 0) > m(2, 2) {
-            let s = (1.0 + m(0, 0) - m(1, 1) - m(2, 2)).sqrt() * 2.0;
-            Self::new(
-                (m(2, 1) - m(1, 2)) / s,
-                0.25 * s,
-                (m(0, 1) + m(1, 0)) / s,
-                (m(0, 2) + m(2, 0)) / s,
-            )
-        } else if m(1, 1) > m(2, 2) {
-            let s = (1.0 + m(1, 1) - m(0, 0) - m(2, 2)).sqrt() * 2.0;
-            Self::new(
-                (m(0, 2) - m(2, 0)) / s,
-                (m(0, 1) + m(1, 0)) / s,
-                0.25 * s,
-                (m(1, 2) + m(2, 1)) / s,
-            )
-        } else {
-            let s = (1.0 + m(2, 2) - m(0, 0) - m(1, 1)).sqrt() * 2.0;
-            Self::new(
-                (m(1, 0) - m(0, 1)) / s,
-                (m(0, 2) + m(2, 0)) / s,
-                (m(1, 2) + m(2, 1)) / s,
-                0.25 * s,
-            )
-        };
-        q.normalized()
-    }
 }
 
 impl Mul for Quat {
@@ -208,21 +168,6 @@ mod tests {
         let lhs = (a * b).rotate(v);
         let rhs = a.rotate(b.rotate(v));
         assert!((lhs - rhs).max_abs() < 1e-12);
-    }
-
-    #[test]
-    fn matrix_roundtrip() {
-        for (axis, angle) in [
-            (Vec3::unit_x(), 0.1),
-            (Vec3::unit_y(), 2.9),
-            (Vec3::new(1.0, -2.0, 0.5).normalized(), -1.7),
-            (Vec3::unit_z(), 3.1),
-        ] {
-            let q = Quat::from_axis_angle(axis, angle);
-            let q2 = Quat::from_rotation_matrix(&q.to_rotation_matrix());
-            // Quaternions double-cover rotations; compare via matrices.
-            assert!((q.to_rotation_matrix() - q2.to_rotation_matrix()).max_abs() < 1e-10);
-        }
     }
 
     #[test]

@@ -61,18 +61,8 @@ impl Xform {
         Self::new(Mat3::identity(), r)
     }
 
-    /// Pure coordinate rotation about X by `theta`: B is A rotated by
-    /// `+theta` about A's x axis, so `E = R_x(θ)ᵀ`.
-    pub fn rot_x(theta: f64) -> Self {
-        Self::new(Mat3::rotation_x(theta).transpose(), Vec3::zero())
-    }
-
-    /// Pure coordinate rotation about Y by `theta`.
-    pub fn rot_y(theta: f64) -> Self {
-        Self::new(Mat3::rotation_y(theta).transpose(), Vec3::zero())
-    }
-
-    /// Pure coordinate rotation about Z by `theta`.
+    /// Pure coordinate rotation about Z by `theta`: B is A rotated by
+    /// `+theta` about A's z axis, so `E = R_z(θ)ᵀ`.
     pub fn rot_z(theta: f64) -> Self {
         Self::new(Mat3::rotation_z(theta).transpose(), Vec3::zero())
     }
@@ -241,7 +231,7 @@ mod tests {
     #[test]
     fn compose_matches_sequential_application() {
         let bxa = arbitrary_xform();
-        let cxb = Xform::rot_y(0.4).with_translation(Vec3::new(-0.3, 0.0, 0.2));
+        let cxb = Xform::new(Mat3::rotation_y(0.4).transpose(), Vec3::new(-0.3, 0.0, 0.2));
         let cxa = cxb.compose(&bxa);
         let v = MotionVec::from_slice(&[0.5, -0.5, 0.25, 0.0, 1.0, 2.0]);
         let lhs = cxa.apply_motion(&v);

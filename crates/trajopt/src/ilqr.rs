@@ -5,10 +5,7 @@
 //! covers the fixed-base arms the optimizer examples use.
 
 use crate::integrator::{rk4_step_with_sensitivity_into, Rk4SensScratch, StepJacobians};
-use rbd_dynamics::{
-    bias_force_in_ws, forward_dynamics_aba_lanes_in_ws, BatchEval, DynamicsWorkspace,
-    LaneWorkspace, Rk4Stages,
-};
+use rbd_dynamics::{aba_in_ws, bias_force_in_ws, BatchEval, DynamicsWorkspace, Rk4Stages};
 use rbd_model::RobotModel;
 use rbd_spatial::{MatN, VecN};
 use std::time::Instant;
@@ -192,7 +189,6 @@ impl<'m> IlqrScratch<'m> {
                 us: vec![vec![0.0; nv]; horizon],
                 new_traj: vec![(vec![0.0; model.nq()], vec![0.0; nv]); horizon + 1],
                 new_us: vec![vec![0.0; nv]; horizon],
-                lws: LaneWorkspace::new(model),
                 stages: Rk4Stages::for_model(model, 1),
                 dx: vec![0.0; nx],
                 warm: false,
@@ -228,15 +224,15 @@ impl<'m> IlqrScratch<'m> {
 }
 
 /// The closed-loop forward pass: the nominal rollout, a candidate, the
-/// RK4 stages and width-1 lane ABA workspace that step the candidate, and
-/// the scratch of the gravity-compensated cold start.
+/// RK4 stages that step the candidate, and one workspace for both the
+/// stages' ABA ([`aba_in_ws`], the width-1 lane sweep) and the gravity
+/// torque of the cold start.
 #[derive(Debug)]
 struct ForwardPass {
     traj: Vec<(Vec<f64>, Vec<f64>)>,
     us: Vec<Vec<f64>>,
     new_traj: Vec<(Vec<f64>, Vec<f64>)>,
     new_us: Vec<Vec<f64>>,
-    lws: LaneWorkspace<1>,
     stages: Rk4Stages,
     dx: Vec<f64>,
     /// Whether `us` holds the last solve's plan, which ended at a finite cost.
@@ -269,7 +265,7 @@ impl ForwardPass {
     fn run(&mut self, model: &RobotModel, dt: f64, gains: Option<(f64, &[VecN], &[MatN])>) {
         let nv = model.nv();
         let (traj, us, new_traj) = (&self.traj, &self.us, &mut self.new_traj);
-        let (lws, stages, dx) = (&mut self.lws, &mut self.stages, &mut self.dx);
+        let (ws, stages, dx) = (&mut self.ws, &mut self.stages, &mut self.dx);
         new_traj[0].0.copy_from_slice(&traj[0].0);
         new_traj[0].1.copy_from_slice(&traj[0].1);
         for (k, u) in self.new_us.iter_mut().enumerate() {
@@ -289,8 +285,7 @@ impl ForwardPass {
             }
             for s in 0..4 {
                 let (q_s, qd_s, k_s) = stages.point(model, s, q, qd, dt);
-                forward_dynamics_aba_lanes_in_ws::<1>(model, lws, q_s, qd_s, u).expect("ABA");
-                lws.scatter_qdd(k_s);
+                aba_in_ws(model, ws, q_s, qd_s, u, None, k_s).expect("ABA");
             }
             let (q_next, qd_next) = &mut next[0];
             stages.finish(model, q, qd, dt, q_next, qd_next);

@@ -31,9 +31,9 @@ impl StepJacobians {
     }
 }
 
-/// One classical RK4 step on the configuration manifold over the scalar
-/// ABA ([`rbd_dynamics::aba_in_ws`]): one [`Rk4Stages`] step, so it
-/// integrates the same bits as a lane of
+/// One classical RK4 step on the configuration manifold over ABA
+/// ([`rbd_dynamics::aba_in_ws`], the width-1 lane sweep): one
+/// [`Rk4Stages`] step, so it integrates the same bits as a lane of
 /// [`rbd_dynamics::rk4_rollout_lanes_into`]. Allocates its stage
 /// buffers and outputs.
 ///

@@ -9,7 +9,7 @@
 //! |-----------|----------|
 //! | [`spatial`] | Featherstone spatial algebra, small dense linear algebra |
 //! | [`model`] | joints, links, kinematic trees, the paper's robots |
-//! | [`dynamics`] | RNEA, CRBA, ABA, MMinvGen (Alg 2), analytical ΔRNEA/ΔFD |
+//! | [`dynamics`] | RNEA, ABA, MMinvGen (Alg 2), analytical ΔRNEA/ΔFD |
 //! | [`fixed`] | fixed-point datapath, Taylor trig, fast reciprocal |
 //! | [`accel`] | the Dadu-RBD simulator (RTP, SAP, dataflow, resources, power) |
 //! | [`baselines`] | calibrated CPU/GPU/Robomorphic device models, host harness |

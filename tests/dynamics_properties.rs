@@ -9,11 +9,14 @@
 
 #[path = "support/cases.rs"]
 mod cases;
+#[path = "../crates/dynamics/tests/support/crba.rs"]
+mod crba;
 #[path = "../crates/dynamics/tests/support/energy.rs"]
 mod energy;
 
 use cases::{draw, for_each_case, uniform};
-use dadu_rbd::dynamics::{aba, crba, forward_dynamics, mminv_gen, rnea, DynamicsWorkspace};
+use crba::crba;
+use dadu_rbd::dynamics::{aba, forward_dynamics, mminv_gen, rnea, DynamicsWorkspace};
 use dadu_rbd::model::{integrate_config, random_state, robots, RobotModel, SplitMix64};
 use dadu_rbd::spatial::{ForceVec, MatN, MotionVec, Vec3, VecN};
 use energy::{kinetic_energy, total_energy};

@@ -9,16 +9,19 @@
 //! calling the property's `*_case` function with it replays the failing
 //! case alone.
 
+#[path = "../crates/dynamics/tests/support/aba.rs"]
+mod aba;
 #[path = "support/cases.rs"]
 mod cases;
 #[path = "../crates/dynamics/tests/support/rk4.rs"]
 mod rk4;
 
+use aba::aba_in_ws;
 use cases::{draw, for_each_case};
 
 use dadu_rbd::dynamics::{
-    aba_in_ws, forward_dynamics_aba_lanes_in_ws, lanes::LaneWorkspace, rk4_rollout_lanes_into,
-    BatchEval, DynamicsWorkspace, LaneRolloutScratch,
+    forward_dynamics_aba_lanes_in_ws, lanes::LaneWorkspace, rk4_rollout_lanes_into, BatchEval,
+    DynamicsWorkspace, LaneRolloutScratch,
 };
 use dadu_rbd::model::{random_state, robots, RobotModel, SplitMix64};
 

